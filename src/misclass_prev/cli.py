@@ -6,6 +6,10 @@ report, ``simulate`` draws synthetic cohorts or replication studies
 from a scenario file, and ``report`` re-renders a saved comparison csv
 as an aligned text table.
 
+``fit``, ``compare`` and study mode all run a model through
+``report.estimate``, so a model gives the same fit and prevalence at
+the same seed whichever command runs it.
+
 Results go to stdout or ``--out``; logs, the resolved seed, and the
 effective configuration echo go to stderr. Exit codes: 0 on success,
 2 for input problems (bad files, bad flags), 3 for statistical
@@ -19,9 +23,6 @@ import logging
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from .bayes import fit_bc, fit_bec
 from .data_model import (
     AnalysisConfig,
     AssayProfile,
@@ -30,20 +31,20 @@ from .data_model import (
     read_analysis_config,
     save_cohort,
 )
-from .errors import InputError, NonConvergenceError, StatisticalError
+from .errors import InputError, StatisticalError
 from .mcmc import SamplerConfig
-from .mle import LiuVariant, ModelTag, fit_liu, fit_std
+from .mle import LiuVariant, ModelTag
 from .report import (
+    _fmt,
     _reparse,
     _text_table,
     build_comparison_report,
     coefficient_csv_rows,
-    marginal_prevalence_bayes,
-    marginal_prevalence_liu,
-    marginal_prevalence_std,
+    estimate,
     prevalence_csv_rows,
     render_csv_text,
     render_text,
+    require_converged as _gate_convergence,  # perfbench's tests call the gate by this name
     se_csv_rows,
     write_csv,
 )
@@ -113,7 +114,7 @@ def build_parser():
         "--interval",
         choices=("bootstrap", "delta"),
         default="bootstrap",
-        help="interval construction for the std model",
+        help="interval construction for the std and liu models",
     )
     fit.add_argument("--seed", type=int, default=0)
     fit.add_argument("--save-draws", help="write posterior draws csv (bc/bec)")
@@ -216,27 +217,28 @@ def _assay_echo(assay):
     )
 
 
-def _gate_convergence(fit, allow):
-    if fit.converged:
-        return
-    if allow:
-        log.warning(
-            "%s fit flagged non-converged (%s); continuing because "
-            "--allow-nonconverged is set",
-            fit.model_tag.value,
-            fit.condition_warning,
-        )
-        return
-    raise NonConvergenceError(
-        f"{fit.model_tag.value} fit did not converge: {fit.condition_warning}"
+def _sampler(args):
+    """The sampler flags as a SamplerConfig; out-of-range values are input errors."""
+    try:
+        return SamplerConfig(chains=args.chains, warmup=args.warmup, samples=args.samples)
+    except ValueError as exc:
+        raise InputError(f"sampler flags: {exc}") from None
+
+
+def _estimate_options(args):
+    """The ``estimate`` keywords that fit and compare take from the same flags."""
+    if args.bootstrap is not None and args.bootstrap < 1:
+        raise InputError(f"--bootstrap must be at least 1, got {args.bootstrap}")
+    return dict(
+        sampler=_sampler(args),
+        variant=VARIANT_NAMES[args.variant],
+        n_boot=args.bootstrap,
+        allow_nonconverged=args.allow_nonconverged,
     )
 
 
-def _fixed_point_assay(assay):
-    """The point (se, sp) view of a profile, for external corrections."""
-    if assay.mode.value == "fixed":
-        return assay
-    return AssayProfile(sensitivity=assay.sensitivity, specificity=assay.specificity)
+def _csv_text(rows):
+    return "\n".join(",".join(_fmt(v) for v in r) for r in rows) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -244,87 +246,22 @@ def _fixed_point_assay(assay):
 # ---------------------------------------------------------------------------
 
 
-def _fit_one(args, y, X, assay, rng_seed):
-    """Dispatch one model fit; returns (fit, prevalence, extras_rows)."""
-    model = ModelTag(args.model)
-    extras = []
-
-    if model is ModelTag.STD:
-        if assay is None:
-            raise InputError("the std pipeline needs --se/--sp for the external correction")
-        fit = fit_std(y, X)
-        _gate_convergence(fit, args.allow_nonconverged)
-        prev = None
-        if fit.converged:
-            prev = marginal_prevalence_std(
-                y,
-                X,
-                fit,
-                _fixed_point_assay(assay),
-                n_boot=args.bootstrap or 1000,
-                rng=np.random.default_rng([rng_seed, 0xB007]),
-                interval=IntervalMethod.BOOTSTRAP
-                if args.interval == "bootstrap"
-                else IntervalMethod.DELTA,
-            )
-        return fit, prev, extras
-
-    if model is ModelTag.LIU:
-        fit = fit_liu(y, X, variant=VARIANT_NAMES[args.variant])
-        _gate_convergence(fit, args.allow_nonconverged)
-        rates = fit.error_rates_hat
-        extras.append(("error_rate_r0", rates.r0, rates.se_r0))
-        extras.append(("error_rate_r1", rates.r1, rates.se_r1))
-        prev = None
-        if fit.converged:
-            prev = marginal_prevalence_liu(
-                X,
-                fit,
-                n_boot=args.bootstrap or 500,
-                rng=np.random.default_rng([rng_seed, 0xB007]),
-            )
-        return fit, prev, extras
-
-    config = SamplerConfig(
-        chains=args.chains, warmup=args.warmup, samples=args.samples, seed=rng_seed
-    )
-    if model is ModelTag.BC:
-        if assay is None:
-            raise InputError("the bc pipeline needs --se/--sp for the external correction")
-        fit, draws = fit_bc(y, X, config=config)
-    else:
-        if assay is None:
-            raise InputError("the bec pipeline needs --se/--sp")
-        fit, draws = fit_bec(y, X, assay, config=config)
-        if assay.mode.value != "fixed":
-            # the sampled accuracy coordinates live in the draws, after
-            # the coefficients; summarize them alongside the fit table
-            flat = draws.flat()
-            for j, name in enumerate(draws.param_names[-2:]):
-                col = flat[:, flat.shape[1] - 2 + j]
-                extras.append((name, float(col.mean()), float(col.std(ddof=1))))
-    _gate_convergence(fit, args.allow_nonconverged)
-    if args.save_draws:
-        draws.to_csv(args.save_draws)
-        log.info("wrote %d draws to %s", draws.n_total, args.save_draws)
-    prev = marginal_prevalence_bayes(
-        draws,
-        X,
-        model,
-        assay=_fixed_point_assay(assay) if model is ModelTag.BC else None,
-        allow_bad_chains=args.allow_nonconverged,
-    )
-    return fit, prev, extras
-
-
-def _fit_rows(fit, prev, extras):
-    """One rectangular table for a single fit: coefficients then extras."""
+def _fit_rows(fit, prev, draws):
+    """One rectangular table for a single fit: coefficients, extras, prevalence."""
     rows = [["coefficient", "estimate", "se"]]
     for j, name in enumerate(fit.column_names):
         se = None if fit.beta_se is None else float(fit.beta_se[j])
         rows.append([name, float(fit.beta_hat[j]), se])
-    for name, value, se in extras:
-        rows.append([name, value, se])
+    rates = fit.error_rates_hat
+    if rates is not None:
+        rows.append(["error_rate_r0", rates.r0, rates.se_r0])
+        rows.append(["error_rate_r1", rates.r1, rates.se_r1])
+    if draws is not None:
+        # accuracy coordinates sampled by BEC with beta priors
+        flat = draws.flat()
+        for j, name in enumerate(draws.param_names):
+            if name in ("sensitivity", "specificity"):
+                rows.append([name, float(flat[:, j].mean()), float(flat[:, j].std(ddof=1))])
     if prev is not None:
         rows.append(["marginal_prevalence", prev.point, None])
         rows.append(["prevalence_lower", prev.lower, None])
@@ -336,20 +273,23 @@ def _run_fit(args):
     config = _load_config(args)
     model = ModelTag(args.model)
     assay = _resolve_assay(args, config, args.outcome, required=model is not ModelTag.LIU)
+    options = _estimate_options(args)
     _echo(args, f"model = {args.model}; {_assay_echo(assay)}")
 
     cohort = load_cohort(args.data, column_map=config.column_map, outcome_label=args.outcome)
     X = build_design_matrix(cohort)
     y = cohort.outcomes()
 
-    fit, prev, extras = _fit_one(args, y, X, assay, args.seed)
-    rows = _fit_rows(fit, prev, extras)
+    fit, prev, draws = estimate(
+        model, y, X, assay, args.seed, interval=IntervalMethod(args.interval), **options
+    )
+    if args.save_draws and draws is not None:
+        draws.to_csv(args.save_draws)
+        log.info("wrote %d draws to %s", draws.n_total, args.save_draws)
+    rows = _fit_rows(fit, prev, draws)
 
     if args.format == "csv":
-        out = "\n".join(
-            ",".join("" if v is None else (repr(v) if isinstance(v, float) else str(v)) for v in r)
-            for r in rows
-        ) + "\n"
+        out = _csv_text(rows)
     else:
         head = (
             f"model: {fit.model_tag.value}  loglik: {fit.loglik:.6f}  "
@@ -379,56 +319,23 @@ def _run_compare(args):
     bad = [w for w in wanted if w not in tuple(t.value for t in ModelTag)]
     if bad:
         raise InputError(f"unknown models {bad}; valid: {[t.value.lower() for t in ModelTag]}")
+    options = _estimate_options(args)
     _echo(args, f"models = {','.join(wanted)}; {_assay_echo(assay)}")
 
     cohort = load_cohort(args.data, column_map=config.column_map, outcome_label=args.outcome)
     X = build_design_matrix(cohort)
     y = cohort.outcomes()
-    point_assay = _fixed_point_assay(assay)
 
     crude = rogan_gladen_interval(
-        int(y.sum()), y.shape[0], point_assay, method=IntervalMethod.WALD
+        int(y.sum()), y.shape[0], assay.point_profile(), method=IntervalMethod.WALD
     )
 
     fits, prevalences = {}, {}
     for name in wanted:
         tag = ModelTag(name)
-        if tag is ModelTag.STD:
-            fit = fit_std(y, X)
-            _gate_convergence(fit, args.allow_nonconverged)
-            fits[tag] = fit
-            if fit.converged:
-                prevalences[tag] = marginal_prevalence_std(
-                    y,
-                    X,
-                    fit,
-                    point_assay,
-                    n_boot=args.bootstrap or 1000,
-                    rng=np.random.default_rng([args.seed, 1]),
-                )
-        elif tag is ModelTag.LIU:
-            fit = fit_liu(y, X, variant=VARIANT_NAMES[args.variant])
-            _gate_convergence(fit, args.allow_nonconverged)
-            fits[tag] = fit
-            if fit.converged:
-                prevalences[tag] = marginal_prevalence_liu(
-                    X, fit, n_boot=args.bootstrap or 500, rng=np.random.default_rng([args.seed, 2])
-                )
-        else:
-            sampler = SamplerConfig(
-                chains=args.chains, warmup=args.warmup, samples=args.samples, seed=args.seed
-            )
-            if tag is ModelTag.BC:
-                fit, draws = fit_bc(y, X, config=sampler)
-                ext = point_assay
-            else:
-                fit, draws = fit_bec(y, X, assay, config=sampler)
-                ext = None
-            _gate_convergence(fit, args.allow_nonconverged)
-            fits[tag] = fit
-            prevalences[tag] = marginal_prevalence_bayes(
-                draws, X, tag, assay=ext, allow_bad_chains=args.allow_nonconverged
-            )
+        fits[tag], prev, _ = estimate(tag, y, X, assay, args.seed, **options)
+        if prev is not None:
+            prevalences[tag] = prev
 
     report = build_comparison_report(crude, fits=fits, prevalences=prevalences)
 
@@ -440,8 +347,7 @@ def _run_compare(args):
         log.info("wrote %s", args.se_out)
 
     if args.format == "csv":
-        rows = prevalence_csv_rows(report)
-        out = "\n".join(",".join(str(v) for v in r) for r in rows) + "\n"
+        out = _csv_text(prevalence_csv_rows(report))
     else:
         out = render_text(report)
     _emit(out, args.out)
@@ -465,7 +371,9 @@ def _run_simulate(args):
         scenario = replace(scenario, seed=int(args.seed))
     print(f"misclass-prev simulate: seed = {scenario.seed}; n = {scenario.n}", file=sys.stderr)
 
-    if args.reps:
+    if args.reps is not None:
+        if args.reps < 1:
+            raise InputError(f"--reps must be at least 1, got {args.reps}")
         wanted = [w.strip().lower() for w in args.estimators.split(",") if w.strip()]
         bad = [w for w in wanted if w not in ESTIMATOR_NAMES]
         if bad:
@@ -473,16 +381,8 @@ def _run_simulate(args):
         override = None
         if args.se is not None and args.sp is not None:
             override = AssayProfile(sensitivity=args.se, specificity=args.sp)
-        specs = [
-            EstimatorSpec(
-                name=w,
-                assay=override,
-                chains=args.chains,
-                warmup=args.warmup,
-                samples=args.samples,
-            )
-            for w in wanted
-        ]
+        sampler = _sampler(args)
+        specs = [EstimatorSpec(name=w, assay=override, sampler=sampler) for w in wanted]
         summaries = replicate_study(scenario, specs, reps=args.reps, workers=args.workers)
         rows = [["estimator", "reps", "failures", "failure_rate", "mean_bias", "coverage", "mean_width"]]
         for s in summaries:
@@ -490,9 +390,7 @@ def _run_simulate(args):
                 [s.estimator, s.reps, s.failures, s.failure_rate, s.mean_bias, s.coverage, s.mean_width]
             )
         if args.format == "csv":
-            out = "\n".join(
-                ",".join(repr(v) if isinstance(v, float) else str(v) for v in r) for r in rows
-            ) + "\n"
+            out = _csv_text(rows)
         else:
             out = _text_table(rows) + "\n"
         _emit(out, args.out)

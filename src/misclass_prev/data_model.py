@@ -257,6 +257,12 @@ class AssayProfile:
             sp_prior=(sp * sp_prior_n, (1.0 - sp) * sp_prior_n),
         )
 
+    def point_profile(self):
+        """The fixed (se, sp) view of this profile, for external corrections."""
+        if self.mode is AssayMode.FIXED:
+            return self
+        return AssayProfile(sensitivity=self.sensitivity, specificity=self.specificity)
+
     @property
     def youden(self):
         return self.sensitivity + self.specificity - 1.0

@@ -1,4 +1,4 @@
-"""Marginal prevalence per model and the cross-model comparison report.
+"""Marginal prevalence per model, the one estimation entry point, and the comparison report.
 
 Marginal standardization is the common estimand: average the fitted
 individual probabilities over the cohort's covariate rows. External
@@ -6,6 +6,10 @@ accuracy correction, where a model needs one, happens on that averaged
 probability; for posterior draws the correction is applied draw by
 draw, before averaging, so truncation at zero propagates into the
 posterior summaries rather than being applied once at the end.
+
+``estimate`` turns a model name into a fit and its prevalence summary.
+The ``fit`` and ``compare`` commands and the replication studies all go
+through it, so one model gives one answer at one seed wherever it runs.
 """
 
 from __future__ import annotations
@@ -15,9 +19,12 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import stats
 
-from .errors import DiagnosticsError, NonConvergenceError
+from .bayes import fit_bc, fit_bec
+from .errors import DiagnosticsError, NonConvergenceError, SingularDesignError
 from .likelihoods import logistic
+from .mcmc import SamplerConfig
 from .mle import LiuInit, LiuVariant, ModelTag, fit_liu, fit_std
 from .rogan_gladen import IntervalMethod, correct_proportion
 
@@ -51,11 +58,31 @@ def _mean_prob(X, beta):
     return float(np.mean(logistic(Xm @ beta)))
 
 
-def _require_converged(fit):
-    if not fit.converged:
+def require_converged(fit, allow=False):
+    """Refuse a non-converged fit; with ``allow``, log a warning and go on."""
+    if fit.converged:
+        return
+    if not allow:
         raise NonConvergenceError(
             f"{fit.model_tag.value} fit did not converge: {fit.condition_warning}"
         )
+    log.warning(
+        "%s fit flagged non-converged (%s); continuing because --allow-nonconverged is set",
+        fit.model_tag.value,
+        fit.condition_warning,
+    )
+
+
+def _bootstrap_bounds(vals, n_boot, conf_level, what):
+    """Equal-tail bounds of the clean refits; refuses fewer than half of ``n_boot``, or none."""
+    if len(vals) < max(1, (n_boot + 1) // 2):
+        raise NonConvergenceError(
+            f"{what} collapsed: only {len(vals)} of {n_boot} resamples refit cleanly"
+        )
+    if len(vals) < n_boot:
+        log.warning("prevalence bootstrap: %d of %d refits failed", n_boot - len(vals), n_boot)
+    alpha = 1.0 - conf_level
+    return np.quantile(vals, [alpha / 2.0, 1.0 - alpha / 2.0])
 
 
 def marginal_prevalence_std(
@@ -72,11 +99,12 @@ def marginal_prevalence_std(
 
     The nonparametric bootstrap resamples cohort rows, refits, averages
     the fitted probabilities, and corrects each resampled value; refits
-    that fail to converge are counted and skipped. The cheaper delta
+    that fail to converge, or whose resample lost every positive of a
+    rare indicator column, are counted and skipped. The cheaper delta
     interval propagates the coefficient covariance through the mean
     fitted probability and divides by the Youden index.
     """
-    _require_converged(fit)
+    require_converged(fit)
     interval = IntervalMethod(interval)
     Xm = X.matrix if hasattr(X, "matrix") else np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -84,29 +112,21 @@ def marginal_prevalence_std(
 
     failures = 0
     if interval is IntervalMethod.BOOTSTRAP:
-        if rng is None or not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
+        rng = np.random.default_rng(rng)
         n = Xm.shape[0]
         vals = []
         for _ in range(n_boot):
             idx = rng.integers(0, n, size=n)
-            refit = fit_std(y[idx], Xm[idx], column_names=fit.column_names)
-            if not refit.converged:
-                failures += 1
+            try:
+                refit = fit_std(y[idx], Xm[idx], column_names=fit.column_names)
+            except SingularDesignError:
                 continue
-            adj, _ = correct_proportion(_mean_prob(Xm[idx], refit.beta_hat), assay)
-            vals.append(adj)
-        if len(vals) < max(50, n_boot // 2):
-            raise NonConvergenceError(
-                f"bootstrap collapsed: only {len(vals)} of {n_boot} resamples refit cleanly"
-            )
-        alpha = 1.0 - conf_level
-        lower, upper = np.quantile(vals, [alpha / 2.0, 1.0 - alpha / 2.0])
-        if failures:
-            log.warning("prevalence bootstrap: %d of %d refits failed", failures, n_boot)
+            if refit.converged:
+                adj, _ = correct_proportion(_mean_prob(Xm[idx], refit.beta_hat), assay)
+                vals.append(adj)
+        failures = n_boot - len(vals)
+        lower, upper = _bootstrap_bounds(vals, n_boot, conf_level, "bootstrap")
     elif interval is IntervalMethod.DELTA:
-        from scipy import stats
-
         pi = logistic(Xm @ fit.beta_hat)
         w = pi * (1.0 - pi)
         H = Xm.T @ (w[:, None] * Xm)
@@ -131,54 +151,64 @@ def marginal_prevalence_std(
     )
 
 
-def marginal_prevalence_liu(X, fit, n_boot=500, rng=None, conf_level=0.95):
+def marginal_prevalence_liu(
+    X, fit, n_boot=500, rng=None, conf_level=0.95, interval=IntervalMethod.BOOTSTRAP
+):
     """Marginal prevalence from the joint error-rate fit.
 
     No external correction applies: the coefficients already describe
-    the latent true status. The interval is a parametric bootstrap,
+    the latent true status. The bootstrap interval is parametric,
     simulating outcomes from the fitted (beta, r0, r1), refitting, and
     taking percentiles of the resampled prevalence; refits start at the
-    original estimates, and non-converged refits are counted.
+    original estimates, and non-converged refits are counted. The delta
+    interval propagates the joint observed-information covariance of
+    (beta, free rates) through the mean fitted probability; the rate
+    coordinates enter with zero gradient since the prevalence map only
+    touches beta.
     """
-    _require_converged(fit)
+    require_converged(fit)
     if fit.error_rates_hat is None:
         raise ValueError("fit does not carry error-rate estimates")
-    if rng is None or not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    interval = IntervalMethod(interval)
     Xm = X.matrix if hasattr(X, "matrix") else np.asarray(X, dtype=float)
-    point = _mean_prob(Xm, fit.beta_hat)
-    r0, r1 = fit.error_rates_hat.r0, fit.error_rates_hat.r1
-    variant = fit.variant or LiuVariant.BOTH_FREE
-
     pi_hat = logistic(Xm @ fit.beta_hat)
-    n = Xm.shape[0]
-    init = LiuInit(beta=fit.beta_hat, r0=max(r0, 1e-4), r1=max(r1, 1e-4))
-    vals = []
+    point = float(np.mean(pi_hat))
+    n, p = Xm.shape
+
     failures = 0
-    for _ in range(n_boot):
-        latent = rng.random(n) < pi_hat
-        u = rng.random(n)
-        y_b = np.where(latent, u >= r1, u < r0).astype(float)
-        refit = fit_liu(y_b, Xm, variant=variant, init=init, column_names=fit.column_names)
-        if not refit.converged:
-            failures += 1
-            continue
-        vals.append(_mean_prob(Xm, refit.beta_hat))
-    if len(vals) < max(50, n_boot // 2):
-        raise NonConvergenceError(
-            f"parametric bootstrap collapsed: only {len(vals)} of {n_boot} refits converged"
-        )
-    if failures:
-        log.warning("prevalence bootstrap: %d of %d refits failed", failures, n_boot)
-    alpha = 1.0 - conf_level
-    lower, upper = np.quantile(vals, [alpha / 2.0, 1.0 - alpha / 2.0])
+    if interval is IntervalMethod.BOOTSTRAP:
+        rng = np.random.default_rng(rng)
+        r0, r1 = fit.error_rates_hat.r0, fit.error_rates_hat.r1
+        variant = fit.variant or LiuVariant.BOTH_FREE
+        init = LiuInit(beta=fit.beta_hat, r0=max(r0, 1e-4), r1=max(r1, 1e-4))
+        vals = []
+        for _ in range(n_boot):
+            latent = rng.random(n) < pi_hat
+            u = rng.random(n)
+            y_b = np.where(latent, u >= r1, u < r0).astype(float)
+            refit = fit_liu(y_b, Xm, variant=variant, init=init, column_names=fit.column_names)
+            if refit.converged:
+                vals.append(_mean_prob(Xm, refit.beta_hat))
+        failures = n_boot - len(vals)
+        lower, upper = _bootstrap_bounds(vals, n_boot, conf_level, "parametric bootstrap")
+    elif interval is IntervalMethod.DELTA:
+        g = np.zeros(fit.covariance.shape[0])
+        g[:p] = (Xm.T @ (pi_hat * (1.0 - pi_hat))) / n
+        var = float(g @ fit.covariance @ g)
+        if not var >= 0.0:
+            raise NonConvergenceError(f"LIU delta interval has variance {var}")
+        half = stats.norm.ppf(0.5 + conf_level / 2.0) * np.sqrt(var)
+        lower, upper = max(0.0, point - half), min(1.0, point + half)
+    else:
+        raise ValueError(f"unsupported interval method for LIU prevalence: {interval}")
+
     lower, upper = min(float(lower), point), max(float(upper), point)
     return PrevalenceEstimate(
         model_tag=ModelTag.LIU,
         point=point,
         lower=lower,
         upper=upper,
-        interval_method=IntervalMethod.BOOTSTRAP,
+        interval_method=interval,
         n_resample_failures=failures,
     )
 
@@ -244,6 +274,70 @@ def marginal_prevalence_bayes(
         upper=upper,
         interval_method=IntervalMethod.POSTERIOR_QUANTILE,
     )
+
+
+def estimate(
+    tag,
+    y,
+    X,
+    assay,
+    seed,
+    sampler=None,
+    variant=LiuVariant.BOTH_FREE,
+    n_boot=None,
+    interval=IntervalMethod.BOOTSTRAP,
+    conf_level=0.95,
+    allow_nonconverged=False,
+):
+    """Fit one of the four models and summarize its marginal prevalence.
+
+    Returns ``(fit, prevalence, draws)``. ``prevalence`` is None for an
+    STD or LIU fit let through unconverged by ``allow_nonconverged``,
+    and ``draws`` is None for those two likelihood fits. ``assay`` is
+    the external correction for STD and BC (its point values) and the
+    likelihood's accuracy for BEC; LIU ignores it. ``seed`` seeds the
+    sampler and the bootstrap streams, ``[seed, 1]`` for STD and
+    ``[seed, 2]`` for LIU. ``interval`` and ``n_boot`` apply to STD and
+    LIU; ``n_boot=None`` keeps each bootstrap's default size. A
+    statistical failure raises a StatisticalError.
+    """
+    tag = ModelTag(tag)
+    draws = None
+    if tag is ModelTag.STD:
+        fit = fit_std(y, X)
+    elif tag is ModelTag.LIU:
+        fit = fit_liu(y, X, variant=variant)
+    else:
+        config = replace(sampler or SamplerConfig(), seed=seed)
+        if tag is ModelTag.BC:
+            fit, draws = fit_bc(y, X, config=config)
+        else:
+            fit, draws = fit_bec(y, X, assay, config=config)
+    require_converged(fit, allow_nonconverged)
+
+    boot = {} if n_boot is None else {"n_boot": n_boot}
+    if draws is not None:
+        prev = marginal_prevalence_bayes(
+            draws,
+            X,
+            tag,
+            assay=assay.point_profile() if tag is ModelTag.BC else None,
+            conf_level=conf_level,
+            allow_bad_chains=allow_nonconverged,
+        )
+    elif not fit.converged:
+        prev = None
+    elif tag is ModelTag.STD:
+        rng = np.random.default_rng([seed, 1])
+        prev = marginal_prevalence_std(
+            y, X, fit, assay.point_profile(), rng=rng, conf_level=conf_level, interval=interval, **boot
+        )
+    else:
+        rng = np.random.default_rng([seed, 2])
+        prev = marginal_prevalence_liu(
+            X, fit, rng=rng, conf_level=conf_level, interval=interval, **boot
+        )
+    return fit, prev, draws
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from importlib import resources
 import numpy as np
 from scipy import optimize, special, stats
 
-from .bayes import fit_bc, fit_bec
 from .data_model import (
     COLUMN_ORDER,
     AssayProfile,
@@ -36,12 +35,12 @@ from .data_model import (
     SubjectRecord,
     build_design_matrix,
 )
-from .errors import InputError, SchemaError
+from .errors import InputError, SchemaError, StatisticalError
 from .likelihoods import logistic
 from .mcmc import SamplerConfig
-from .mle import LiuVariant, ModelTag, fit_liu, fit_std
+from .mle import LiuVariant
 from .rogan_gladen import IntervalMethod, rogan_gladen_interval
-from .report import marginal_prevalence_bayes, marginal_prevalence_std
+from .report import estimate
 
 log = logging.getLogger(__name__)
 
@@ -409,9 +408,7 @@ class EstimatorSpec:
     name: str
     assay: AssayProfile = None  # analysis assay; defaults to the scenario's
     variant: LiuVariant = LiuVariant.BOTH_FREE
-    chains: int = 2
-    warmup: int = 800
-    samples: int = 800
+    sampler: SamplerConfig = SamplerConfig(chains=2, warmup=800, samples=800)
     conf_level: float = 0.95
 
     def __post_init__(self):
@@ -433,45 +430,19 @@ class ReplicationSummary:
         return self.failures / self.reps
 
 
-def _wald_interval(point, se, z):
-    return max(0.0, point - z * se), min(1.0, point + z * se)
-
-
-def _liu_delta_interval(X, fit, conf_level):
-    """Normal-approximation interval for the marginal prevalence.
-
-    Propagates the joint observed-information covariance of
-    (beta, free rates) through the mean fitted probability; the rate
-    coordinates enter with zero gradient since the prevalence map only
-    touches beta.
-    """
-    if fit.covariance is None:
-        return None
-    Xm = X.matrix if hasattr(X, "matrix") else np.asarray(X, dtype=float)
-    p = len(fit.beta_hat)
-    if fit.covariance.shape[0] < p:
-        return None
-    pi = logistic(Xm @ fit.beta_hat)
-    g = np.zeros(fit.covariance.shape[0])
-    g[:p] = (Xm.T @ (pi * (1.0 - pi))) / Xm.shape[0]
-    var = float(g @ fit.covariance @ g)
-    if var < 0:
-        return None
-    z = stats.norm.ppf(0.5 + conf_level / 2.0)
-    point = float(np.mean(pi))
-    return _wald_interval(point, math.sqrt(var), z)
-
-
 def _run_estimator(spec, y, X, scenario, seed):
-    """Returns (point, lower, upper); raises on statistical failure."""
-    assay = spec.assay or scenario.analysis_assay or scenario.assay_true
-    z = stats.norm.ppf(0.5 + spec.conf_level / 2.0)
+    """Returns (point, lower, upper); raises StatisticalError on statistical failure.
+
+    STD and LIU take delta intervals; every model uses the assay's point values.
+    """
+    assay = (spec.assay or scenario.analysis_assay or scenario.assay_true).point_profile()
     n = y.shape[0]
 
     if spec.name == "observed":
+        z = stats.norm.ppf(0.5 + spec.conf_level / 2.0)
         point = float(y.mean())
-        lower, upper = _wald_interval(point, math.sqrt(point * (1.0 - point) / n), z)
-        return point, lower, upper
+        half = z * math.sqrt(point * (1.0 - point) / n)
+        return point, max(0.0, point - half), min(1.0, point + half)
 
     if spec.name == "rg":
         est = rogan_gladen_interval(
@@ -479,47 +450,18 @@ def _run_estimator(spec, y, X, scenario, seed):
         )
         return est.p_adj, est.lower, est.upper
 
-    if spec.name == "std":
-        fit = fit_std(y, X)
-        est = marginal_prevalence_std(
-            y, X, fit, assay, conf_level=spec.conf_level, interval=IntervalMethod.DELTA
-        )
-        return est.point, est.lower, est.upper
-
-    if spec.name == "liu":
-        fit = fit_liu(y, X, variant=spec.variant)
-        if not fit.converged:
-            raise NonConvergenceStudyError(fit.condition_warning)
-        point = float(np.mean(logistic((X.matrix if hasattr(X, "matrix") else X) @ fit.beta_hat)))
-        bounds = _liu_delta_interval(X, fit, spec.conf_level)
-        if bounds is None:
-            raise NonConvergenceStudyError("no usable covariance for the interval")
-        lower, upper = min(bounds[0], point), max(bounds[1], point)
-        return point, lower, upper
-
-    config = SamplerConfig(
-        chains=spec.chains, warmup=spec.warmup, samples=spec.samples, seed=seed
-    )
-    if spec.name == "bc":
-        fit, draws = fit_bc(y, X, config=config)
-        est = marginal_prevalence_bayes(
-            draws, X, ModelTag.BC, assay=assay, conf_level=spec.conf_level
-        )
-        return est.point, est.lower, est.upper
-
-    # bec: force a fixed-accuracy profile for the likelihood
-    fixed = assay
-    if fixed.mode.value != "fixed":
-        fixed = AssayProfile(sensitivity=assay.sensitivity, specificity=assay.specificity)
-    fit, draws = fit_bec(y, X, fixed, config=config)
-    est = marginal_prevalence_bayes(
-        draws, X, ModelTag.BEC, assay=None, conf_level=spec.conf_level
+    _, est, _ = estimate(
+        spec.name.upper(),
+        y,
+        X,
+        assay,
+        seed,
+        sampler=spec.sampler,
+        variant=spec.variant,
+        interval=IntervalMethod.DELTA,
+        conf_level=spec.conf_level,
     )
     return est.point, est.lower, est.upper
-
-
-class NonConvergenceStudyError(Exception):
-    """Internal marker: one estimator failed on one replicate."""
 
 
 def _run_replicate(scenario, specs, rep_index):
@@ -535,7 +477,7 @@ def _run_replicate(scenario, specs, rep_index):
         try:
             point, lower, upper = _run_estimator(spec, y, X, scenario, est_seed)
             results.append((True, point, lower, upper))
-        except Exception as exc:  # noqa: BLE001 - failures are data here
+        except StatisticalError as exc:  # failures are data here; bugs still crash
             log.warning("replicate %d estimator %s failed: %s", rep_index, spec.name, exc)
             results.append((False, math.nan, math.nan, math.nan))
     return truth.true_prevalence, results
@@ -546,8 +488,11 @@ def _worker(payload):
     return _run_replicate(scenario, specs, rep_index)
 
 
-def resolve_workers(requested=None):
-    """Apply the MISCLASS_PREV_THREADS cap to a requested worker count."""
+def resolve_workers(requested=None, reps=None):
+    """Worker count for a study: the request, or serial by default, capped by
+    MISCLASS_PREV_THREADS and, given ``reps``, by ``min(reps, os.cpu_count())``."""
+    if requested is not None and requested < 1:
+        raise InputError(f"workers must be at least 1, got {requested}")
     cap = os.environ.get(THREADS_ENV_VAR)
     if cap is not None:
         try:
@@ -557,6 +502,8 @@ def resolve_workers(requested=None):
     wanted = requested if requested is not None else (cap or 1)
     if cap is not None:
         wanted = min(wanted, cap)
+    if reps is not None:
+        wanted = min(wanted, reps, os.cpu_count() or 1)
     return max(1, int(wanted))
 
 
@@ -564,14 +511,14 @@ def replicate_study(scenario, estimators, reps, workers=None):
     """Run every estimator on ``reps`` fresh cohorts and summarize.
 
     Each replicate owns seed streams derived from (scenario seed,
-    replicate index), so results do not depend on scheduling; estimator
-    failures (exceptions or non-convergence) are counted per estimator
-    and excluded from the bias/coverage/width averages.
+    replicate index), so results do not depend on scheduling; statistical
+    failures are counted per estimator and excluded from the
+    bias/coverage/width averages, and any other exception propagates.
     """
     if reps < 1:
         raise ValueError("reps must be positive")
     specs = tuple(estimators)
-    workers = resolve_workers(workers)
+    workers = resolve_workers(workers, reps)
 
     outcomes = [None] * reps
     if workers > 1:

@@ -286,6 +286,12 @@ class TestFitCommand:
         r0 = float(next(r[1] for r in rows[1:] if r[0] == "error_rate_r0"))
         assert 0.0 <= r0 < 0.5
 
+    def test_liu_fit_takes_a_delta_interval(self, liu_cohort_file, tmp_path):
+        out = tmp_path / "liu.txt"
+        argv = ["fit", "--data", liu_cohort_file, "--model", "LIU", "--interval", "delta"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text().rstrip().endswith("(delta)")
+
     def test_bec_fit_with_priors_reports_accuracy_posteriors(self, cohort_file, tmp_path):
         out = tmp_path / "bec.csv"
         draws_out = tmp_path / "draws.csv"
@@ -445,6 +451,66 @@ class TestCompareCommand:
         assert rc == 0
         assert read_rows(coef)[0][0] == "coefficient"
         assert read_rows(se)[0] == ["coefficient", "se_liu", "se_bec", "relative_change"]
+
+
+class TestOnePipeline:
+    ARGS = [
+        "--se",
+        "0.964",
+        "--sp",
+        "0.974",
+        "--bootstrap",
+        "60",
+        "--chains",
+        "2",
+        "--warmup",
+        "200",
+        "--samples",
+        "200",
+        "--seed",
+        "5",
+        "--allow-nonconverged",
+        "--format",
+        "csv",
+    ]
+
+    @pytest.mark.parametrize("model", ["STD", "LIU", "BC", "BEC"])
+    def test_fit_prevalence_equals_the_compare_row(self, model, liu_cohort_file, tmp_path):
+        fit_out, cmp_out = tmp_path / "fit.csv", tmp_path / "cmp.csv"
+        argv = ["--data", liu_cohort_file] + self.ARGS
+        assert main(["fit", "--model", model] + argv + ["--out", str(fit_out)]) == 0
+        assert main(["compare", "--models", model.lower()] + argv + ["--out", str(cmp_out)]) == 0
+        fit_rows = {r[0]: r[1] for r in read_rows(fit_out)[1:]}
+        cmp_row = next(r for r in read_rows(cmp_out) if r[0] == model)
+        names = ("marginal_prevalence", "prevalence_lower", "prevalence_upper")
+        assert [fit_rows[n] for n in names] == cmp_row[1:4]
+
+
+class TestFlagErrors:
+    ASSAY = ["--se", "0.9", "--sp", "0.95"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--data", "DATA", "--model", "BC", *ASSAY, "--chains", "1"],
+            ["fit", "--data", "DATA", "--model", "BEC", *ASSAY, "--warmup", "50"],
+            ["fit", "--data", "DATA", "--model", "STD", *ASSAY, "--bootstrap", "0"],
+            ["compare", "--data", "DATA", "--models", "std,bc", *ASSAY, "--chains", "1"],
+            ["simulate", "--scenario", "SCENARIO", "--reps", "2", "--estimators", "bc"]
+            + ["--chains", "1"],
+            ["simulate", "--scenario", "SCENARIO", "--reps", "0", "--out", "OUT"],
+            ["simulate", "--scenario", "SCENARIO", "--reps", "2", "--workers", "0"],
+        ],
+        ids=["chains", "warmup", "bootstrap", "compare-chains", "study-chains", "reps", "workers"],
+    )
+    def test_bad_value_is_a_one_line_input_error(
+        self, argv, cohort_file, scenario_file, tmp_path, capsys
+    ):
+        paths = {"DATA": cohort_file, "SCENARIO": scenario_file, "OUT": str(tmp_path / "x.csv")}
+        assert main([paths.get(a, a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if line.startswith("input error:")]) == 1
 
 
 class TestReportCommand:

@@ -162,6 +162,28 @@ class TestStdSummary:
         b = marginal_prevalence_std(y, X, fit, assay, n_boot=120, rng=np.random.default_rng(5))
         assert (a.lower, a.upper) == (b.lower, b.upper)
 
+    def test_bootstrap_counts_a_resample_that_loses_a_rare_indicator(self):
+        # two subjects carry the indicator, so some resamples draw neither
+        # and their design is rank deficient: a failed refit, not a crash
+        y, X, _ = small_logit_fit(n=200)
+        rare = np.zeros(200)
+        rare[:2] = 1.0
+        y[:2] = (1.0, 0.0)
+        X = np.column_stack([X, rare])
+        fit = fit_std(y, X)
+        assert fit.converged
+        assay = AssayProfile(sensitivity=0.9, specificity=0.95)
+        est = marginal_prevalence_std(y, X, fit, assay, n_boot=40, rng=np.random.default_rng(1))
+        assert 1 <= est.n_resample_failures <= 20
+        assert est.lower <= est.point <= est.upper
+
+    def test_bootstrap_floor_is_half_the_requested_resamples(self):
+        y, X, fit = small_logit_fit()
+        assay = AssayProfile(sensitivity=0.9, specificity=0.95)
+        est = marginal_prevalence_std(y, X, fit, assay, n_boot=10, rng=np.random.default_rng(3))
+        assert est.n_resample_failures == 0
+        assert est.lower <= est.point <= est.upper
+
     def test_delta_interval_brackets_point(self):
         y, X, fit = small_logit_fit()
         assay = AssayProfile(sensitivity=0.9, specificity=0.95)
@@ -217,6 +239,21 @@ class TestLiuSummary:
         _, X, fit, truth = liu_fit
         est = marginal_prevalence_liu(X, fit, n_boot=60, rng=np.random.default_rng(7))
         assert est.lower < truth.true_prevalence < est.upper
+
+    def test_delta_interval_propagates_the_joint_covariance(self, liu_fit):
+        _, X, fit, truth = liu_fit
+        est = marginal_prevalence_liu(X, fit, interval=IntervalMethod.DELTA)
+        pi = logistic(X.matrix @ fit.beta_hat)
+        # the rates sit after beta in the covariance, with zero gradient
+        g = np.zeros(fit.covariance.shape[0])
+        g[: X.matrix.shape[1]] = X.matrix.T @ (pi * (1.0 - pi)) / X.matrix.shape[0]
+        half = 1.959963984540054 * np.sqrt(g @ fit.covariance @ g)
+        assert est.interval_method is IntervalMethod.DELTA
+        assert est.point == pytest.approx(float(pi.mean()), abs=1e-12)
+        assert est.lower == pytest.approx(est.point - half, rel=1e-9)
+        assert est.upper == pytest.approx(est.point + half, rel=1e-9)
+        assert est.lower < truth.true_prevalence < est.upper
+        assert est.n_resample_failures == 0
 
     def test_requires_error_rate_estimates(self, liu_fit):
         y, X, _, _ = liu_fit

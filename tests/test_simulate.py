@@ -288,6 +288,17 @@ class TestReplicationStudy:
         assert out[0].reps == 3
         assert 0 <= out[0].failures <= 3
 
+    def test_a_bug_in_a_fit_crashes_the_study(self, monkeypatch):
+        # only statistical failures are data; a programming error must surface
+        from misclass_prev import report
+
+        def broken(*args, **kwargs):
+            raise TypeError("broken fitter")
+
+        monkeypatch.setattr(report, "fit_std", broken)
+        with pytest.raises(TypeError, match="broken fitter"):
+            replicate_study(basic_scenario(n=200), [EstimatorSpec(name="std")], reps=1)
+
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValueError, match="unknown estimator"):
             EstimatorSpec(name="magic")
@@ -309,6 +320,18 @@ class TestWorkerResolution:
         monkeypatch.delenv("MISCLASS_PREV_THREADS", raising=False)
         assert resolve_workers(None) == 1
         assert resolve_workers(4) == 4
+
+    def test_capped_by_reps_and_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("MISCLASS_PREV_THREADS", raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        assert resolve_workers(8, reps=100) == 3
+        assert resolve_workers(8, reps=2) == 2
+        assert resolve_workers(None, reps=100) == 1
+
+    @pytest.mark.parametrize("requested", [0, -2])
+    def test_fewer_than_one_worker_is_input_error(self, requested):
+        with pytest.raises(InputError, match="at least 1"):
+            resolve_workers(requested, reps=4)
 
     def test_bad_env_value_is_input_error(self, monkeypatch):
         monkeypatch.setenv("MISCLASS_PREV_THREADS", "many")
