@@ -8,9 +8,12 @@ the logistic distribution's variance pi^2 / 3.
 
 The prior is calibrated for standardized inputs, so the fitters center
 and scale continuous design columns internally and undo the
-transformation on every draw before reporting. Sampling itself runs in
-a rotated basis centered at the posterior mode so the random-walk
-proposal sees roughly independent unit-scale coordinates.
+transformation on every draw before reporting. The centering and
+scaling stay row-weighted: means and SDs come from the cohort's rows,
+and are then applied to its covariate patterns, over which every
+likelihood evaluation runs. Sampling itself runs in a rotated basis
+centered at the posterior mode so the random-walk proposal sees roughly
+independent unit-scale coordinates.
 """
 
 from __future__ import annotations
@@ -22,12 +25,18 @@ import numpy as np
 from scipy import optimize, special
 
 from .data_model import AssayMode, AssayProfile
-from .likelihoods import _misclassified_loglik_full, logistic, std_loglik
+from .likelihoods import (
+    binomial_counts,
+    mixture_loglik,
+    mixture_loglik_value,
+    std_loglik,
+    std_loglik_value,
+)
 from .mcmc import PosteriorDraws, SamplerConfig, package_draws, sample
 from .mle import (
     FitResult,
     ModelTag,
-    _check_rank,
+    _fit_data,
     _resolve_design,
     observed_information,
 )
@@ -55,35 +64,20 @@ def _beta_logpdf(x, a, b):
     return float((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - special.betaln(a, b))
 
 
-def _std_loglik_value(y, X, beta):
-    eta = X @ beta
-    return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
-
-
-def _misclass_loglik_value(y, X, beta, se, sp):
-    pi = logistic(X @ beta)
-    p = (1.0 - sp) + (se + sp - 1.0) * pi
-    pc = np.maximum(p, 1e-300)
-    qc = np.maximum(1.0 - p, 1e-300)
-    return float(np.sum(y * np.log(pc) + (1.0 - y) * np.log(qc)))
-
-
 def bc_log_posterior(y, X, beta):
     """Log posterior of the plain logistic model under the shared prior."""
+    return bc_log_posterior_grad(y, X, beta)[0]
+
+
+def bc_log_posterior_grad(y, X, beta, trials=None):
+    """Value and gradient of ``bc_log_posterior`` over beta.
+
+    ``trials`` as in ``likelihoods.binomial_counts``.
+    """
     Xm = X.matrix if hasattr(X, "matrix") else np.asarray(X, dtype=float)
     beta = np.asarray(beta, dtype=float)
     var = newman_prior_variance(Xm.shape[1] - 1)
-    return _std_loglik_value(np.asarray(y, dtype=float), Xm, beta) + _normal_logpdf_sum(
-        beta, var
-    )
-
-
-def bc_log_posterior_grad(y, X, beta):
-    """Value and gradient of ``bc_log_posterior`` over beta."""
-    Xm = X.matrix if hasattr(X, "matrix") else np.asarray(X, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    var = newman_prior_variance(Xm.shape[1] - 1)
-    ll, grad = std_loglik(y, Xm, beta)
+    ll, grad = std_loglik(y, Xm, beta, trials=trials)
     value = ll + _normal_logpdf_sum(beta, var)
     return value, grad - beta / var
 
@@ -125,7 +119,8 @@ def bec_log_posterior(y, X, block, assay):
         if not (0.0 < se < 1.0 and 0.0 < sp < 1.0 and se + sp > 1.0):
             return -np.inf
     var = newman_prior_variance(Xm.shape[1] - 1)
-    value = _misclass_loglik_value(np.asarray(y, dtype=float), Xm, beta, se, sp)
+    k, m = binomial_counts(y)
+    value = mixture_loglik_value(k, m, Xm, beta, 1.0 - sp, se + sp - 1.0)
     value += _normal_logpdf_sum(beta, var)
     if sampled:
         value += _beta_logpdf(se, *assay.se_prior)
@@ -133,17 +128,20 @@ def bec_log_posterior(y, X, block, assay):
     return value
 
 
-def bec_log_posterior_grad(y, X, block, assay):
-    """Value and gradient over (beta[, se, sp]) of ``bec_log_posterior``."""
+def bec_log_posterior_grad(y, X, block, assay, trials=None):
+    """Value and gradient over (beta[, se, sp]) of ``bec_log_posterior``.
+
+    ``trials`` as in ``likelihoods.binomial_counts``.
+    """
     Xm = X.matrix if hasattr(X, "matrix") else np.asarray(X, dtype=float)
     beta = np.asarray(block.beta, dtype=float)
     se, sp, sampled = _bec_parts(block, assay)
     if sampled and not (0.0 < se < 1.0 and 0.0 < sp < 1.0 and se + sp > 1.0):
         raise ValueError("gradient requested outside the support")
     var = newman_prior_variance(Xm.shape[1] - 1)
-    ll, g_beta, g_se, g_sp = _misclassified_loglik_full(
-        np.asarray(y, dtype=float), Xm, beta, se, sp
-    )
+    k, m = binomial_counts(y, trials)
+    ll, g_beta, g_p0, g_p1 = mixture_loglik(k, m, Xm, beta, 1.0 - sp, se + sp - 1.0)
+    g_se, g_sp = g_p1, -g_p0  # p0 = 1 - sp, p1 = se
     value = ll + _normal_logpdf_sum(beta, var)
     g_beta = g_beta - beta / var
     if not sampled:
@@ -210,6 +208,17 @@ def standardize_design(X, column_names=None):
         sds.append(sd)
     tr = Standardization(indices=tuple(idx), means=tuple(means), sds=tuple(sds))
     return tr.apply(X), tr, names
+
+
+def _posterior_data(y, X, column_names):
+    """``(positives, trials, patterns, standardized patterns, tr, names)`` of a fit.
+
+    The standardization is computed on the rows, so it is the same
+    whether or not the rows are grouped, and applied to the patterns.
+    """
+    k, m, U, names = _fit_data(y, X, column_names, None)
+    _, tr, _ = standardize_design(X, names)
+    return k, m, U, tr.apply(U), tr, names
 
 
 def _sampling_basis(score_fn, mode, res):
@@ -301,19 +310,13 @@ def fit_bc(y, X, config=None, column_names=None):
     the back-transformed draws.
     """
     config = config or SamplerConfig()
-    X, names = _resolve_design(X, column_names)
-    y = np.asarray(y, dtype=float)
-    _check_rank(X, names)
-    Xs, tr, _ = standardize_design(X, names)
-    p = Xs.shape[1]
+    k, m, U, Us, tr, names = _posterior_data(y, X, column_names)
+    p = Us.shape[1]
     var = newman_prior_variance(p - 1)
 
     def neg(beta):
-        ll, grad = std_loglik(y, Xs, beta)
-        return (
-            -(ll + _normal_logpdf_sum(beta, var)),
-            -(grad - beta / var),
-        )
+        value, grad = bc_log_posterior_grad(k, Us, beta, trials=m)
+        return -value, -grad
 
     res = optimize.minimize(neg, np.zeros(p), jac=True, method="BFGS")
     mode = res.x
@@ -321,13 +324,13 @@ def fit_bc(y, X, config=None, column_names=None):
 
     def log_post(phi):
         beta = mode + A @ phi
-        return _std_loglik_value(y, Xs, beta) + _normal_logpdf_sum(beta, var)
+        return std_loglik_value(k, m, Us, beta) + _normal_logpdf_sum(beta, var)
 
     raw = sample(log_post, p, config, init=_chain_inits(np.zeros(p), config, np.ones(p)))
     beta_std = mode + raw.draws @ A.T
     draws = package_draws(tr.undo_beta(beta_std), names, raw.accept_rate)
     beta_hat = draws.flat().mean(axis=0)
-    ll_hat = _std_loglik_value(y, X, beta_hat)
+    ll_hat = std_loglik_value(k, m, U, beta_hat)
     fit = _posterior_fit_result(ModelTag.BC, draws, p, ll_hat, names)
     return fit, draws
 
@@ -342,11 +345,8 @@ def fit_bec(y, X, assay, config=None, column_names=None):
     if not isinstance(assay, AssayProfile):
         raise TypeError("assay must be an AssayProfile")
     config = config or SamplerConfig()
-    X, names = _resolve_design(X, column_names)
-    y = np.asarray(y, dtype=float)
-    _check_rank(X, names)
-    Xs, tr, _ = standardize_design(X, names)
-    p = Xs.shape[1]
+    k, m, U, Us, tr, names = _posterior_data(y, X, column_names)
+    p = Us.shape[1]
     var = newman_prior_variance(p - 1)
     sampled_assay = assay.mode is AssayMode.BETA_PRIOR
 
@@ -359,7 +359,7 @@ def fit_bec(y, X, assay, config=None, column_names=None):
             if not (0.0 < se < 1.0 and 0.0 < sp < 1.0 and se + sp > 1.0):
                 return -np.inf
             return (
-                _misclass_loglik_value(y, Xs, theta[:p], se, sp)
+                mixture_loglik_value(k, m, Us, theta[:p], 1.0 - sp, se + sp - 1.0)
                 + _normal_logpdf_sum(theta[:p], var)
                 + _beta_logpdf(se, a_se, b_se)
                 + _beta_logpdf(sp, a_sp, b_sp)
@@ -367,7 +367,7 @@ def fit_bec(y, X, assay, config=None, column_names=None):
 
         def neg(theta):
             block = BecParameterBlock(beta=theta[:p], se=theta[p], sp=theta[p + 1])
-            value, grad = bec_log_posterior_grad(y, Xs, block, assay)
+            value, grad = bec_log_posterior_grad(k, Us, block, assay, trials=m)
             return -value, -grad
 
         theta0 = np.concatenate([np.zeros(p), [assay.sensitivity, assay.specificity]])
@@ -378,13 +378,13 @@ def fit_bec(y, X, assay, config=None, column_names=None):
         se0, sp0 = assay.sensitivity, assay.specificity
 
         def log_post_block(theta):
-            return _misclass_loglik_value(y, Xs, theta, se0, sp0) + _normal_logpdf_sum(
-                theta, var
-            )
+            return mixture_loglik_value(
+                k, m, Us, theta, 1.0 - sp0, se0 + sp0 - 1.0
+            ) + _normal_logpdf_sum(theta, var)
 
         def neg(theta):
             block = BecParameterBlock(beta=theta)
-            value, grad = bec_log_posterior_grad(y, Xs, block, assay)
+            value, grad = bec_log_posterior_grad(k, Us, block, assay, trials=m)
             return -value, -grad
 
         res = optimize.minimize(neg, np.zeros(p), jac=True, method="BFGS")
@@ -432,6 +432,6 @@ def fit_bec(y, X, assay, config=None, column_names=None):
         sp_hat = float(flat[:, p + 1].mean())
     else:
         se_hat, sp_hat = assay.sensitivity, assay.specificity
-    ll_hat = _misclass_loglik_value(y, X, beta_hat, se_hat, sp_hat)
+    ll_hat = mixture_loglik_value(k, m, U, beta_hat, 1.0 - sp_hat, se_hat + sp_hat - 1.0)
     fit = _posterior_fit_result(ModelTag.BEC, draws, p, ll_hat, names)
     return fit, draws

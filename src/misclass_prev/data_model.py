@@ -9,6 +9,10 @@ estimators:
 
 Population group is dummy coded against a general-population reference,
 so a five-level group contributes four columns.
+
+A design matrix groups its rows into covariate patterns (distinct rows,
+with how many cohort rows share each) on first use and keeps them: the
+likelihoods, fits and prevalence summaries all run over the patterns.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import io
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +162,55 @@ class DesignMatrix:
     @property
     def shape(self):
         return self.matrix.shape
+
+    @cached_property
+    def patterns(self):
+        """The distinct rows of the matrix, grouped on first use and then kept."""
+        return group_rows(self.matrix)
+
+
+@dataclass(frozen=True)
+class CovariatePatterns:
+    """Distinct design rows, how many cohort rows share each, and which row has which.
+
+    ``rows[inverse]`` is the design again, so per-row values sum into
+    per-pattern ones with ``np.bincount(inverse, weights=...)``. A cohort
+    whose rows are all distinct is the case of one trial per pattern.
+    """
+
+    rows: np.ndarray  # (m, p) distinct design rows
+    trials: np.ndarray  # (m,) cohort rows per pattern, as floats
+    inverse: np.ndarray  # (n,) pattern of each cohort row
+
+    def positives(self, y):
+        """Per-pattern sums of a per-row 0/1 outcome."""
+        return np.bincount(self.inverse, weights=y, minlength=len(self.trials))
+
+    def mean(self, values):
+        """Row-weighted mean of one value per pattern."""
+        return float(self.trials @ values) / len(self.inverse)
+
+
+def group_rows(matrix):
+    """Group a design matrix by distinct rows (a sort: O(n log n) over n rows)."""
+    rows, inverse, trials = np.unique(
+        matrix, axis=0, return_inverse=True, return_counts=True
+    )
+    return CovariatePatterns(rows=rows, trials=trials.astype(float), inverse=inverse.reshape(-1))
+
+
+def design_patterns(X):
+    """The covariate patterns of a design.
+
+    A DesignMatrix is grouped once and the grouping kept on it, so every
+    fit, bootstrap and summary of one cohort shares it; a plain array is
+    taken as it stands, one trial per row.
+    """
+    if isinstance(X, DesignMatrix):
+        return X.patterns
+    rows = np.asarray(X, dtype=float)
+    n = rows.shape[0]
+    return CovariatePatterns(rows=rows, trials=np.ones(n), inverse=np.arange(n))
 
 
 def build_design_matrix(cohort, columns=None):

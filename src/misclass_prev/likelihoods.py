@@ -1,8 +1,12 @@
-"""Link function and log-likelihoods for the three model families.
+"""Link function and the log-likelihoods, over grouped data.
 
-Everything here is a pure function of arrays. The three likelihood
-variants share one structural fact that the rest of the package leans
-on: a misclassified Bernoulli response has success probability
+The likelihoods take data grouped by covariate pattern: distinct design
+rows U and, per row, m trials with k positives. Row-level data are the
+case m = 1, so one formula serves a cohort of distinct rows and one with
+many repeated rows alike; the binomial coefficients are left out, as
+they do not depend on the parameters.
+
+A misclassified Bernoulli response has success probability
 
     P(Y = 1 | x) = r0 + (1 - r0 - r1) * sigmoid(x' beta)
 
@@ -12,9 +16,13 @@ known-accuracy form
 
     P(Y = 1 | x) = (1 - sp) + (se + sp - 1) * sigmoid(x' beta)
 
-so the free-error-rate likelihood and the known-accuracy marginal
-likelihood are the same function under that substitution. Both are
-implemented explicitly below and the equality is enforced by tests.
+so both are ``offset + slope * sigmoid(U beta)``, and one kernel,
+``mixture_loglik``, computes that likelihood for the joint error-rate
+fit, the known-accuracy marginal and the internally corrected posterior;
+each caller only applies the chain rule from the kernel's scores to its
+own parameters. The plain logistic likelihood, offset 0 and slope 1, keeps
+its softplus form ``k eta - m log(1 + e^eta)``, which stays finite where
+``log(sigmoid(eta))`` would underflow.
 
 All gradients are analytic; probability arguments to ``log`` are
 clamped at 1e-300 to keep extreme tails finite.
@@ -51,12 +59,7 @@ def logistic(eta):
     return out
 
 
-def linear_predictor(X, beta):
-    """X @ beta with an explicit dimension check.
-
-    Accepts a plain array or anything exposing a ``matrix`` attribute
-    (e.g. DesignMatrix).
-    """
+def _design_and_beta(X, beta):
     if hasattr(X, "matrix"):
         X = X.matrix
     X = np.asarray(X, dtype=float)
@@ -65,6 +68,16 @@ def linear_predictor(X, beta):
         raise ValueError(
             f"incompatible shapes for linear predictor: X {X.shape}, beta {beta.shape}"
         )
+    return X, beta
+
+
+def linear_predictor(X, beta):
+    """X @ beta with an explicit dimension check.
+
+    Accepts a plain array or anything exposing a ``matrix`` attribute
+    (e.g. DesignMatrix).
+    """
+    X, beta = _design_and_beta(X, beta)
     return X @ beta
 
 
@@ -90,29 +103,52 @@ class ErrorRates:
         object.__setattr__(self, "r1", r1)
 
 
-def _as_response(y):
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise ValueError("y must be a 1-d 0/1 vector")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("y must contain only 0 and 1")
-    return y
+def binomial_counts(y, trials=None):
+    """Validated ``(positives, trials)`` per design row, as float arrays.
+
+    Without ``trials``, ``y`` is one 0/1 outcome per row and every row
+    is one trial; with it, ``y`` counts the positives among ``trials``
+    (at least one per row).
+    """
+    k = np.asarray(y, dtype=float)
+    if k.ndim != 1:
+        raise ValueError("y must be a 1-d vector")
+    if trials is None:
+        if not np.all((k == 0.0) | (k == 1.0)):
+            raise ValueError("y must contain only 0 and 1")
+        return k, np.ones(k.shape[0])
+    m = np.asarray(trials, dtype=float)
+    if m.shape != k.shape:
+        raise ValueError(f"trials has shape {m.shape}, positives {k.shape}")
+    if not (np.all(m >= 1.0) and np.all((k >= 0.0) & (k <= m)) and np.all(k == np.round(k))):
+        raise ValueError("positives must be whole numbers in [0, trials], trials at least 1")
+    return k, m
 
 
-def std_loglik(y, X, beta):
-    """Bernoulli-logistic log-likelihood and its score.
+# Values are np.sum over per-pattern terms, as the row form always was:
+# with one trial per pattern each term is the row term, and pairwise
+# summation keeps rounding at the row form's level.
+def _softplus_loglik(k, m, eta):
+    return float(np.sum(k * eta - m * np.logaddexp(0.0, eta)))
+
+
+def std_loglik(y, X, beta, trials=None):
+    """Logistic log-likelihood and its score, per row or per covariate pattern.
 
     Returns ``(loglik, gradient)`` where the gradient is
-    ``X' (y - pi)``. Uses the softplus identity
-    ``log(1 + e^eta) = logaddexp(0, eta)`` so no term overflows.
+    ``X' (k - m pi)``; ``trials`` as in ``binomial_counts``. Uses the
+    softplus identity ``log(1 + e^eta) = logaddexp(0, eta)`` so no term
+    overflows.
     """
-    y = _as_response(y)
-    eta = linear_predictor(X, beta)
-    ll = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
-    pi = logistic(eta)
-    Xm = X.matrix if hasattr(X, "matrix") else np.asarray(X, dtype=float)
-    grad = Xm.T @ (y - pi)
-    return ll, grad
+    k, m = binomial_counts(y, trials)
+    U, beta = _design_and_beta(X, beta)
+    eta = U @ beta
+    return _softplus_loglik(k, m, eta), U.T @ (k - m * logistic(eta))
+
+
+def std_loglik_value(k, m, U, beta):
+    """``std_loglik``'s value alone, on counts already validated."""
+    return _softplus_loglik(k, m, U @ beta)
 
 
 def liu_response_prob(eta, rates):
@@ -125,60 +161,54 @@ def liu_response_prob(eta, rates):
     return rates.r0 + (1.0 - rates.r0 - rates.r1) * logistic(eta)
 
 
-def _bernoulli_mix_loglik(y, X, eta, pi, slope, offset):
-    """Shared core for the two misclassified likelihoods.
-
-    Response probability is ``p = offset + slope * pi``. Returns the
-    log-likelihood, the per-row weight ``w = y/p - (1-y)/(1-p)``
-    (computed piecewise so saturated probabilities never produce
-    0 * inf), and the score with respect to beta.
-    """
+def _mixture_terms(k, m, U, beta, offset, slope):
+    pi = logistic(U @ beta)
     p = offset + slope * pi
     pc = np.maximum(p, _LOG_CLAMP)
     qc = np.maximum(1.0 - p, _LOG_CLAMP)
-    ll = float(np.sum(y * np.log(pc) + (1.0 - y) * np.log(qc)))
-    w = np.where(y > 0.5, 1.0 / pc, -1.0 / qc)
-    Xm = X.matrix if hasattr(X, "matrix") else np.asarray(X, dtype=float)
-    dpi = pi * (1.0 - pi)
-    grad_beta = Xm.T @ (w * slope * dpi)
-    return ll, w, grad_beta
+    ll = float(np.sum(k * np.log(pc) + (m - k) * np.log(qc)))
+    return ll, pi, pc, qc
 
 
-def liu_loglik(y, X, beta, rates):
+def mixture_loglik(k, m, U, beta, offset, slope):
+    """The misclassified-Bernoulli log-likelihood over covariate patterns.
+
+    Pattern i has ``m[i]`` trials, ``k[i]`` positives and response
+    probability ``p = offset + slope * sigmoid(U[i] beta)``. Returns
+    ``(loglik, grad_beta, grad_p0, grad_p1)``: the score over beta, and
+    over the response probabilities at the two ends, ``p0 = offset``
+    (sigmoid 0) and ``p1 = offset + slope`` (sigmoid 1), so that
+    ``p = p0 (1 - sigmoid) + p1 sigmoid``; the error rates and the
+    accuracy are those end points or their complements. All three go
+    through the per-pattern weight ``w = k/p - (m - k)/(1 - p)``,
+    d loglik / d p. The counts are taken as validated: this is the inner
+    loop of every fit.
+    """
+    ll, pi, pc, qc = _mixture_terms(k, m, U, beta, offset, slope)
+    w = k / pc - (m - k) / qc
+    grad_beta = U.T @ (w * slope * (pi * (1.0 - pi)))
+    return ll, grad_beta, float(np.sum(w * (1.0 - pi))), float(np.sum(w * pi))
+
+
+def mixture_loglik_value(k, m, U, beta, offset, slope):
+    """``mixture_loglik``'s value alone, for samplers that need no score."""
+    return _mixture_terms(k, m, U, beta, offset, slope)[0]
+
+
+def liu_loglik(y, X, beta, rates, trials=None):
     """Joint log-likelihood for logistic regression with free error rates.
 
     Returns ``(loglik, gradient)`` with the gradient over the stacked
-    parameter (beta, r0, r1), so its length is ``len(beta) + 2``.
+    parameter (beta, r0, r1), so its length is ``len(beta) + 2``;
+    ``trials`` as in ``binomial_counts``.
     """
-    y = _as_response(y)
+    k, m = binomial_counts(y, trials)
     if not isinstance(rates, ErrorRates):
         rates = ErrorRates(*rates)
-    eta = linear_predictor(X, beta)
-    pi = logistic(eta)
-    slope = 1.0 - rates.r0 - rates.r1
-    ll, w, grad_beta = _bernoulli_mix_loglik(y, X, eta, pi, slope, rates.r0)
-    # dp/dr0 = 1 - pi, dp/dr1 = -pi
-    g_r0 = float(np.sum(w * (1.0 - pi)))
-    g_r1 = float(-np.sum(w * pi))
-    return ll, np.concatenate([grad_beta, [g_r0, g_r1]])
-
-
-def _misclassified_loglik_full(y, X, beta, se, sp):
-    """Known-accuracy marginal likelihood, with gradients for all blocks.
-
-    Returns (loglik, grad_beta, dll/dse, dll/dsp). The response
-    probability is (1 - sp) + (se + sp - 1) * pi, i.e. the latent true
-    status is summed out analytically rather than sampled.
-    """
-    y = _as_response(y)
-    eta = linear_predictor(X, beta)
-    pi = logistic(eta)
-    slope = se + sp - 1.0
-    ll, w, grad_beta = _bernoulli_mix_loglik(y, X, eta, pi, slope, 1.0 - sp)
-    # dp/dse = pi ; dp/dsp = -(1 - pi)
-    g_se = float(np.sum(w * pi))
-    g_sp = float(-np.sum(w * (1.0 - pi)))
-    return ll, grad_beta, g_se, g_sp
+    U, beta = _design_and_beta(X, beta)
+    ll, g_beta, g_p0, g_p1 = mixture_loglik(k, m, U, beta, rates.r0, 1.0 - rates.r0 - rates.r1)
+    # p0 = r0, p1 = 1 - r1
+    return ll, np.concatenate([g_beta, [g_p0, -g_p1]])
 
 
 def bec_marginal_loglik(y, X, beta, assay):
@@ -193,7 +223,8 @@ def bec_marginal_loglik(y, X, beta, assay):
         raise TypeError("assay must be an AssayProfile")
     if assay.mode is not AssayMode.FIXED:
         raise ValueError("bec_marginal_loglik expects a fixed-mode assay profile")
-    ll, grad_beta, _, _ = _misclassified_loglik_full(
-        y, X, beta, assay.sensitivity, assay.specificity
-    )
-    return ll, grad_beta
+    k, m = binomial_counts(y)
+    U, beta = _design_and_beta(X, beta)
+    se, sp = assay.sensitivity, assay.specificity
+    ll, g_beta, _, _ = mixture_loglik(k, m, U, beta, 1.0 - sp, se + sp - 1.0)
+    return ll, g_beta

@@ -7,6 +7,11 @@ exact. ``fit_liu`` maximizes the misclassified likelihood over
 are unconstrained; standard errors for both come from the observed
 information in the original parameterization.
 
+Both fit over covariate patterns: a DesignMatrix is fitted over its
+distinct rows with trials and positives per row, and a caller that
+already holds counts (a bootstrap resample) passes them with
+``trials``. The boundary checks keep their per-row meaning.
+
 Convergence is declared when the score's max-abs entry drops below
 1e-8 or the step below 1e-10. Boundary pathologies (separation,
 error rates pinned at zero, singular information) are reported through
@@ -23,8 +28,16 @@ import numpy as np
 from scipy import linalg as sla
 from scipy import optimize
 
+from .data_model import design_patterns
 from .errors import SingularDesignError
-from .likelihoods import ErrorRates, liu_loglik, logistic, std_loglik
+from .likelihoods import (
+    ErrorRates,
+    binomial_counts,
+    liu_loglik,
+    logistic,
+    mixture_loglik,
+    std_loglik,
+)
 
 log = logging.getLogger(__name__)
 
@@ -124,34 +137,80 @@ def _check_rank(X, names):
         )
 
 
-def fit_std(y, X, column_names=None, max_iter=100):
-    """Damped Newton / IRLS fit of a plain logistic regression."""
-    X, names = _resolve_design(X, column_names)
-    y = np.asarray(y, dtype=float)
-    _check_rank(X, names)
+def _fit_data(y, X, column_names, trials):
+    """``(positives, trials, rows, names)`` a fit runs on, rank-checked.
 
-    p = X.shape[1]
+    Without ``trials``, ``y`` is one 0/1 outcome per row of ``X`` and the
+    rows are grouped by ``design_patterns``; with it, the rows of ``X``
+    carry ``trials`` trials and ``y`` positives each.
+    """
+    rows, names = _resolve_design(X, column_names)
+    if trials is None:
+        patterns = design_patterns(X)
+        k, m, rows = patterns.positives(binomial_counts(y)[0]), patterns.trials, patterns.rows
+    else:
+        k, m = binomial_counts(y, trials)
+    _check_rank(rows, names)
+    return k, m, rows, names
+
+
+def _degenerate(k, m, U, beta):
+    """Whether the logistic MLE sits at infinity.
+
+    A runaway coefficient; every row fitted (numerically) perfectly,
+    positives at probability 1 and negatives at 0; or a 0/1 column with
+    a level whose rows all have the same outcome (quasi-separation:
+    Newton can meet the score tolerance on the way out, with that
+    coefficient still inside the bound and an SE in the thousands).
+    """
+    if np.max(np.abs(beta)) > SEPARATION_BOUND:
+        return True
+    pi = logistic(U @ beta)
+    worst = np.maximum(np.where(k > 0.0, 1.0 - pi, 0.0), np.where(k < m, pi, 0.0))
+    if np.max(worst) < 1e-6:
+        return True
+    for j in range(1, U.shape[1]):
+        ones = U[:, j] == 1.0
+        if not np.all(ones | (U[:, j] == 0.0)):
+            continue
+        for level in (ones, ~ones):
+            positives = k[level].sum()
+            if positives == 0.0 or positives == m[level].sum():
+                return True
+    return False
+
+
+def fit_std(y, X, column_names=None, max_iter=100, trials=None):
+    """Damped Newton / IRLS fit of a plain logistic regression.
+
+    ``y`` holds one 0/1 outcome per row of ``X``; given ``trials``, it
+    holds the positives among ``trials`` per row instead.
+    """
+    k, m, U, names = _fit_data(y, X, column_names, trials)
+
+    p = U.shape[1]
     beta = np.zeros(p)
-    ll, score = std_loglik(y, X, beta)
+    ll, score = std_loglik(k, U, beta, trials=m)
     warning = None
     iterations = 0
     converged = np.max(np.abs(score)) < SCORE_TOL
 
+    def information(beta):
+        pi = logistic(U @ beta)
+        return U.T @ ((m * pi * (1.0 - pi))[:, None] * U)
+
     for it in range(1, max_iter + 1):
         if converged:
             break
-        pi = logistic(X @ beta)
-        w = pi * (1.0 - pi)
-        H = X.T @ (w[:, None] * X)
         try:
-            delta = np.linalg.solve(H, score)
+            delta = np.linalg.solve(information(beta), score)
         except np.linalg.LinAlgError:
             warning = "singular Hessian during Newton iteration"
             break
         # Step halving keeps the likelihood monotone when Newton overshoots.
         step = delta
         for _ in range(30):
-            ll_new, score_new = std_loglik(y, X, beta + step)
+            ll_new, score_new = std_loglik(k, U, beta + step, trials=m)
             if ll_new >= ll - 1e-12:
                 break
             step = step / 2.0
@@ -164,20 +223,15 @@ def fit_std(y, X, column_names=None, max_iter=100):
     if not converged and warning is None:
         warning = f"no convergence in {max_iter} Newton iterations"
 
-    # Boundary diagnostics: a runaway coefficient, or every observation
-    # fitted (numerically) perfectly, both mean the MLE sits at infinity.
-    pi = logistic(X @ beta)
-    if np.max(np.abs(beta)) > SEPARATION_BOUND or np.max(np.abs(y - pi)) < 1e-6:
+    if _degenerate(k, m, U, beta):
         converged = False
         warning = "separation or boundary: fitted probabilities degenerate"
 
     beta_se = None
     cov = None
     if converged:
-        w = pi * (1.0 - pi)
-        H = X.T @ (w[:, None] * X)
         try:
-            cho = sla.cho_factor(H)
+            cho = sla.cho_factor(information(beta))
             cov = sla.cho_solve(cho, np.eye(p))
             beta_se = np.sqrt(np.diag(cov))
         except (sla.LinAlgError, ValueError):
@@ -260,14 +314,14 @@ class LiuInit:
     r1: float = 0.01
 
 
-def default_liu_init(y, X, column_names=None):
+def default_liu_init(y, X, column_names=None, trials=None):
     """Plain logistic coefficients plus small symmetric error rates.
 
     The logistic fit is used even when flagged non-converged (its
     coefficients still point in a useful direction); they are clipped
     well inside the separation bound so the joint fit starts finite.
     """
-    start = fit_std(y, X, column_names=column_names)
+    start = fit_std(y, X, column_names=column_names, trials=trials)
     beta = np.clip(start.beta_hat, -10.0, 10.0)
     return LiuInit(beta=beta, r0=0.01, r1=0.01)
 
@@ -320,6 +374,7 @@ def fit_liu(
     column_names=None,
     fixed_error_rates=None,
     max_iter=500,
+    trials=None,
 ):
     """Joint MLE of regression coefficients and misclassification rates.
 
@@ -331,14 +386,13 @@ def fit_liu(
     ``fixed_error_rates=(r0, r1)`` pins both rates and estimates beta
     alone under the misclassified likelihood; this degenerate form
     exists mainly so tests can compare against the plain logistic fit.
+    ``y`` and ``trials`` are as in ``fit_std``.
     """
-    X, names = _resolve_design(X, column_names)
-    y = np.asarray(y, dtype=float)
-    _check_rank(X, names)
-    p = X.shape[1]
+    k, m, U, names = _fit_data(y, X, column_names, trials)
+    p = U.shape[1]
 
     if init is None:
-        init = default_liu_init(y, X, column_names=names)
+        init = default_liu_init(k, U, column_names=names, trials=m)
 
     if fixed_error_rates is not None:
         fixed = ErrorRates(*fixed_error_rates)
@@ -356,7 +410,7 @@ def fit_liu(
 
     def neg_obj(theta):
         beta, r0, r1 = unpack(theta)
-        ll, grad = liu_loglik(y, X, beta, ErrorRates(r0, r1))
+        ll, grad = liu_loglik(k, U, beta, ErrorRates(r0, r1), trials=m)
         g_beta, g_r0, g_r1 = grad[:p], grad[p], grad[p + 1]
         if fixed is not None:
             return -ll, -g_beta
@@ -397,27 +451,21 @@ def fit_liu(
     opt_ok = bool(res.success) or grad_inf < 1e-4
 
     beta_hat, r0_hat, r1_hat = unpack(res.x)
-    ll_hat, _ = liu_loglik(y, X, beta_hat, ErrorRates(r0_hat, r1_hat))
+    ll_hat, _ = liu_loglik(k, U, beta_hat, ErrorRates(r0_hat, r1_hat), trials=m)
 
-    # Observed information in the original parameterization.
+    # Observed information in the original parameterization. The kernel
+    # is called directly: difference steps may leave the rates' domain,
+    # which ErrorRates would refuse.
     def orig_score(theta):
         beta = theta[:p]
         if fixed is not None:
             r0, r1 = fixed.r0, fixed.r1
         else:
             r0, r1 = _rates_from_free(variant, theta[p:])
-        eta = X @ beta
-        pi = logistic(np.clip(eta, -700, 700))
-        pr = r0 + (1.0 - r0 - r1) * pi
-        pc = np.maximum(pr, 1e-300)
-        qc = np.maximum(1.0 - pr, 1e-300)
-        w = np.where(y > 0.5, 1.0 / pc, -1.0 / qc)
-        g_beta = X.T @ (w * (1.0 - r0 - r1) * pi * (1.0 - pi))
-        g_r0 = float(np.sum(w * (1.0 - pi)))
-        g_r1 = float(-np.sum(w * pi))
+        _, g_beta, g_p0, g_p1 = mixture_loglik(k, m, U, beta, r0, 1.0 - r0 - r1)
         if fixed is not None:
             return g_beta
-        return np.concatenate([g_beta, _free_score(variant, g_r0, g_r1)])
+        return np.concatenate([g_beta, _free_score(variant, g_p0, -g_p1)])  # p0 = r0, p1 = 1 - r1
 
     theta_orig = beta_hat
     if fixed is None:

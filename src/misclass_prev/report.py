@@ -1,7 +1,9 @@
 """Marginal prevalence per model, the one estimation entry point, and the comparison report.
 
 Marginal standardization is the common estimand: average the fitted
-individual probabilities over the cohort's covariate rows. External
+individual probabilities over the cohort's covariate rows, computed as
+the trials-weighted mean over its covariate patterns (distinct rows,
+see ``data_model.design_patterns``). External
 accuracy correction, where a model needs one, happens on that averaged
 probability; for posterior draws the correction is applied draw by
 draw, before averaging, so truncation at zero propagates into the
@@ -22,6 +24,7 @@ import numpy as np
 from scipy import stats
 
 from .bayes import fit_bc, fit_bec
+from .data_model import design_patterns
 from .errors import DiagnosticsError, NonConvergenceError, SingularDesignError
 from .likelihoods import logistic
 from .mcmc import SamplerConfig
@@ -53,9 +56,8 @@ class PrevalenceEstimate:
         object.__setattr__(self, "ci_width", self.upper - self.lower)
 
 
-def _mean_prob(X, beta):
-    Xm = X.matrix if hasattr(X, "matrix") else np.asarray(X, dtype=float)
-    return float(np.mean(logistic(Xm @ beta)))
+def _mean_prob(patterns, beta):
+    return patterns.mean(logistic(patterns.rows @ beta))
 
 
 def require_converged(fit, allow=False):
@@ -98,43 +100,49 @@ def marginal_prevalence_std(
     """Externally corrected marginal prevalence for the plain logistic fit.
 
     The nonparametric bootstrap resamples cohort rows, refits, averages
-    the fitted probabilities, and corrects each resampled value; refits
-    that fail to converge, or whose resample lost every positive of a
-    rare indicator column, are counted and skipped. The cheaper delta
-    interval propagates the coefficient covariance through the mean
-    fitted probability and divides by the Youden index.
+    the fitted probabilities, and corrects each resampled value; a
+    resample is refitted as trials and positives per covariate pattern
+    it drew. Refits that fail to converge, whose resample lost every
+    positive of a rare indicator column, or that separate on one, are
+    counted and skipped. The cheaper delta interval propagates the
+    fit's coefficient covariance through the mean fitted probability
+    and divides by the Youden index.
     """
     require_converged(fit)
     interval = IntervalMethod(interval)
-    Xm = X.matrix if hasattr(X, "matrix") else np.asarray(X, dtype=float)
+    patterns = design_patterns(X)
     y = np.asarray(y, dtype=float)
-    point, _ = correct_proportion(_mean_prob(Xm, fit.beta_hat), assay)
+    point, _ = correct_proportion(_mean_prob(patterns, fit.beta_hat), assay)
 
     failures = 0
     if interval is IntervalMethod.BOOTSTRAP:
         rng = np.random.default_rng(rng)
-        n = Xm.shape[0]
+        n, n_patterns = patterns.inverse.shape[0], patterns.trials.shape[0]
         vals = []
         for _ in range(n_boot):
             idx = rng.integers(0, n, size=n)
+            drawn = patterns.inverse[idx]
+            trials = np.bincount(drawn, minlength=n_patterns).astype(float)
+            live = trials > 0.0
+            positives = np.bincount(drawn, weights=y[idx], minlength=n_patterns)
+            rows, trials = patterns.rows[live], trials[live]
             try:
-                refit = fit_std(y[idx], Xm[idx], column_names=fit.column_names)
+                refit = fit_std(
+                    positives[live], rows, column_names=fit.column_names, trials=trials
+                )
             except SingularDesignError:
                 continue
             if refit.converged:
-                adj, _ = correct_proportion(_mean_prob(Xm[idx], refit.beta_hat), assay)
-                vals.append(adj)
+                mean = float(trials @ logistic(rows @ refit.beta_hat)) / n
+                vals.append(correct_proportion(mean, assay)[0])
         failures = n_boot - len(vals)
         lower, upper = _bootstrap_bounds(vals, n_boot, conf_level, "bootstrap")
     elif interval is IntervalMethod.DELTA:
-        pi = logistic(Xm @ fit.beta_hat)
-        w = pi * (1.0 - pi)
-        H = Xm.T @ (w[:, None] * Xm)
-        cov = np.linalg.inv(H)
-        g = (Xm.T @ w) / Xm.shape[0]
-        se_mean = float(np.sqrt(g @ cov @ g)) / assay.youden
+        pi = logistic(patterns.rows @ fit.beta_hat)
+        g = patterns.rows.T @ (patterns.trials * pi * (1.0 - pi)) / patterns.inverse.shape[0]
+        se_mean = float(np.sqrt(g @ fit.covariance @ g)) / assay.youden
         z = stats.norm.ppf(0.5 + conf_level / 2.0)
-        raw = (_mean_prob(Xm, fit.beta_hat) - (1.0 - assay.specificity)) / assay.youden
+        raw = (patterns.mean(pi) - (1.0 - assay.specificity)) / assay.youden
         lower = min(1.0, max(0.0, raw - z * se_mean))
         upper = min(1.0, max(0.0, raw + z * se_mean))
     else:
@@ -170,10 +178,10 @@ def marginal_prevalence_liu(
     if fit.error_rates_hat is None:
         raise ValueError("fit does not carry error-rate estimates")
     interval = IntervalMethod(interval)
-    Xm = X.matrix if hasattr(X, "matrix") else np.asarray(X, dtype=float)
-    pi_hat = logistic(Xm @ fit.beta_hat)
-    point = float(np.mean(pi_hat))
-    n, p = Xm.shape
+    patterns = design_patterns(X)
+    pi_hat = logistic(patterns.rows @ fit.beta_hat)
+    point = patterns.mean(pi_hat)
+    n, p = patterns.inverse.shape[0], patterns.rows.shape[1]
 
     failures = 0
     if interval is IntervalMethod.BOOTSTRAP:
@@ -181,19 +189,28 @@ def marginal_prevalence_liu(
         r0, r1 = fit.error_rates_hat.r0, fit.error_rates_hat.r1
         variant = fit.variant or LiuVariant.BOTH_FREE
         init = LiuInit(beta=fit.beta_hat, r0=max(r0, 1e-4), r1=max(r1, 1e-4))
+        pi_rows = pi_hat[patterns.inverse]
         vals = []
         for _ in range(n_boot):
-            latent = rng.random(n) < pi_hat
+            # outcomes are drawn per row, as the stream always has been
+            latent = rng.random(n) < pi_rows
             u = rng.random(n)
             y_b = np.where(latent, u >= r1, u < r0).astype(float)
-            refit = fit_liu(y_b, Xm, variant=variant, init=init, column_names=fit.column_names)
+            refit = fit_liu(
+                patterns.positives(y_b),
+                patterns.rows,
+                variant=variant,
+                init=init,
+                column_names=fit.column_names,
+                trials=patterns.trials,
+            )
             if refit.converged:
-                vals.append(_mean_prob(Xm, refit.beta_hat))
+                vals.append(_mean_prob(patterns, refit.beta_hat))
         failures = n_boot - len(vals)
         lower, upper = _bootstrap_bounds(vals, n_boot, conf_level, "parametric bootstrap")
     elif interval is IntervalMethod.DELTA:
         g = np.zeros(fit.covariance.shape[0])
-        g[:p] = (Xm.T @ (pi_hat * (1.0 - pi_hat))) / n
+        g[:p] = patterns.rows.T @ (patterns.trials * pi_hat * (1.0 - pi_hat)) / n
         var = float(g @ fit.covariance @ g)
         if not var >= 0.0:
             raise NonConvergenceError(f"LIU delta interval has variance {var}")
@@ -224,18 +241,19 @@ def posterior_prevalence_draws(draws, X, assay=None, batch=512):
     correction is applied to each draw's averaged probability and
     truncated into [0, 1] there and then.
     """
-    Xm = X.matrix if hasattr(X, "matrix") else np.asarray(X, dtype=float)
+    patterns = design_patterns(X)
     beta_idx = _beta_coordinates(draws)
-    if len(beta_idx) != Xm.shape[1]:
+    if len(beta_idx) != patterns.rows.shape[1]:
         raise ValueError(
-            f"draws carry {len(beta_idx)} coefficients but the design has {Xm.shape[1]} columns"
+            f"draws carry {len(beta_idx)} coefficients but the design has "
+            f"{patterns.rows.shape[1]} columns"
         )
     flat = draws.flat()[:, beta_idx]
     out = np.empty(flat.shape[0])
+    weights = patterns.trials / patterns.inverse.shape[0]
     for start in range(0, flat.shape[0], batch):
         block = flat[start : start + batch]
-        probs = logistic(Xm @ block.T)
-        out[start : start + batch] = probs.mean(axis=0)
+        out[start : start + batch] = weights @ logistic(patterns.rows @ block.T)
     if assay is not None:
         out = np.clip((out - (1.0 - assay.specificity)) / assay.youden, 0.0, 1.0)
     return out

@@ -1,0 +1,177 @@
+"""Grouped data against rows: the same likelihoods, fits and summaries.
+
+Designs here repeat rows on purpose (whole-year ages, rare dummies), so
+the covariate patterns are far fewer than the rows. Every quantity
+computed over patterns with trials and positives must equal the one
+computed row by row.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from misclass_prev import data_model
+from misclass_prev.cli import main
+from misclass_prev.data_model import build_design_matrix, group_rows, save_cohort
+from misclass_prev.errors import SingularDesignError
+from misclass_prev.likelihoods import ErrorRates, liu_loglik, logistic, std_loglik
+from misclass_prev.mcmc import package_draws
+from misclass_prev.mle import fit_liu, fit_std
+from misclass_prev.report import posterior_prevalence_draws
+from misclass_prev.simulate import load_bundled_scenario, simulate
+
+
+def repeated_design(seed, n):
+    """Intercept, whole-year age, a common and a rare dummy; outcomes from a logistic model."""
+    rng = np.random.default_rng(seed)
+    age = rng.integers(20, 26, size=n).astype(float)
+    common = (rng.random(n) < 0.5).astype(float)
+    rare = (rng.random(n) < 0.08).astype(float)
+    X = np.column_stack([np.ones(n), age, common, rare])
+    beta = np.array([-3.0, 0.1, 0.6, 0.9])
+    y = (rng.random(n) < logistic(X @ beta)).astype(float)
+    return y, X, beta
+
+
+designs = st.tuples(st.integers(0, 2**32 - 1), st.integers(40, 160))
+
+
+def grouped(y, X):
+    patterns = group_rows(X)
+    return patterns.positives(y), patterns.trials, patterns.rows
+
+
+def fit_or_none(*args, **kw):
+    try:
+        return fit_std(*args, **kw)
+    except SingularDesignError:  # the rare dummy drew no carrier: both forms must see it
+        return None
+
+
+def assert_same_fit(counts, rows):
+    assert (rows is None) == (counts is None)
+    if rows is None:
+        return
+    assert counts.converged == rows.converged
+    assert counts.condition_warning == rows.condition_warning
+    if rows.converged:  # a flagged fit stopped somewhere on its way to infinity
+        np.testing.assert_allclose(counts.beta_hat, rows.beta_hat, rtol=1e-8, atol=1e-8)
+        np.testing.assert_allclose(counts.beta_se, rows.beta_se, rtol=1e-8)
+        assert counts.loglik == pytest.approx(rows.loglik, rel=1e-10)
+
+
+class TestLikelihoods:
+    @given(designs, st.floats(0.0, 0.3), st.floats(0.0, 0.3))
+    @settings(max_examples=60, deadline=None)
+    def test_loglik_with_trials_matches_row_sums(self, design, r0, r1):
+        y, X, beta = repeated_design(*design)
+        k, m, U = grouped(y, X)
+        assert U.shape[0] < X.shape[0]
+        for rows, counts in (
+            (std_loglik(y, X, beta), std_loglik(k, U, beta, trials=m)),
+            (
+                liu_loglik(y, X, beta, ErrorRates(r0, r1)),
+                liu_loglik(k, U, beta, ErrorRates(r0, r1), trials=m),
+            ),
+        ):
+            assert counts[0] == pytest.approx(rows[0], rel=1e-10, abs=1e-10)
+            np.testing.assert_allclose(counts[1], rows[1], rtol=1e-10, atol=1e-10)
+
+    def test_counts_are_validated(self):
+        U = np.ones((2, 1))
+        with pytest.raises(ValueError):
+            std_loglik(np.array([3.0, 0.0]), U, np.zeros(1), trials=np.array([2.0, 1.0]))
+        with pytest.raises(ValueError):
+            std_loglik(np.array([0.0, 0.0]), U, np.zeros(1), trials=np.array([0.0, 1.0]))
+
+
+class TestFits:
+    @given(designs)
+    @settings(max_examples=40, deadline=None)
+    def test_fit_std_on_counts_matches_rows(self, design):
+        y, X, _ = repeated_design(*design)
+        k, m, U = grouped(y, X)
+        assert_same_fit(fit_or_none(k, U, trials=m), fit_or_none(y, X))
+
+    @given(designs)
+    @settings(max_examples=30, deadline=None)
+    def test_bootstrap_refit_from_counts_matches_copied_rows(self, design):
+        # the report's STD bootstrap: bincount one resample into the
+        # patterns it drew, then fit those alone
+        y, X, _ = repeated_design(*design)
+        patterns = group_rows(X)
+        n, n_patterns = X.shape[0], patterns.trials.shape[0]
+        idx = np.random.default_rng(design[0]).integers(0, n, size=n)
+        drawn = patterns.inverse[idx]
+        trials = np.bincount(drawn, minlength=n_patterns).astype(float)
+        live = trials > 0
+        positives = np.bincount(drawn, weights=y[idx], minlength=n_patterns)
+        assert_same_fit(
+            fit_or_none(positives[live], patterns.rows[live], trials=trials[live]),
+            fit_or_none(y[idx], X[idx]),
+        )
+
+    @pytest.mark.parametrize("seed", [8, 13, 21])
+    def test_fit_liu_on_counts_matches_rows(self, seed):
+        sc = replace(load_bundled_scenario("demo_cohort"), n=3000, seed=seed)
+        cohort, _ = simulate(sc)
+        X = build_design_matrix(cohort).matrix.copy()
+        X[:, 1] = np.round(X[:, 1])
+        y = cohort.outcomes()
+        k, m, U = grouped(y, X)
+        rows = fit_liu(y, X)
+        counts = fit_liu(k, U, trials=m)
+        assert counts.converged == rows.converged
+        np.testing.assert_allclose(counts.beta_hat, rows.beta_hat, rtol=1e-5, atol=1e-5)
+        assert counts.loglik == pytest.approx(rows.loglik, rel=1e-9)
+
+
+def test_posterior_prevalence_over_patterns_matches_rows():
+    sc = replace(load_bundled_scenario("demo_cohort"), n=2000, seed=4)
+    cohort, _ = simulate(sc)
+    records = tuple(replace(r, age=float(round(r.age))) for r in cohort.records)
+    X = build_design_matrix(data_model.Cohort(records=records))
+    assert X.patterns.rows.shape[0] < X.shape[0]
+    rng = np.random.default_rng(6)
+    betas = rng.normal(scale=0.5, size=(2, 300, X.shape[1])) + np.array(
+        [-5.0, 0.05] + [0.5] * (X.shape[1] - 2)
+    )
+    draws = package_draws(betas, X.column_names)
+    np.testing.assert_allclose(
+        posterior_prevalence_draws(draws, X),
+        posterior_prevalence_draws(draws, X.matrix),
+        rtol=0.0,
+        atol=1e-12,
+    )
+
+
+def test_compare_groups_the_design_once(tmp_path, monkeypatch):
+    sc = replace(load_bundled_scenario("demo_cohort"), n=3000, seed=11)
+    cohort, _ = simulate(sc)
+    records = tuple(replace(r, age=float(round(r.age))) for r in cohort.records)
+    path = tmp_path / "cohort.csv"
+    save_cohort(data_model.Cohort(records=records), path)
+
+    calls = []
+    real = data_model.group_rows
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return real(matrix)
+
+    monkeypatch.setattr(data_model, "group_rows", counting)
+    out = tmp_path / "cmp.csv"
+    argv = [
+        "compare", "--data", str(path), "--models", "std,liu,bc,bec",
+        "--se", "0.964", "--sp", "0.974", "--se-prior-n", "1000", "--sp-prior-n", "1000",
+        "--bootstrap", "20", "--chains", "2", "--warmup", "200", "--samples", "200",
+        "--seed", "5", "--allow-nonconverged", "--format", "csv", "--out", str(out),
+    ]  # fmt: skip
+    assert main(argv) == 0
+    models = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+    # both bootstraps ran: STD and LIU have rows only when their fits converged
+    assert {"STD", "LIU", "BC", "BEC"} <= set(models)
+    assert calls == [(3000, 9)]

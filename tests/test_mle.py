@@ -81,6 +81,23 @@ class TestFitStd:
         assert not fit.converged
         assert "separation or boundary" in fit.condition_warning
 
+    @pytest.mark.parametrize("outcome", [0.0, 1.0])
+    def test_quasi_separated_indicator_flagged(self, outcome):
+        # the indicator's three carriers share one outcome, so its MLE is
+        # infinite; Newton meets the score tolerance on the way out with
+        # the coefficient near 20 and an SE in the thousands
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal(300)
+        rare = np.zeros(300)
+        rare[:3] = 1.0
+        X = np.column_stack([np.ones(300), x, rare])
+        y = (rng.random(300) < logistic(-0.5 + 0.8 * x)).astype(float)
+        y[:3] = outcome
+        fit = fit_std(y, X)
+        assert not fit.converged
+        assert "separation or boundary" in fit.condition_warning
+        assert fit.beta_se is None
+
     def test_duplicate_column_named(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal(60)

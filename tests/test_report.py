@@ -163,18 +163,28 @@ class TestStdSummary:
         assert (a.lower, a.upper) == (b.lower, b.upper)
 
     def test_bootstrap_counts_a_resample_that_loses_a_rare_indicator(self):
-        # two subjects carry the indicator, so some resamples draw neither
-        # and their design is rank deficient: a failed refit, not a crash
+        # four subjects carry the indicator, two positive and two negative.
+        # A resample that draws none of them is rank deficient, and one
+        # that draws neither positive (or neither negative) separates on
+        # the indicator: both are failed refits, not a crash, and nothing
+        # else fails on this design.
         y, X, _ = small_logit_fit(n=200)
         rare = np.zeros(200)
-        rare[:2] = 1.0
-        y[:2] = (1.0, 0.0)
+        rare[:4] = 1.0
+        y[:4] = (1.0, 1.0, 0.0, 0.0)
         X = np.column_stack([X, rare])
         fit = fit_std(y, X)
         assert fit.converged
+        draws = np.random.default_rng(1)
+        lost = [draws.integers(0, 200, size=200) for _ in range(120)]
+        lost_none = sum(not np.isin(idx, [0, 1, 2, 3]).any() for idx in lost)
+        lost_one_level = sum(
+            not np.isin(idx, [0, 1]).any() or not np.isin(idx, [2, 3]).any() for idx in lost
+        )
+        assert lost_none >= 1
         assay = AssayProfile(sensitivity=0.9, specificity=0.95)
-        est = marginal_prevalence_std(y, X, fit, assay, n_boot=40, rng=np.random.default_rng(1))
-        assert 1 <= est.n_resample_failures <= 20
+        est = marginal_prevalence_std(y, X, fit, assay, n_boot=120, rng=np.random.default_rng(1))
+        assert est.n_resample_failures == lost_one_level
         assert est.lower <= est.point <= est.upper
 
     def test_bootstrap_floor_is_half_the_requested_resamples(self):
