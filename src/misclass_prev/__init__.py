@@ -35,9 +35,7 @@ from .errors import (
 from .likelihoods import (
     ErrorRates,
     bec_marginal_loglik,
-    linear_predictor,
     liu_loglik,
-    liu_response_prob,
     logistic,
     std_loglik,
 )
@@ -121,9 +119,7 @@ __all__ = [
     "fit_bec",
     "fit_liu",
     "fit_std",
-    "linear_predictor",
     "liu_loglik",
-    "liu_response_prob",
     "load_bundled_scenario",
     "load_cohort",
     "logistic",

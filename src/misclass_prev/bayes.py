@@ -105,6 +105,21 @@ def _bec_parts(block, assay):
     return assay.sensitivity, assay.specificity, False
 
 
+def _bec_log_density(k, m, U, beta, se, sp, assay):
+    """``bec_log_posterior`` at accuracy (se, sp), over validated pattern counts."""
+    sampled = assay.mode is AssayMode.BETA_PRIOR
+    if sampled:
+        if not (0.0 < se < 1.0 and 0.0 < sp < 1.0 and se + sp > 1.0):
+            return -np.inf
+    var = newman_prior_variance(U.shape[1] - 1)
+    value = mixture_loglik_value(k, m, U, beta, 1.0 - sp, se + sp - 1.0)
+    value += _normal_logpdf_sum(beta, var)
+    if sampled:
+        value += _beta_logpdf(se, *assay.se_prior)
+        value += _beta_logpdf(sp, *assay.sp_prior)
+    return value
+
+
 def bec_log_posterior(y, X, block, assay):
     """Log posterior of the internally corrected model.
 
@@ -114,18 +129,9 @@ def bec_log_posterior(y, X, block, assay):
     """
     Xm = X.matrix if hasattr(X, "matrix") else np.asarray(X, dtype=float)
     beta = np.asarray(block.beta, dtype=float)
-    se, sp, sampled = _bec_parts(block, assay)
-    if sampled:
-        if not (0.0 < se < 1.0 and 0.0 < sp < 1.0 and se + sp > 1.0):
-            return -np.inf
-    var = newman_prior_variance(Xm.shape[1] - 1)
+    se, sp, _ = _bec_parts(block, assay)
     k, m = binomial_counts(y)
-    value = mixture_loglik_value(k, m, Xm, beta, 1.0 - sp, se + sp - 1.0)
-    value += _normal_logpdf_sum(beta, var)
-    if sampled:
-        value += _beta_logpdf(se, *assay.se_prior)
-        value += _beta_logpdf(sp, *assay.sp_prior)
-    return value
+    return _bec_log_density(k, m, Xm, beta, se, sp, assay)
 
 
 def bec_log_posterior_grad(y, X, block, assay, trials=None):
@@ -249,13 +255,6 @@ def _sampling_basis(score_fn, mode, res):
 # ---------------------------------------------------------------------------
 
 
-def _chain_inits(mode, config, scale=None, spread=2.0):
-    """Overdispersed chain starts: mode plus a few posterior sds of jitter."""
-    rng = np.random.default_rng([int(config.seed), 0xA5])
-    s = np.full(mode.shape[0], 0.05) if scale is None else np.asarray(scale, dtype=float)
-    return mode[None, :] + spread * s * rng.standard_normal((config.chains, mode.shape[0]))
-
-
 def _mode_scale(res, dim):
     """Per-coordinate scale guesses from the optimizer's inverse Hessian.
 
@@ -302,12 +301,54 @@ def _posterior_fit_result(tag, draws_obj, n_beta, loglik, names):
     )
 
 
+def _sample_posterior(neg, log_density, theta0, config, tr, names, bounds=None):
+    """Draws of a posterior over (beta[, se, sp]), on the input scale.
+
+    Finds the mode of ``neg`` (minus the log posterior and its gradient
+    over standardized coefficients) from ``theta0``: BFGS, or L-BFGS-B
+    when ``bounds`` are given. Samples ``log_density`` in the
+    mode-centered coordinates of ``_sampling_basis``, from seed-derived
+    overdispersed starts, and undoes the standardization on every draw.
+    """
+    method = "BFGS" if bounds is None else "L-BFGS-B"
+    res = optimize.minimize(neg, theta0, jac=True, method=method, bounds=bounds)
+    mode = res.x
+    dim = mode.shape[0]
+
+    def post_score(theta):
+        try:
+            return -neg(theta)[1]
+        except ValueError:
+            # curvature probe stepped outside the accuracy support
+            return np.full(dim, np.nan)
+
+    A = _sampling_basis(post_score, mode, res)
+
+    def log_post(phi):
+        return log_density(mode + A @ phi)
+
+    # Overdispersed starts, two posterior sds around the mode in each
+    # whitened coordinate. They can land outside the accuracy support;
+    # pull each one toward the mode until its density is finite.
+    rng = np.random.default_rng([int(config.seed), 0xA5])
+    init = 2.0 * rng.standard_normal((config.chains, dim))
+    for i in range(init.shape[0]):
+        for _ in range(60):
+            if np.isfinite(log_post(init[i])):
+                break
+            init[i] *= 0.5
+
+    raw = sample(log_post, dim, config, init=init)
+    # undo_beta changes only the intercept and the standardized columns,
+    # so sampled accuracy coordinates after the coefficients pass through
+    theta_draws = tr.undo_beta(mode + raw.draws @ A.T)
+    return package_draws(theta_draws, names, raw.accept_rate)
+
+
 def fit_bc(y, X, config=None, column_names=None):
     """Posterior of the plain logistic model; external correction later.
 
-    Sampling runs in the mode-centered coordinates of ``_sampling_basis``
-    with seed-derived overdispersed starts. Returns the fit summary and
-    the back-transformed draws.
+    Returns the fit summary and the back-transformed draws.
     """
     config = config or SamplerConfig()
     k, m, U, Us, tr, names = _posterior_data(y, X, column_names)
@@ -318,17 +359,10 @@ def fit_bc(y, X, config=None, column_names=None):
         value, grad = bc_log_posterior_grad(k, Us, beta, trials=m)
         return -value, -grad
 
-    res = optimize.minimize(neg, np.zeros(p), jac=True, method="BFGS")
-    mode = res.x
-    A = _sampling_basis(lambda t: -neg(t)[1], mode, res)
-
-    def log_post(phi):
-        beta = mode + A @ phi
+    def log_density(beta):
         return std_loglik_value(k, m, Us, beta) + _normal_logpdf_sum(beta, var)
 
-    raw = sample(log_post, p, config, init=_chain_inits(np.zeros(p), config, np.ones(p)))
-    beta_std = mode + raw.draws @ A.T
-    draws = package_draws(tr.undo_beta(beta_std), names, raw.accept_rate)
+    draws = _sample_posterior(neg, log_density, np.zeros(p), config, tr, names)
     beta_hat = draws.flat().mean(axis=0)
     ll_hat = std_loglik_value(k, m, U, beta_hat)
     fit = _posterior_fit_result(ModelTag.BC, draws, p, ll_hat, names)
@@ -347,91 +381,32 @@ def fit_bec(y, X, assay, config=None, column_names=None):
     config = config or SamplerConfig()
     k, m, U, Us, tr, names = _posterior_data(y, X, column_names)
     p = Us.shape[1]
-    var = newman_prior_variance(p - 1)
-    sampled_assay = assay.mode is AssayMode.BETA_PRIOR
 
-    if sampled_assay:
-        a_se, b_se = assay.se_prior
-        a_sp, b_sp = assay.sp_prior
+    # In beta-prior mode se and sp are sampled after the coefficients;
+    # in fixed mode theta holds the coefficients alone.
+    def accuracy(theta):
+        if len(theta) > p:
+            return theta[p], theta[p + 1]
+        return assay.sensitivity, assay.specificity
 
-        def log_post_block(theta):
-            se, sp = theta[p], theta[p + 1]
-            if not (0.0 < se < 1.0 and 0.0 < sp < 1.0 and se + sp > 1.0):
-                return -np.inf
-            return (
-                mixture_loglik_value(k, m, Us, theta[:p], 1.0 - sp, se + sp - 1.0)
-                + _normal_logpdf_sum(theta[:p], var)
-                + _beta_logpdf(se, a_se, b_se)
-                + _beta_logpdf(sp, a_sp, b_sp)
-            )
+    def neg(theta):
+        block = BecParameterBlock(theta[:p], *theta[p:])
+        value, grad = bec_log_posterior_grad(k, Us, block, assay, trials=m)
+        return -value, -grad
 
-        def neg(theta):
-            block = BecParameterBlock(beta=theta[:p], se=theta[p], sp=theta[p + 1])
-            value, grad = bec_log_posterior_grad(k, Us, block, assay, trials=m)
-            return -value, -grad
+    def log_density(theta):
+        return _bec_log_density(k, m, Us, theta[:p], *accuracy(theta), assay)
 
-        theta0 = np.concatenate([np.zeros(p), [assay.sensitivity, assay.specificity]])
+    theta0, bounds, out_names = np.zeros(p), None, tuple(names)
+    if assay.mode is AssayMode.BETA_PRIOR:
+        theta0 = np.concatenate([theta0, [assay.sensitivity, assay.specificity]])
         bounds = [(None, None)] * p + [(0.501, 1.0 - 1e-9)] * 2
-        res = optimize.minimize(neg, theta0, jac=True, method="L-BFGS-B", bounds=bounds)
-        dim = p + 2
-    else:
-        se0, sp0 = assay.sensitivity, assay.specificity
-
-        def log_post_block(theta):
-            return mixture_loglik_value(
-                k, m, Us, theta, 1.0 - sp0, se0 + sp0 - 1.0
-            ) + _normal_logpdf_sum(theta, var)
-
-        def neg(theta):
-            block = BecParameterBlock(beta=theta)
-            value, grad = bec_log_posterior_grad(k, Us, block, assay, trials=m)
-            return -value, -grad
-
-        res = optimize.minimize(neg, np.zeros(p), jac=True, method="BFGS")
-        dim = p
-
-    mode = res.x
-
-    def post_score(theta):
-        try:
-            return -neg(theta)[1]
-        except ValueError:
-            # curvature probe stepped outside the accuracy support
-            return np.full(dim, np.nan)
-
-    A = _sampling_basis(post_score, mode, res)
-
-    def log_post(phi):
-        return log_post_block(mode + A @ phi)
-
-    init = _chain_inits(np.zeros(dim), config, np.ones(dim))
-    # overdispersed starts can land outside the accuracy support; pull
-    # each one toward the mode until its density is finite
-    for i in range(init.shape[0]):
-        for _ in range(60):
-            if np.isfinite(log_post(init[i])):
-                break
-            init[i] *= 0.5
-
-    raw = sample(log_post, dim, config, init=init)
-    theta_draws = mode + raw.draws @ A.T
-
-    if sampled_assay:
-        beta_part = tr.undo_beta(theta_draws[:, :, :p])
-        out = np.concatenate([beta_part, theta_draws[:, :, p:]], axis=2)
-        out_names = tuple(names) + ("sensitivity", "specificity")
-    else:
-        out = tr.undo_beta(theta_draws)
-        out_names = tuple(names)
-    draws = package_draws(out, out_names, raw.accept_rate)
+        out_names += ("sensitivity", "specificity")
+    draws = _sample_posterior(neg, log_density, theta0, config, tr, out_names, bounds)
 
     flat = draws.flat()
     beta_hat = flat[:, :p].mean(axis=0)
-    if sampled_assay:
-        se_hat = float(flat[:, p].mean())
-        sp_hat = float(flat[:, p + 1].mean())
-    else:
-        se_hat, sp_hat = assay.sensitivity, assay.specificity
+    se_hat, sp_hat = accuracy([float(flat[:, j].mean()) for j in range(flat.shape[1])])
     ll_hat = mixture_loglik_value(k, m, U, beta_hat, 1.0 - sp_hat, se_hat + sp_hat - 1.0)
     fit = _posterior_fit_result(ModelTag.BEC, draws, p, ll_hat, names)
     return fit, draws

@@ -66,6 +66,12 @@ VARIANT_NAMES = {
     "fn": LiuVariant.FALSE_NEGATIVE_ONLY,
     "equal": LiuVariant.ERRORS_EQUAL,
 }
+VARIANT_HELP = (
+    "error rates the liu model frees: both = false-positive and false-negative rates, "
+    "fp = false-positive rate only (false-negative pinned at 0), "
+    "fn = false-negative rate only (false-positive pinned at 0), "
+    "equal = one rate shared by both"
+)
 
 
 def _add_data_flags(sub):
@@ -107,7 +113,7 @@ def build_parser():
     _add_data_flags(fit)
     fit.add_argument("--model", required=True, choices=tuple(t.value for t in ModelTag))
     _add_assay_flags(fit)
-    fit.add_argument("--variant", choices=tuple(VARIANT_NAMES), default="both")
+    fit.add_argument("--variant", choices=tuple(VARIANT_NAMES), default="both", help=VARIANT_HELP)
     _add_sampler_flags(fit)
     fit.add_argument("--bootstrap", type=int, help="interval resamples (std/liu)")
     fit.add_argument(
@@ -129,7 +135,7 @@ def build_parser():
         help="comma separated subset of std,liu,bc,bec",
     )
     _add_assay_flags(comp)
-    comp.add_argument("--variant", choices=tuple(VARIANT_NAMES), default="both")
+    comp.add_argument("--variant", choices=tuple(VARIANT_NAMES), default="both", help=VARIANT_HELP)
     _add_sampler_flags(comp)
     comp.add_argument("--bootstrap", type=int, help="interval resamples (std/liu)")
     comp.add_argument("--seed", type=int, default=0)
@@ -204,7 +210,10 @@ def _resolve_assay(args, config, outcome_label, required):
         sp_n = block.get("sp_prior_n")
     if se_n is not None or sp_n is not None:
         return AssayProfile.with_beta_priors(
-            se, sp, se_prior_n=se_n or 1000.0, sp_prior_n=sp_n or 1000.0
+            se,
+            sp,
+            se_prior_n=1000.0 if se_n is None else se_n,
+            sp_prior_n=1000.0 if sp_n is None else sp_n,
         )
     return AssayProfile(sensitivity=float(se), specificity=float(sp))
 
@@ -319,6 +328,8 @@ def _run_compare(args):
     bad = [w for w in wanted if w not in tuple(t.value for t in ModelTag)]
     if bad:
         raise InputError(f"unknown models {bad}; valid: {[t.value.lower() for t in ModelTag]}")
+    if not wanted:
+        raise InputError(f"--models {args.models!r} names no model")
     options = _estimate_options(args)
     _echo(args, f"models = {','.join(wanted)}; {_assay_echo(assay)}")
 
@@ -378,8 +389,12 @@ def _run_simulate(args):
         bad = [w for w in wanted if w not in ESTIMATOR_NAMES]
         if bad:
             raise InputError(f"unknown estimators {bad}; valid: {list(ESTIMATOR_NAMES)}")
+        if not wanted:
+            raise InputError(f"--estimators {args.estimators!r} names no estimator")
+        if (args.se is None) != (args.sp is None):
+            raise InputError("--se and --sp override the study assay together; pass both or neither")
         override = None
-        if args.se is not None and args.sp is not None:
+        if args.se is not None:
             override = AssayProfile(sensitivity=args.se, specificity=args.sp)
         sampler = _sampler(args)
         specs = [EstimatorSpec(name=w, assay=override, sampler=sampler) for w in wanted]

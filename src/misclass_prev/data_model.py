@@ -321,14 +321,6 @@ class AssayProfile:
     def youden(self):
         return self.sensitivity + self.specificity - 1.0
 
-    @property
-    def false_positive_rate(self):
-        return 1.0 - self.specificity
-
-    @property
-    def false_negative_rate(self):
-        return 1.0 - self.sensitivity
-
 
 # ---------------------------------------------------------------------------
 # CSV ingestion and serialization

@@ -71,16 +71,6 @@ def _design_and_beta(X, beta):
     return X, beta
 
 
-def linear_predictor(X, beta):
-    """X @ beta with an explicit dimension check.
-
-    Accepts a plain array or anything exposing a ``matrix`` attribute
-    (e.g. DesignMatrix).
-    """
-    X, beta = _design_and_beta(X, beta)
-    return X @ beta
-
-
 @dataclass(frozen=True)
 class ErrorRates:
     """False-positive (r0) and false-negative (r1) rates.
@@ -149,16 +139,6 @@ def std_loglik(y, X, beta, trials=None):
 def std_loglik_value(k, m, U, beta):
     """``std_loglik``'s value alone, on counts already validated."""
     return _softplus_loglik(k, m, U @ beta)
-
-
-def liu_response_prob(eta, rates):
-    """Misclassification-adjusted response probability.
-
-    r0 + (1 - r0 - r1) * sigmoid(eta); bounded in (r0, 1 - r1).
-    """
-    if not isinstance(rates, ErrorRates):
-        rates = ErrorRates(*rates)
-    return rates.r0 + (1.0 - rates.r0 - rates.r1) * logistic(eta)
 
 
 def _mixture_terms(k, m, U, beta, offset, slope):

@@ -20,6 +20,7 @@ import numpy as np
 
 MULTIVARIATE_TARGET = 0.234
 UNIVARIATE_TARGET = 0.44
+ADAPT_WINDOW = 50  # warmup iterations between step-size updates
 
 
 @dataclass(frozen=True)
@@ -28,24 +29,16 @@ class SamplerConfig:
     warmup: int = 2000
     samples: int = 2000
     seed: int = 0
-    target_accept: float = None  # resolved per dimension when None
-    adapt_window: int = 50
 
     def __post_init__(self):
         if self.chains < 2:
             raise ValueError("need at least 2 chains for split diagnostics")
         if self.warmup < 100 or self.samples < 100:
             raise ValueError("warmup and samples must each be at least 100")
-        if self.adapt_window < 10:
-            raise ValueError("adapt_window must be at least 10")
         if not isinstance(self.seed, (int, np.integer)):
             raise ValueError("seed must be an integer")
-        if self.target_accept is not None and not (0.0 < self.target_accept < 1.0):
-            raise ValueError("target_accept must lie in (0, 1)")
 
     def resolve_target(self, dim):
-        if self.target_accept is not None:
-            return self.target_accept
         return UNIVARIATE_TARGET if dim == 1 else MULTIVARIATE_TARGET
 
 
@@ -87,7 +80,7 @@ class PosteriorDraws:
                     w.writerow([repr(float(v)) for v in self.draws[c, i]] + [c, i])
 
 
-def _run_chain(log_post, dim, config, x0, chain_index, target, collect_scales, init_scale):
+def _run_chain(log_post, dim, config, x0, chain_index, target, collect_scales):
     rng = np.random.default_rng([int(config.seed), int(chain_index)])
     x = np.array(x0, dtype=float)
     lp = float(log_post(x))
@@ -96,16 +89,8 @@ def _run_chain(log_post, dim, config, x0, chain_index, target, collect_scales, i
             f"log posterior is not finite at the chain {chain_index} start point"
         )
 
-    if init_scale is None:
-        sigma = 2.38 / np.sqrt(dim)
-        shape = np.ones(dim)
-    else:
-        # Precondition on caller-supplied posterior scale guesses; the
-        # geometric mean goes into sigma, relative sizes into the shape.
-        s = np.clip(np.asarray(init_scale, dtype=float), 1e-6, 1e6)
-        g = float(np.exp(np.mean(np.log(s))))
-        shape = s / g
-        sigma = 2.38 / np.sqrt(dim) * g
+    sigma = 2.38 / np.sqrt(dim)
+    shape = np.ones(dim)
     total = config.warmup + config.samples
     draws = np.empty((config.samples, dim))
     trace = np.empty((total, dim)) if collect_scales else None
@@ -140,12 +125,12 @@ def _run_chain(log_post, dim, config, x0, chain_index, target, collect_scales, i
                 delta = x - mean
                 mean += delta / count
                 m2 += delta * (x - mean)
-            if (t + 1) % config.adapt_window == 0:
+            if (t + 1) % ADAPT_WINDOW == 0:
                 window_index += 1
-                rate = window_accepts / config.adapt_window
+                rate = window_accepts / ADAPT_WINDOW
                 window_accepts = 0
                 sigma *= float(np.exp((rate - target) / np.sqrt(window_index)))
-                if count >= max(100, 2 * config.adapt_window):
+                if count >= max(100, 2 * ADAPT_WINDOW):
                     sd = np.sqrt(m2 / (count - 1) + 1e-12)
                     sd = np.clip(sd, 1e-6, 1e6)
                     # carry overall magnitude in sigma, relative scale in shape
@@ -157,15 +142,12 @@ def _run_chain(log_post, dim, config, x0, chain_index, target, collect_scales, i
     return draws, accepted_post / config.samples, trace
 
 
-def sample(log_post, dim, config, init=None, collect_scale_trace=False, init_scale=None):
+def sample(log_post, dim, config, init=None, collect_scale_trace=False):
     """Run all chains and package draws with diagnostics.
 
     ``init`` is an optional (chains, dim) array of start points; the
     log posterior must be finite at each. When omitted, chains start at
-    small seed-derived jitter around the origin. ``init_scale`` is an
-    optional per-coordinate posterior scale guess (for example from the
-    curvature at the mode) that preconditions the proposal; warmup
-    adaptation then only has to fine-tune it. A NaN log posterior at
+    small seed-derived jitter around the origin. A NaN log posterior at
     a proposal counts as a rejected proposal; a NaN at the start point
     is an error.
     """
@@ -179,19 +161,13 @@ def sample(log_post, dim, config, init=None, collect_scale_trace=False, init_sca
     init = np.asarray(init, dtype=float)
     if init.shape != (config.chains, dim):
         raise ValueError(f"init must have shape {(config.chains, dim)}, got {init.shape}")
-    if init_scale is not None:
-        init_scale = np.asarray(init_scale, dtype=float)
-        if init_scale.shape != (dim,) or not np.all(np.isfinite(init_scale)) or np.any(
-            init_scale <= 0
-        ):
-            raise ValueError("init_scale must be a positive finite vector of length dim")
 
     all_draws = np.empty((config.chains, config.samples, dim))
     accept = np.empty(config.chains)
     traces = [] if collect_scale_trace else None
     for c in range(config.chains):
         draws, acc, trace = _run_chain(
-            log_post, dim, config, init[c], c, target, collect_scale_trace, init_scale
+            log_post, dim, config, init[c], c, target, collect_scale_trace
         )
         all_draws[c] = draws
         accept[c] = acc

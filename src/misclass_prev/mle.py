@@ -3,9 +3,11 @@
 ``fit_std`` is a damped Newton (equivalently IRLS) solver written out
 directly, since the Hessian of the logistic likelihood is cheap and
 exact. ``fit_liu`` maximizes the misclassified likelihood over
-(beta, error rates) with BFGS on a transformed scale where the rates
-are unconstrained; standard errors for both come from the observed
-information in the original parameterization.
+(beta, free error rates) with BFGS on a transformed scale where the
+rates are unconstrained; which of the false-positive rate r0 and the
+false-negative rate r1 are free is one matrix per ``LiuVariant``.
+Standard errors for both fits come from the observed information in
+the original parameterization.
 
 Both fit over covariate patterns: a DesignMatrix is fitted over its
 distinct rows with trials and positives per row, and a caller that
@@ -54,7 +56,11 @@ class ModelTag(Enum):
 
 
 class LiuVariant(Enum):
-    """Which error rates are free in the joint fit."""
+    """Which error rates are free in the joint fit.
+
+    Both free; only r0 free with r1 = 0; only r1 free with r0 = 0; or
+    one free rate shared by r0 and r1.
+    """
 
     BOTH_FREE = "both_free"
     FALSE_POSITIVE_ONLY = "false_positive_only"
@@ -338,32 +344,14 @@ def _unconstrained_to_rate(u):
     return min(0.5 * logistic(u), 0.5 - 1e-9)
 
 
-_VARIANT_FREE_RATES = {
-    LiuVariant.BOTH_FREE: ("r0", "r1"),
-    LiuVariant.FALSE_POSITIVE_ONLY: ("r0",),
-    LiuVariant.FALSE_NEGATIVE_ONLY: ("r1",),
-    LiuVariant.ERRORS_EQUAL: ("r",),
+# Which rates a variant frees, as the 0/1 matrix A with (r0, r1) = A @ free:
+# a zero row pins that rate at 0, a column shared by both rows ties them.
+_RATE_MAP = {
+    LiuVariant.BOTH_FREE: np.array([[1.0, 0.0], [0.0, 1.0]]),
+    LiuVariant.FALSE_POSITIVE_ONLY: np.array([[1.0], [0.0]]),
+    LiuVariant.FALSE_NEGATIVE_ONLY: np.array([[0.0], [1.0]]),
+    LiuVariant.ERRORS_EQUAL: np.array([[1.0], [1.0]]),
 }
-
-
-def _rates_from_free(variant, free):
-    if variant is LiuVariant.BOTH_FREE:
-        return float(free[0]), float(free[1])
-    if variant is LiuVariant.FALSE_POSITIVE_ONLY:
-        return float(free[0]), 0.0
-    if variant is LiuVariant.FALSE_NEGATIVE_ONLY:
-        return 0.0, float(free[0])
-    return float(free[0]), float(free[0])  # ERRORS_EQUAL
-
-
-def _free_score(variant, g_r0, g_r1):
-    if variant is LiuVariant.BOTH_FREE:
-        return [g_r0, g_r1]
-    if variant is LiuVariant.FALSE_POSITIVE_ONLY:
-        return [g_r0]
-    if variant is LiuVariant.FALSE_NEGATIVE_ONLY:
-        return [g_r1]
-    return [g_r0 + g_r1]  # ERRORS_EQUAL: shared rate
 
 
 def fit_liu(
@@ -372,70 +360,44 @@ def fit_liu(
     variant=LiuVariant.BOTH_FREE,
     init=None,
     column_names=None,
-    fixed_error_rates=None,
     max_iter=500,
     trials=None,
 ):
     """Joint MLE of regression coefficients and misclassification rates.
 
-    The rates are optimized on an unconstrained scale (r = 0.5 *
-    sigmoid(u)) with BFGS and the analytic gradient; standard errors
-    come from the observed information over the original free
-    parameters (beta plus whichever rates the variant leaves free).
-
-    ``fixed_error_rates=(r0, r1)`` pins both rates and estimates beta
-    alone under the misclassified likelihood; this degenerate form
-    exists mainly so tests can compare against the plain logistic fit.
+    The variant's rate map A (``_RATE_MAP``) gives the end rates from
+    the free ones, ``(r0, r1) = A @ free``, and the score over the free
+    rates from the one over (r0, r1), ``A' @ score``. The free rates are
+    optimized on an unconstrained scale (r = 0.5 * sigmoid(u)) with BFGS
+    and the analytic gradient; standard errors come from the observed
+    information over the original free parameters (beta plus the free
+    rates). A rate the variant pins at 0 has no standard error.
     ``y`` and ``trials`` are as in ``fit_std``.
     """
     k, m, U, names = _fit_data(y, X, column_names, trials)
     p = U.shape[1]
+    A = _RATE_MAP[variant]
 
     if init is None:
         init = default_liu_init(k, U, column_names=names, trials=m)
 
-    if fixed_error_rates is not None:
-        fixed = ErrorRates(*fixed_error_rates)
-        n_free = 0
-    else:
-        fixed = None
-        n_free = len(_VARIANT_FREE_RATES[variant])
-
-    def unpack(theta):
-        beta = theta[:p]
-        if fixed is not None:
-            return beta, fixed.r0, fixed.r1
-        free = [_unconstrained_to_rate(u) for u in theta[p:]]
-        return beta, *_rates_from_free(variant, free)
+    def free_rates(theta):
+        return np.array([_unconstrained_to_rate(u) for u in theta[p:]])
 
     def neg_obj(theta):
-        beta, r0, r1 = unpack(theta)
-        ll, grad = liu_loglik(k, U, beta, ErrorRates(r0, r1), trials=m)
-        g_beta, g_r0, g_r1 = grad[:p], grad[p], grad[p + 1]
-        if fixed is not None:
-            return -ll, -g_beta
-        g_free = _free_score(variant, g_r0, g_r1)
+        free = free_rates(theta)
+        r0, r1 = A @ free
+        ll, grad = liu_loglik(k, U, theta[:p], ErrorRates(r0, r1), trials=m)
         # chain rule through r = 0.5 * sigmoid(u): dr/du = r (1 - 2r) ...
         # with s = sigmoid(u), r = s/2, dr/du = 0.5 s (1 - s) = r (1 - 2r)
-        jac = []
-        for u, g in zip(theta[p:], g_free):
-            r = _unconstrained_to_rate(u)
-            jac.append(g * r * (1.0 - 2.0 * r))
-        return -ll, -np.concatenate([g_beta, jac])
+        jac = A.T @ grad[p:] * free * (1.0 - 2.0 * free)
+        return -ll, -np.concatenate([grad[:p], jac])
 
     theta0 = np.asarray(init.beta, dtype=float)
     if theta0.shape[0] != p:
         raise ValueError(f"init beta has length {theta0.shape[0]}, design has {p} columns")
-    if fixed is None:
-        if variant is LiuVariant.BOTH_FREE:
-            free0 = [init.r0, init.r1]
-        elif variant is LiuVariant.FALSE_POSITIVE_ONLY:
-            free0 = [init.r0]
-        elif variant is LiuVariant.FALSE_NEGATIVE_ONLY:
-            free0 = [init.r1]
-        else:
-            free0 = [0.5 * (init.r0 + init.r1)]
-        theta0 = np.concatenate([theta0, [_rate_to_unconstrained(r) for r in free0]])
+    free0 = A.T @ [init.r0, init.r1] / A.sum(axis=0)
+    theta0 = np.concatenate([theta0, [_rate_to_unconstrained(r) for r in free0]])
 
     res = optimize.minimize(
         neg_obj,
@@ -450,35 +412,19 @@ def fit_liu(
     # gradient is already small in absolute terms.
     opt_ok = bool(res.success) or grad_inf < 1e-4
 
-    beta_hat, r0_hat, r1_hat = unpack(res.x)
+    beta_hat = res.x[:p]
+    r0_hat, r1_hat = A @ free_rates(res.x)
     ll_hat, _ = liu_loglik(k, U, beta_hat, ErrorRates(r0_hat, r1_hat), trials=m)
 
     # Observed information in the original parameterization. The kernel
     # is called directly: difference steps may leave the rates' domain,
     # which ErrorRates would refuse.
     def orig_score(theta):
-        beta = theta[:p]
-        if fixed is not None:
-            r0, r1 = fixed.r0, fixed.r1
-        else:
-            r0, r1 = _rates_from_free(variant, theta[p:])
-        _, g_beta, g_p0, g_p1 = mixture_loglik(k, m, U, beta, r0, 1.0 - r0 - r1)
-        if fixed is not None:
-            return g_beta
-        return np.concatenate([g_beta, _free_score(variant, g_p0, -g_p1)])  # p0 = r0, p1 = 1 - r1
+        r0, r1 = A @ theta[p:]
+        _, g_beta, g_p0, g_p1 = mixture_loglik(k, m, U, theta[:p], r0, 1.0 - r0 - r1)
+        return np.concatenate([g_beta, A.T @ [g_p0, -g_p1]])  # p0 = r0, p1 = 1 - r1
 
-    theta_orig = beta_hat
-    if fixed is None:
-        if variant is LiuVariant.BOTH_FREE:
-            rates_free = [r0_hat, r1_hat]
-        elif variant is LiuVariant.FALSE_POSITIVE_ONLY:
-            rates_free = [r0_hat]
-        elif variant is LiuVariant.FALSE_NEGATIVE_ONLY:
-            rates_free = [r1_hat]
-        else:
-            rates_free = [r0_hat]
-        theta_orig = np.concatenate([beta_hat, rates_free])
-
+    theta_orig = np.concatenate([beta_hat, A.T @ [r0_hat, r1_hat] / A.sum(axis=0)])
     info = observed_information(orig_score, theta_orig)
     beta_se = info.se[:p] if info.se is not None else None
     cov = np.linalg.inv(info.matrix) if info.se is not None else None
@@ -498,24 +444,15 @@ def fit_liu(
         warning = "separation or boundary: a coefficient escaped past 30"
 
     boundary = []
-    if fixed is None:
-        for name, r in zip(("r0", "r1"), (r0_hat, r1_hat)):
-            if r < 1e-5:
-                boundary.append(name)
-        if boundary and warning is None:
-            warning = f"error rate(s) {boundary} pinned at the lower boundary"
+    for name, r in zip(("r0", "r1"), (r0_hat, r1_hat)):
+        if r < 1e-5:
+            boundary.append(name)
+    if boundary and warning is None:
+        warning = f"error rate(s) {boundary} pinned at the lower boundary"
 
     se_r0 = se_r1 = None
-    if fixed is None and info.se is not None:
-        rate_se = info.se[p:]
-        if variant is LiuVariant.BOTH_FREE:
-            se_r0, se_r1 = float(rate_se[0]), float(rate_se[1])
-        elif variant is LiuVariant.FALSE_POSITIVE_ONLY:
-            se_r0 = float(rate_se[0])
-        elif variant is LiuVariant.FALSE_NEGATIVE_ONLY:
-            se_r1 = float(rate_se[0])
-        else:
-            se_r0 = se_r1 = float(rate_se[0])
+    if info.se is not None:
+        se_r0, se_r1 = (float(row @ info.se[p:]) if row.any() else None for row in A)
 
     return FitResult(
         model_tag=ModelTag.LIU,
@@ -527,6 +464,6 @@ def fit_liu(
         column_names=names,
         error_rates_hat=LiuErrorEstimate(r0=r0_hat, r1=r1_hat, se_r0=se_r0, se_r1=se_r1),
         condition_warning=warning,
-        variant=variant if fixed is None else None,
+        variant=variant,
         covariance=cov,
     )

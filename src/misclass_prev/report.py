@@ -593,38 +593,6 @@ def write_csv(rows, path):
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
-def read_prevalence_csv(path):
-    """Parse a prevalence block back into estimate rows (crude, estimates)."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != PREVALENCE_HEADER:
-            raise ValueError(f"unexpected prevalence header: {header}")
-        crude = {}
-        out = []
-        for row in reader:
-            rec = dict(zip(header, row))
-            if rec["model"] in ("CRUDE", "CRUDE_CORRECTED"):
-                crude[rec["model"]] = rec
-                continue
-            out.append(
-                PrevalenceEstimate(
-                    model_tag=ModelTag(rec["model"]),
-                    point=float(rec["point"]),
-                    lower=float(rec["lower"]),
-                    upper=float(rec["upper"]),
-                    interval_method=IntervalMethod(rec["interval_method"]),
-                    change_vs_crude_pct=float(rec["change_vs_crude_pct"])
-                    if rec["change_vs_crude_pct"]
-                    else None,
-                    change_vs_std_pct=float(rec["change_vs_std_pct"])
-                    if rec["change_vs_std_pct"]
-                    else None,
-                )
-            )
-    return crude, out
-
-
 def _text_table(rows, sigfigs=6):
     def show(v):
         if v is None or v == "":

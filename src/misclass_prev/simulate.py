@@ -175,10 +175,6 @@ class SimScenario:
             )
         object.__setattr__(self, "beta_true", beta)
 
-    @property
-    def design_columns(self):
-        return ("intercept",) + self.covariates
-
 
 @dataclass(frozen=True)
 class SimTruth:

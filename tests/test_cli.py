@@ -500,8 +500,24 @@ class TestFlagErrors:
             + ["--chains", "1"],
             ["simulate", "--scenario", "SCENARIO", "--reps", "0", "--out", "OUT"],
             ["simulate", "--scenario", "SCENARIO", "--reps", "2", "--workers", "0"],
+            ["fit", "--data", "DATA", "--model", "BEC", *ASSAY, "--se-prior-n", "0"],
+            ["simulate", "--scenario", "SCENARIO", "--reps", "2", "--se", "0.8"],
+            ["compare", "--data", "DATA", "--models", ",", *ASSAY],
+            ["simulate", "--scenario", "SCENARIO", "--reps", "2", "--estimators", ","],
         ],
-        ids=["chains", "warmup", "bootstrap", "compare-chains", "study-chains", "reps", "workers"],
+        ids=[
+            "chains",
+            "warmup",
+            "bootstrap",
+            "compare-chains",
+            "study-chains",
+            "reps",
+            "workers",
+            "se-prior-n",
+            "study-se-alone",
+            "compare-no-models",
+            "study-no-estimators",
+        ],
     )
     def test_bad_value_is_a_one_line_input_error(
         self, argv, cohort_file, scenario_file, tmp_path, capsys

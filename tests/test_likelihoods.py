@@ -7,9 +7,7 @@ from misclass_prev import (
     AssayProfile,
     ErrorRates,
     bec_marginal_loglik,
-    linear_predictor,
     liu_loglik,
-    liu_response_prob,
     logistic,
     std_loglik,
 )
@@ -34,26 +32,6 @@ class TestLogistic:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             logistic(np.array([1.0, np.nan]))
-
-
-class TestLinearPredictor:
-    def test_matches_matmul(self):
-        rng = np.random.default_rng(3)
-        X = rng.standard_normal((7, 4))
-        beta = rng.standard_normal(4)
-        np.testing.assert_allclose(linear_predictor(X, beta), X @ beta)
-
-    def test_reference_row(self):
-        # a 34-year-old male msm subject under a nine-column coefficient
-        # vector; the linear predictor reduces to four active terms
-        beta = np.array([-5.864, -0.001, 0.991, 1.946, 1.547, 0.883, 1.214, 0.673, 0.516])
-        row = np.array([[1.0, 34.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]])
-        eta = linear_predictor(row, beta)
-        assert eta[0] == pytest.approx(-4.024, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            linear_predictor(np.ones((3, 2)), np.ones(3))
 
 
 class TestErrorRates:
@@ -92,16 +70,6 @@ class TestStdLoglik:
 
 
 class TestLiuLoglik:
-    @given(
-        st.floats(min_value=0.0, max_value=0.4),
-        st.floats(min_value=0.0, max_value=0.4),
-        st.floats(min_value=-30, max_value=30),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_response_prob_bounds(self, r0, r1, eta):
-        p = liu_response_prob(np.array([eta]), ErrorRates(r0, r1))[0]
-        assert r0 - 1e-12 <= p <= 1.0 - r1 + 1e-12
-
     def test_zero_rates_reduce_to_std(self):
         rng = np.random.default_rng(12)
         y, X, beta = random_logit_data(rng, 80, 3)

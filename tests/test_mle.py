@@ -171,13 +171,6 @@ def _clean_scenario(n):
 
 
 class TestFitLiu:
-    def test_fixed_zero_rates_equal_plain_logistic(self):
-        rng = np.random.default_rng(31)
-        y, X, _ = random_logit_data(rng, n=250, p=3)
-        plain = fit_std(y, X)
-        pinned = fit_liu(y, X, fixed_error_rates=(0.0, 0.0))
-        assert np.max(np.abs(plain.beta_hat - pinned.beta_hat)) < 1e-6
-
     def test_free_rates_never_lower_loglik(self):
         sc = _liu_test_scenario(4000)
         cohort, _ = simulate(sc, rng=np.random.default_rng([9, 0, 0]))
@@ -227,13 +220,22 @@ class TestFitLiu:
             else:
                 assert fit.condition_warning
 
-    def test_false_positive_only_keeps_r1_zero(self):
+    @pytest.mark.parametrize(
+        "variant, pinned, free",
+        [
+            (LiuVariant.FALSE_POSITIVE_ONLY, "r1", "r0"),
+            (LiuVariant.FALSE_NEGATIVE_ONLY, "r0", "r1"),
+        ],
+        ids=["fp", "fn"],
+    )
+    def test_single_free_rate_pins_the_other_at_zero(self, variant, pinned, free):
         sc = _liu_test_scenario(4000)
         cohort, _ = simulate(sc, rng=np.random.default_rng([12, 0, 0]))
         X = build_design_matrix(cohort, columns=sc.covariates)
-        fit = fit_liu(cohort.outcomes(), X, variant=LiuVariant.FALSE_POSITIVE_ONLY)
-        assert fit.error_rates_hat.r1 == 0.0
-        assert fit.error_rates_hat.se_r1 is None
+        est = fit_liu(cohort.outcomes(), X, variant=variant).error_rates_hat
+        assert getattr(est, pinned) == 0.0
+        assert getattr(est, f"se_{pinned}") is None
+        assert np.isfinite(getattr(est, f"se_{free}"))
 
     def test_errors_equal_ties_the_rates(self):
         sc = _liu_test_scenario(4000)
