@@ -29,6 +29,7 @@ class TestSamplerConfig:
             {"chains": 1},
             {"warmup": 50},
             {"samples": 50},
+            {"warmup": 99, "samples": 100},
             {"seed": "abc"},
         ],
     )
