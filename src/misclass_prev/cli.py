@@ -66,6 +66,17 @@ VARIANT_NAMES = {
     "fn": LiuVariant.FALSE_NEGATIVE_ONLY,
     "equal": LiuVariant.ERRORS_EQUAL,
 }
+# Study-only flags of simulate, with their defaults under --reps; without
+# --reps each of them is an input error rather than silently unused.
+STUDY_DEFAULTS = {
+    "estimators": "observed,rg,std,liu",
+    "workers": None,
+    "se": None,
+    "sp": None,
+    "chains": 2,
+    "warmup": 800,
+    "samples": 800,
+}
 VARIANT_HELP = (
     "error rates the liu model frees: both = false-positive and false-negative rates, "
     "fp = false-positive rate only (false-negative pinned at 0), "
@@ -151,11 +162,11 @@ def build_parser():
     sim.add_argument("--reps", type=int, help="run a replication study with this many cohorts")
     sim.add_argument(
         "--estimators",
-        default="observed,rg,std,liu",
-        help=f"comma separated subset of {','.join(ESTIMATOR_NAMES)} (study mode)",
+        help=f"comma separated subset of {','.join(ESTIMATOR_NAMES)} "
+        f"(study mode; default {STUDY_DEFAULTS['estimators']})",
     )
     sim.add_argument("--workers", type=int, help="parallel replicate workers (study mode)")
-    _add_sampler_flags(sim, chains=2, warmup=800, samples=800)
+    _add_sampler_flags(sim, chains=None, warmup=None, samples=None)
     sim.add_argument("--se", type=float, help="analysis sensitivity override (study mode)")
     sim.add_argument("--sp", type=float, help="analysis specificity override (study mode)")
     _add_output_flags(sim)
@@ -377,6 +388,14 @@ def _load_scenario(name_or_path):
 
 
 def _run_simulate(args):
+    if args.reps is None:
+        given = [f"--{flag}" for flag in STUDY_DEFAULTS if getattr(args, flag) is not None]
+        if given:
+            raise InputError(f"study-only flags without --reps: {', '.join(given)}")
+    else:
+        for flag, default in STUDY_DEFAULTS.items():
+            if getattr(args, flag) is None:
+                setattr(args, flag, default)
     scenario = _load_scenario(args.scenario)
     if args.seed is not None:
         scenario = replace(scenario, seed=int(args.seed))

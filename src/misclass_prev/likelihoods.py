@@ -20,9 +20,10 @@ so both are ``offset + slope * sigmoid(U beta)``, and one kernel,
 ``mixture_loglik``, computes that likelihood for the joint error-rate
 fit, the known-accuracy marginal and the internally corrected posterior;
 each caller only applies the chain rule from the kernel's scores to its
-own parameters. The plain logistic likelihood, offset 0 and slope 1, keeps
-its softplus form ``k eta - m log(1 + e^eta)``, which stays finite where
-``log(sigmoid(eta))`` would underflow.
+own parameters. ``mixture_hessian`` gives its second derivatives, which
+the joint fit's Newton steps use. The plain logistic likelihood, offset
+0 and slope 1, keeps its softplus form ``k eta - m log(1 + e^eta)``,
+which stays finite where ``log(sigmoid(eta))`` would underflow.
 
 All gradients are analytic; probability arguments to ``log`` are
 clamped at 1e-300 to keep extreme tails finite.
@@ -173,6 +174,34 @@ def mixture_loglik(k, m, U, beta, offset, slope):
 def mixture_loglik_value(k, m, U, beta, offset, slope):
     """``mixture_loglik``'s value alone, for samplers that need no score."""
     return _mixture_terms(k, m, U, beta, offset, slope)[0]
+
+
+def mixture_hessian(k, m, U, beta, offset, slope):
+    """Hessian of ``mixture_loglik`` over ``(beta, p0, p1)``.
+
+    With ``s = sigmoid(U beta)``, ``p = p0 (1 - s) + p1 s`` and, per
+    pattern, ``w = k/p - (m - k)/(1 - p)`` and its derivative
+    ``v = -k/p^2 - (m - k)/(1 - p)^2``, the Hessian is the sum of
+    ``v dp dp' + w d2p`` over patterns. ``p`` is linear in ``p0`` and
+    ``p1``, so ``w`` enters only the beta block and the blocks crossing
+    beta with the end probabilities. A square matrix of side
+    ``len(beta) + 2``.
+    """
+    _, pi, pc, qc = _mixture_terms(k, m, U, beta, offset, slope)
+    w = k / pc - (m - k) / qc
+    v = -k / pc**2 - (m - k) / qc**2
+    d = pi * (1.0 - pi)  # d sigmoid / d eta
+    p = U.shape[1]
+    H = np.empty((p + 2, p + 2))
+    H[:p, :p] = U.T @ ((v * (slope * d) ** 2 + w * slope * d * (1.0 - 2.0 * pi))[:, None] * U)
+    H[:p, p] = U.T @ (v * slope * d * (1.0 - pi) - w * d)
+    H[:p, p + 1] = U.T @ (v * slope * d * pi + w * d)
+    H[p, p] = np.sum(v * (1.0 - pi) ** 2)
+    H[p, p + 1] = np.sum(v * pi * (1.0 - pi))
+    H[p + 1, p + 1] = np.sum(v * pi**2)
+    H[p:, :p] = H[:p, p:].T
+    H[p + 1, p] = H[p, p + 1]
+    return H
 
 
 def liu_loglik(y, X, beta, rates, trials=None):

@@ -1,23 +1,25 @@
 """Maximum-likelihood fitting: plain logistic and joint error-rate models.
 
-``fit_std`` is a damped Newton (equivalently IRLS) solver written out
-directly, since the Hessian of the logistic likelihood is cheap and
-exact. ``fit_liu`` maximizes the misclassified likelihood over
-(beta, free error rates) with BFGS on a transformed scale where the
-rates are unconstrained; which of the false-positive rate r0 and the
-false-negative rate r1 are free is one matrix per ``LiuVariant``.
-Standard errors for both fits come from the observed information in
-the original parameterization.
+Both fits run one damped Newton loop, ``_newton_ascent``. ``fit_std``
+gives it the exact logistic information; ``fit_liu`` maximizes the
+misclassified likelihood over (beta, free error rates) by projected
+Newton with the analytic Hessian of ``likelihoods.mixture_hessian``, on
+the original scale with the free rates boxed in [0, ``RATE_MAX``];
+which of the false-positive rate r0 and the false-negative rate r1 are
+free is one matrix per ``LiuVariant``. Standard errors for both fits
+come from the observed information in the original parameterization.
 
 Both fit over covariate patterns: a DesignMatrix is fitted over its
 distinct rows with trials and positives per row, and a caller that
 already holds counts (a bootstrap resample) passes them with
 ``trials``. The boundary checks keep their per-row meaning.
 
-Convergence is declared when the score's max-abs entry drops below
-1e-8 or the step below 1e-10. Boundary pathologies (separation,
-error rates pinned at zero, singular information) are reported through
-``converged``/``condition_warning`` on the result, never as crashes.
+Convergence is declared when the score's max-abs entry, leaving out
+rates held on a bound, drops below 1e-8 or the step below 1e-10. Both
+fits are gated for separation by ``_degenerate``. Boundary pathologies
+(separation, error rates pinned at zero, singular information) are
+reported through ``converged``/``condition_warning`` on the result,
+never as crashes.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from enum import Enum
 
 import numpy as np
 from scipy import linalg as sla
-from scipy import optimize
 
 from .data_model import design_patterns
 from .errors import SingularDesignError
@@ -37,6 +38,7 @@ from .likelihoods import (
     binomial_counts,
     liu_loglik,
     logistic,
+    mixture_hessian,
     mixture_loglik,
     std_loglik,
 )
@@ -46,6 +48,7 @@ log = logging.getLogger(__name__)
 SCORE_TOL = 1e-8
 STEP_TOL = 1e-10
 SEPARATION_BOUND = 30.0
+SEPARATION_WARNING = "separation or boundary: fitted probabilities degenerate"
 
 
 class ModelTag(Enum):
@@ -186,6 +189,56 @@ def _degenerate(k, m, U, beta):
     return False
 
 
+def _newton_ascent(loglik, direction, theta, max_iter, lo=-np.inf, hi=np.inf):
+    """Damped Newton ascent of ``loglik``, projected onto the box ``[lo, hi]``.
+
+    ``loglik(theta)`` returns ``(value, score)`` and ``direction(theta,
+    free, score)`` the Newton step over the coordinates ``free``. A
+    coordinate on a bound whose score points out of the box is held there
+    and every other one is free (projected Newton, Bertsekas 1982, SIAM J.
+    Control Optim.). Each step is halved along the projection arc until
+    the value drops by no more than 1e-12, which keeps it monotone when
+    Newton overshoots. Converged when the score over the free coordinates
+    is below SCORE_TOL or the step below STEP_TOL. Returns ``(theta,
+    value, converged, iterations, warning)``.
+    """
+
+    def free_of(theta, score):
+        return ~(((theta <= lo) & (score < 0.0)) | ((theta >= hi) & (score > 0.0)))
+
+    theta = np.clip(theta, lo, hi)
+    ll, score = loglik(theta)
+    free = free_of(theta, score)
+    warning = None
+    iterations = 0
+    converged = np.max(np.abs(score[free])) < SCORE_TOL
+
+    for it in range(1, max_iter + 1):
+        if converged:
+            break
+        step = np.zeros_like(theta)
+        try:
+            step[free] = direction(theta, free, score[free])
+        except np.linalg.LinAlgError:
+            warning = "singular Hessian during Newton iteration"
+            break
+        for _ in range(30):
+            trial = np.clip(theta + step, lo, hi)
+            ll_new, score_new = loglik(trial)
+            if ll_new >= ll - 1e-12:
+                break
+            step = step / 2.0
+        theta, ll, score = trial, ll_new, score_new
+        free = free_of(theta, score)
+        iterations = it
+        if np.max(np.abs(score[free])) < SCORE_TOL or np.max(np.abs(step)) < STEP_TOL:
+            converged = True
+
+    if not converged and warning is None:
+        warning = f"no convergence in {max_iter} Newton iterations"
+    return theta, ll, converged, iterations, warning
+
+
 def fit_std(y, X, column_names=None, max_iter=100, trials=None):
     """Damped Newton / IRLS fit of a plain logistic regression.
 
@@ -193,45 +246,22 @@ def fit_std(y, X, column_names=None, max_iter=100, trials=None):
     holds the positives among ``trials`` per row instead.
     """
     k, m, U, names = _fit_data(y, X, column_names, trials)
-
     p = U.shape[1]
-    beta = np.zeros(p)
-    ll, score = std_loglik(k, U, beta, trials=m)
-    warning = None
-    iterations = 0
-    converged = np.max(np.abs(score)) < SCORE_TOL
 
     def information(beta):
         pi = logistic(U @ beta)
         return U.T @ ((m * pi * (1.0 - pi))[:, None] * U)
 
-    for it in range(1, max_iter + 1):
-        if converged:
-            break
-        try:
-            delta = np.linalg.solve(information(beta), score)
-        except np.linalg.LinAlgError:
-            warning = "singular Hessian during Newton iteration"
-            break
-        # Step halving keeps the likelihood monotone when Newton overshoots.
-        step = delta
-        for _ in range(30):
-            ll_new, score_new = std_loglik(k, U, beta + step, trials=m)
-            if ll_new >= ll - 1e-12:
-                break
-            step = step / 2.0
-        beta = beta + step
-        ll, score = ll_new, score_new
-        iterations = it
-        if np.max(np.abs(score)) < SCORE_TOL or np.max(np.abs(step)) < STEP_TOL:
-            converged = True
-
-    if not converged and warning is None:
-        warning = f"no convergence in {max_iter} Newton iterations"
+    beta, ll, converged, iterations, warning = _newton_ascent(
+        lambda beta: std_loglik(k, U, beta, trials=m),
+        lambda beta, free, score: np.linalg.solve(information(beta), score),
+        np.zeros(p),
+        max_iter,
+    )
 
     if _degenerate(k, m, U, beta):
         converged = False
-        warning = "separation or boundary: fitted probabilities degenerate"
+        warning = SEPARATION_WARNING
 
     beta_se = None
     cov = None
@@ -332,17 +362,8 @@ def default_liu_init(y, X, column_names=None, trials=None):
     return LiuInit(beta=beta, r0=0.01, r1=0.01)
 
 
-def _rate_to_unconstrained(r):
-    # r in (0, 0.5) maps to the real line via r = 0.5 * sigmoid(u)
-    r = min(max(r, 1e-8), 0.5 - 1e-8)
-    return float(np.log(2.0 * r / (1.0 - 2.0 * r)))
-
-
-def _unconstrained_to_rate(u):
-    # Clamped strictly inside [0, 0.5): a wild line-search step can push
-    # u far enough that 0.5 * sigmoid(u) rounds to exactly 0.5.
-    return min(0.5 * logistic(u), 0.5 - 1e-9)
-
+# Upper end of a free rate's box, strictly below the 0.5 that ErrorRates refuses.
+RATE_MAX = 0.5 - 1e-9
 
 # Which rates a variant frees, as the 0/1 matrix A with (r0, r1) = A @ free:
 # a zero row pins that rate at 0, a column shared by both rows ties them.
@@ -354,25 +375,68 @@ _RATE_MAP = {
 }
 
 
+def _liu_score(k, m, U, A, theta):
+    """Score of the joint log-likelihood over ``theta = (beta, free rates)``.
+
+    Calls the kernel directly: the difference steps of
+    ``observed_information`` may leave the rates' domain, which
+    ErrorRates would refuse.
+    """
+    p = U.shape[1]
+    r0, r1 = A @ theta[p:]
+    _, g_beta, g_p0, g_p1 = mixture_loglik(k, m, U, theta[:p], r0, 1.0 - r0 - r1)
+    return np.concatenate([g_beta, A.T @ [g_p0, -g_p1]])  # p0 = r0, p1 = 1 - r1
+
+
+def _liu_hessian(k, m, U, A, theta):
+    """Hessian over ``theta = (beta, free rates)``, ``J' H J``.
+
+    ``(beta, p0, p1) = (beta, A[0] @ free, 1 - A[1] @ free)`` is linear in
+    theta with Jacobian J, so no second-order chain terms arise.
+    """
+    p = U.shape[1]
+    r0, r1 = A @ theta[p:]
+    J = np.zeros((p + 2, p + A.shape[1]))
+    J[:p, :p] = np.eye(p)
+    J[p:, p:] = A * [[1.0], [-1.0]]
+    return J.T @ mixture_hessian(k, m, U, theta[:p], r0, 1.0 - r0 - r1) @ J
+
+
+def _newton_direction(neg_h, g):
+    """Solve ``neg_h d = g`` by Cholesky, with a Levenberg shift only when that fails."""
+    if not np.all(np.isfinite(neg_h)):
+        raise sla.LinAlgError("non-finite Hessian")
+    shift = 0.0
+    floor = 1e-8 * max(1.0, float(np.max(np.abs(np.diag(neg_h)))))
+    for _ in range(40):
+        try:
+            return sla.cho_solve(sla.cho_factor(neg_h + shift * np.eye(g.shape[0])), g)
+        except sla.LinAlgError:
+            shift = max(10.0 * shift, floor)
+    raise sla.LinAlgError("no diagonal shift makes the Hessian positive definite")
+
+
 def fit_liu(
     y,
     X,
     variant=LiuVariant.BOTH_FREE,
     init=None,
     column_names=None,
-    max_iter=500,
+    max_iter=100,
     trials=None,
 ):
     """Joint MLE of regression coefficients and misclassification rates.
 
     The variant's rate map A (``_RATE_MAP``) gives the end rates from
-    the free ones, ``(r0, r1) = A @ free``, and the score over the free
-    rates from the one over (r0, r1), ``A' @ score``. The free rates are
-    optimized on an unconstrained scale (r = 0.5 * sigmoid(u)) with BFGS
-    and the analytic gradient; standard errors come from the observed
-    information over the original free parameters (beta plus the free
-    rates). A rate the variant pins at 0 has no standard error.
-    ``y`` and ``trials`` are as in ``fit_std``.
+    the free ones, ``(r0, r1) = A @ free``. The fit is the projected
+    Newton ascent ``_newton_ascent`` over ``(beta, free rates)`` on the
+    original scale, with the free rates boxed in ``[0, RATE_MAX]`` and
+    the analytic Hessian ``_liu_hessian``: a rate on its bound whose
+    score points out of the box is held there, so it comes out exactly
+    0, and the Newton step over the rest is solved by Cholesky, with a
+    Levenberg shift only when that fails. Standard errors come from the
+    observed information over the same parameters; a rate the variant
+    pins at 0 has none. ``y`` and ``trials`` are as in ``fit_std``.
     """
     k, m, U, names = _fit_data(y, X, column_names, trials)
     p = U.shape[1]
@@ -381,72 +445,46 @@ def fit_liu(
     if init is None:
         init = default_liu_init(k, U, column_names=names, trials=m)
 
-    def free_rates(theta):
-        return np.array([_unconstrained_to_rate(u) for u in theta[p:]])
+    beta0 = np.asarray(init.beta, dtype=float)
+    if beta0.shape[0] != p:
+        raise ValueError(f"init beta has length {beta0.shape[0]}, design has {p} columns")
 
-    def neg_obj(theta):
-        free = free_rates(theta)
-        r0, r1 = A @ free
-        ll, grad = liu_loglik(k, U, theta[:p], ErrorRates(r0, r1), trials=m)
-        # chain rule through r = 0.5 * sigmoid(u): dr/du = r (1 - 2r) ...
-        # with s = sigmoid(u), r = s/2, dr/du = 0.5 s (1 - s) = r (1 - 2r)
-        jac = A.T @ grad[p:] * free * (1.0 - 2.0 * free)
-        return -ll, -np.concatenate([grad[:p], jac])
-
-    theta0 = np.asarray(init.beta, dtype=float)
-    if theta0.shape[0] != p:
-        raise ValueError(f"init beta has length {theta0.shape[0]}, design has {p} columns")
-    free0 = A.T @ [init.r0, init.r1] / A.sum(axis=0)
-    theta0 = np.concatenate([theta0, [_rate_to_unconstrained(r) for r in free0]])
-
-    res = optimize.minimize(
-        neg_obj,
-        theta0,
-        jac=True,
-        method="BFGS",
-        options={"gtol": SCORE_TOL, "maxiter": max_iter},
-    )
-    grad_inf = float(np.max(np.abs(res.jac)))
-    # BFGS's "precision loss" stop is the float64 analogue of the step
-    # criterion: the line search cannot move anymore. Accept it when the
-    # gradient is already small in absolute terms.
-    opt_ok = bool(res.success) or grad_inf < 1e-4
-
-    beta_hat = res.x[:p]
-    r0_hat, r1_hat = A @ free_rates(res.x)
-    ll_hat, _ = liu_loglik(k, U, beta_hat, ErrorRates(r0_hat, r1_hat), trials=m)
-
-    # Observed information in the original parameterization. The kernel
-    # is called directly: difference steps may leave the rates' domain,
-    # which ErrorRates would refuse.
-    def orig_score(theta):
+    def loglik(theta):
         r0, r1 = A @ theta[p:]
-        _, g_beta, g_p0, g_p1 = mixture_loglik(k, m, U, theta[:p], r0, 1.0 - r0 - r1)
-        return np.concatenate([g_beta, A.T @ [g_p0, -g_p1]])  # p0 = r0, p1 = 1 - r1
+        ll, grad = liu_loglik(k, U, theta[:p], ErrorRates(r0, r1), trials=m)
+        return ll, np.concatenate([grad[:p], A.T @ grad[p:]])
 
-    theta_orig = np.concatenate([beta_hat, A.T @ [r0_hat, r1_hat] / A.sum(axis=0)])
-    info = observed_information(orig_score, theta_orig)
+    def direction(theta, free, score):
+        return _newton_direction(-_liu_hessian(k, m, U, A, theta)[np.ix_(free, free)], score)
+
+    n_free = A.shape[1]
+    theta, ll, converged, iterations, warning = _newton_ascent(
+        loglik,
+        direction,
+        np.concatenate([beta0, A.T @ [init.r0, init.r1] / A.sum(axis=0)]),
+        max_iter,
+        lo=np.concatenate([np.full(p, -np.inf), np.zeros(n_free)]),
+        hi=np.concatenate([np.full(p, np.inf), np.full(n_free, RATE_MAX)]),
+    )
+
+    beta_hat = theta[:p]
+    r0_hat, r1_hat = A @ theta[p:]
+    info = observed_information(lambda t: _liu_score(k, m, U, A, t), theta)
     beta_se = info.se[:p] if info.se is not None else None
     cov = np.linalg.inv(info.matrix) if info.se is not None else None
 
-    warning = None
-    converged = True
-    if not opt_ok:
-        converged = False
-        warning = f"optimizer did not converge ({res.message}; |grad| {grad_inf:.2e})"
     if info.se is None:
         converged = False
         warning = info.warning
     elif info.warning and warning is None:
         warning = info.warning
-    if np.max(np.abs(beta_hat)) > SEPARATION_BOUND:
+    if _degenerate(k, m, U, beta_hat):
         converged = False
-        warning = "separation or boundary: a coefficient escaped past 30"
+        warning = SEPARATION_WARNING
 
-    boundary = []
-    for name, r in zip(("r0", "r1"), (r0_hat, r1_hat)):
-        if r < 1e-5:
-            boundary.append(name)
+    boundary = [
+        name for name, row, r in zip(("r0", "r1"), A, (r0_hat, r1_hat)) if row.any() and r < 1e-5
+    ]
     if boundary and warning is None:
         warning = f"error rate(s) {boundary} pinned at the lower boundary"
 
@@ -458,9 +496,9 @@ def fit_liu(
         model_tag=ModelTag.LIU,
         beta_hat=beta_hat,
         beta_se=beta_se,
-        loglik=ll_hat,
+        loglik=ll,
         converged=converged,
-        iterations=int(res.nit),
+        iterations=iterations,
         column_names=names,
         error_rates_hat=LiuErrorEstimate(r0=r0_hat, r1=r1_hat, se_r0=se_r0, se_r1=se_r1),
         condition_warning=warning,

@@ -168,11 +168,11 @@ def marginal_prevalence_liu(
     the latent true status. The bootstrap interval is parametric,
     simulating outcomes from the fitted (beta, r0, r1), refitting, and
     taking percentiles of the resampled prevalence; refits start at the
-    original estimates, and non-converged refits are counted. The delta
-    interval propagates the joint observed-information covariance of
-    (beta, free rates) through the mean fitted probability; the rate
-    coordinates enter with zero gradient since the prevalence map only
-    touches beta.
+    original estimates, a rate on its boundary included, and
+    non-converged refits are counted. The delta interval propagates the
+    joint observed-information covariance of (beta, free rates) through
+    the mean fitted probability; the rate coordinates enter with zero
+    gradient since the prevalence map only touches beta.
     """
     require_converged(fit)
     if fit.error_rates_hat is None:
@@ -188,7 +188,7 @@ def marginal_prevalence_liu(
         rng = np.random.default_rng(rng)
         r0, r1 = fit.error_rates_hat.r0, fit.error_rates_hat.r1
         variant = fit.variant or LiuVariant.BOTH_FREE
-        init = LiuInit(beta=fit.beta_hat, r0=max(r0, 1e-4), r1=max(r1, 1e-4))
+        init = LiuInit(beta=fit.beta_hat, r0=r0, r1=r1)
         pi_rows = pi_hat[patterns.inverse]
         vals = []
         for _ in range(n_boot):

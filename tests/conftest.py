@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from misclass_prev import Cohort, PopulationGroup, SubjectRecord
+from misclass_prev.data_model import build_design_matrix
+from misclass_prev.simulate import load_bundled_scenario, simulate
 
 
 def fd_gradient(f, theta, step=1e-6):
@@ -55,3 +59,16 @@ def small_cohort():
         make_record(0, 61.0, 1, 1, 0, PopulationGroup.OTHER),
     )
     return Cohort(records=records, outcome_label="HIV")
+
+
+@pytest.fixture(scope="session")
+def intage_demo():
+    """``(y, X)`` of the bundled demo cohort at seed 42 with ages rounded to whole years.
+
+    The benchmark's first compare cohort: n = 11,452, about 900 covariate
+    patterns, and a joint fit whose false-positive rate sits on its bound.
+    """
+    cohort, _ = simulate(replace(load_bundled_scenario("demo_cohort"), seed=42))
+    records = tuple(replace(r, age=float(round(r.age))) for r in cohort.records)
+    cohort = Cohort(records=records, outcome_label=cohort.outcome_label)
+    return cohort.outcomes(), build_design_matrix(cohort)

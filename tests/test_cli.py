@@ -504,6 +504,13 @@ class TestFlagErrors:
             ["simulate", "--scenario", "SCENARIO", "--reps", "2", "--se", "0.8"],
             ["compare", "--data", "DATA", "--models", ",", *ASSAY],
             ["simulate", "--scenario", "SCENARIO", "--reps", "2", "--estimators", ","],
+            ["simulate", "--scenario", "SCENARIO", "--out", "OUT", "--estimators", "std"],
+            ["simulate", "--scenario", "SCENARIO", "--out", "OUT", "--workers", "1"],
+            ["simulate", "--scenario", "SCENARIO", "--out", "OUT", "--se", "0.8"],
+            ["simulate", "--scenario", "SCENARIO", "--out", "OUT", "--sp", "0.9"],
+            ["simulate", "--scenario", "SCENARIO", "--out", "OUT", "--chains", "2"],
+            ["simulate", "--scenario", "SCENARIO", "--out", "OUT", "--warmup", "800"],
+            ["simulate", "--scenario", "SCENARIO", "--out", "OUT", "--samples", "800"],
         ],
         ids=[
             "chains",
@@ -517,6 +524,13 @@ class TestFlagErrors:
             "study-se-alone",
             "compare-no-models",
             "study-no-estimators",
+            "cohort-estimators",
+            "cohort-workers",
+            "cohort-se",
+            "cohort-sp",
+            "cohort-chains",
+            "cohort-warmup",
+            "cohort-samples",
         ],
     )
     def test_bad_value_is_a_one_line_input_error(

@@ -17,9 +17,16 @@ from misclass_prev import data_model
 from misclass_prev.cli import main
 from misclass_prev.data_model import build_design_matrix, group_rows, save_cohort
 from misclass_prev.errors import SingularDesignError
-from misclass_prev.likelihoods import ErrorRates, liu_loglik, logistic, std_loglik
+from misclass_prev.likelihoods import (
+    ErrorRates,
+    liu_loglik,
+    logistic,
+    mixture_hessian,
+    mixture_loglik,
+    std_loglik,
+)
 from misclass_prev.mcmc import package_draws
-from misclass_prev.mle import fit_liu, fit_std
+from misclass_prev.mle import _RATE_MAP, LiuVariant, _liu_hessian, fit_liu, fit_std
 from misclass_prev.report import posterior_prevalence_draws
 from misclass_prev.simulate import load_bundled_scenario, simulate
 
@@ -86,6 +93,57 @@ class TestLikelihoods:
             std_loglik(np.array([3.0, 0.0]), U, np.zeros(1), trials=np.array([2.0, 1.0]))
         with pytest.raises(ValueError):
             std_loglik(np.array([0.0, 0.0]), U, np.zeros(1), trials=np.array([0.0, 1.0]))
+
+
+def fd_jacobian(score, theta, step=1e-5):
+    """Central differences of a score, column by column, with relative steps."""
+    cols = []
+    for j in range(theta.shape[0]):
+        h = step * max(1.0, abs(theta[j]))
+        up, dn = theta.copy(), theta.copy()
+        up[j] += h
+        dn[j] -= h
+        cols.append((score(up) - score(dn)) / (2.0 * h))
+    return np.column_stack(cols)
+
+
+def assert_hessian_close(analytic, numeric):
+    # relative to the matrix's scale: some cross entries nearly cancel
+    np.testing.assert_allclose(
+        analytic, numeric, rtol=1e-6, atol=1e-6 * np.max(np.abs(numeric))
+    )
+
+
+class TestHessian:
+    @given(designs, st.floats(0.0, 0.2), st.floats(0.0, 0.4))
+    @settings(max_examples=60, deadline=None)
+    def test_mixture_hessian_matches_differenced_scores(self, design, r0, r1):
+        y, X, beta = repeated_design(*design)
+        k, m, U = grouped(y, X)
+        p = U.shape[1]
+
+        def score(theta):  # over (beta, p0, p1)
+            p0, p1 = theta[p:]
+            _, g_beta, g_p0, g_p1 = mixture_loglik(k, m, U, theta[:p], p0, p1 - p0)
+            return np.concatenate([g_beta, [g_p0, g_p1]])
+
+        theta = np.concatenate([beta, [r0, 1.0 - r1]])
+        H = mixture_hessian(k, m, U, beta, r0, 1.0 - r0 - r1)
+        assert_hessian_close(H, fd_jacobian(score, theta))
+
+    @pytest.mark.parametrize("variant", list(LiuVariant), ids=lambda v: v.value)
+    def test_free_rate_hessian_matches_differenced_scores(self, variant):
+        y, X, beta = repeated_design(5, 400)
+        k, m, U = grouped(y, X)
+        p = U.shape[1]
+        A = _RATE_MAP[variant]
+
+        def score(theta):  # liu_loglik's score over (beta, r0, r1), mapped to the free rates
+            _, grad = liu_loglik(k, U, theta[:p], ErrorRates(*(A @ theta[p:])), trials=m)
+            return np.concatenate([grad[:p], A.T @ grad[p:]])
+
+        theta = np.concatenate([beta, A.T @ [0.05, 0.15] / A.sum(axis=0)])
+        assert_hessian_close(_liu_hessian(k, m, U, A, theta), fd_jacobian(score, theta))
 
 
 class TestFits:

@@ -8,9 +8,12 @@ from misclass_prev.data_model import AssayProfile, build_design_matrix
 from misclass_prev.errors import SingularDesignError
 from misclass_prev.likelihoods import logistic, std_loglik
 from misclass_prev.mle import (
+    _RATE_MAP,
+    SCORE_TOL,
     FitResult,
     LiuVariant,
     ModelTag,
+    _liu_score,
     default_liu_init,
     fit_liu,
     fit_std,
@@ -236,6 +239,44 @@ class TestFitLiu:
         assert getattr(est, pinned) == 0.0
         assert getattr(est, f"se_{pinned}") is None
         assert np.isfinite(getattr(est, f"se_{free}"))
+
+    @pytest.mark.parametrize(
+        "variant, pinned",
+        [(LiuVariant.FALSE_POSITIVE_ONLY, "r1"), (LiuVariant.FALSE_NEGATIVE_ONLY, "r0")],
+        ids=["fp", "fn"],
+    )
+    def test_boundary_note_skips_the_rate_the_variant_pins(self, variant, pinned):
+        sc = _liu_test_scenario(4000)
+        cohort, _ = simulate(sc, rng=np.random.default_rng([12, 0, 0]))
+        X = build_design_matrix(cohort, columns=sc.covariates)
+        fit = fit_liu(cohort.outcomes(), X, variant=variant)
+        assert fit.converged
+        assert f"'{pinned}'" not in (fit.condition_warning or "")
+
+    def test_rate_on_its_bound_is_exactly_zero(self, intage_demo):
+        # the seed-42 integer-age demo cohort: the false-positive rate's
+        # optimum is on the bound, where the score points out of the box
+        y, X = intage_demo
+        fit = fit_liu(y, X)
+        assert fit.converged
+        assert fit.error_rates_hat.r0 == 0.0
+        assert 0.0 < fit.error_rates_hat.r1 < 0.5
+        k, m, U = X.patterns.positives(y), X.patterns.trials, X.patterns.rows
+        theta = np.concatenate([fit.beta_hat, [0.0, fit.error_rates_hat.r1]])
+        score = _liu_score(k, m, U, _RATE_MAP[LiuVariant.BOTH_FREE], theta)
+        assert score[-2] < 0.0
+        assert np.max(np.abs(score[:-2])) < SCORE_TOL and abs(score[-1]) < SCORE_TOL
+
+    def test_indicator_with_only_negatives_is_separation(self):
+        rng = np.random.default_rng(3)
+        n = 2000
+        x = rng.standard_normal(n)
+        indicator = (np.arange(n) < 40).astype(float)
+        y = (rng.random(n) < logistic(-1.0 + 0.8 * x)).astype(float)
+        y[indicator == 1.0] = 0.0
+        fit = fit_liu(y, np.column_stack([np.ones(n), x, indicator]))
+        assert not fit.converged
+        assert fit.condition_warning.startswith("separation or boundary")
 
     def test_errors_equal_ties_the_rates(self):
         sc = _liu_test_scenario(4000)

@@ -264,6 +264,14 @@ class TestLiuSummary:
         assert est.lower < truth.true_prevalence < est.upper
         assert est.n_resample_failures == 0
 
+    def test_bootstrap_from_a_rate_on_its_bound_loses_no_refit(self, intage_demo):
+        # the main fit's r0 is exactly 0 here and every refit starts there
+        y, X = intage_demo
+        fit = fit_liu(y, X)
+        assert fit.error_rates_hat.r0 == 0.0
+        est = marginal_prevalence_liu(X, fit, n_boot=100, rng=np.random.default_rng([42, 2]))
+        assert est.n_resample_failures == 0
+
     def test_requires_error_rate_estimates(self, liu_fit):
         y, X, _, _ = liu_fit
         plain = fit_std(y, X)
