@@ -348,9 +348,7 @@ def _run_compare(args):
     X = build_design_matrix(cohort)
     y = cohort.outcomes()
 
-    crude = rogan_gladen_interval(
-        int(y.sum()), y.shape[0], assay.point_profile(), method=IntervalMethod.WALD
-    )
+    crude = rogan_gladen_interval(int(y.sum()), y.shape[0], assay.point_profile())
 
     fits, prevalences = {}, {}
     for name in wanted:
@@ -434,7 +432,7 @@ def _run_simulate(args):
         raise InputError("simulate needs --out for the cohort csv (or --reps for a study)")
     cohort, truth = simulate(scenario)
     save_cohort(cohort, args.out)
-    log.info("wrote %d records to %s", len(cohort.records), args.out)
+    log.info("wrote %d records to %s", len(cohort), args.out)
     if args.truth_out:
         with open(args.truth_out, "w", encoding="utf-8", newline="") as fh:
             fh.write("pi,true_status\n")

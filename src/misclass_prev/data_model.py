@@ -1,4 +1,12 @@
-"""Cohort records, design matrices, assay profiles, and file ingestion.
+"""Cohorts, design matrices, assay profiles, and file ingestion.
+
+A ``Cohort`` holds one read-only numpy column per field: ``outcome``,
+``sex``, ``other_sti`` and ``hepb`` as 0/1, ``age`` as non-negative
+floats, and ``group`` as indices into ``GROUP_ORDER``. The columns are
+checked together, once, when the cohort is built, from records
+(``Cohort(records=...)``) or from columns (``Cohort.from_columns``).
+``cohort.records`` is a view of the same rows as ``SubjectRecord``s,
+built on first read.
 
 The canonical column order for all model matrices is fixed here and
 used everywhere downstream so that coefficient vectors line up across
@@ -41,6 +49,10 @@ class PopulationGroup(Enum):
     SEX_WORKER = "sex_worker"
 
 
+# The order a cohort's group indices refer to.
+GROUP_ORDER = tuple(PopulationGroup)
+_GROUP_INDEX = {g: i for i, g in enumerate(GROUP_ORDER)}
+
 # Reference category: absorbed into the intercept, never dummy coded.
 REFERENCE_GROUP = PopulationGroup.GENERAL
 
@@ -63,10 +75,9 @@ COLUMN_ORDER = (
     "sex_worker",
 )
 
-# Covariate names accepted by the simulator / subset designs
-# (everything except the intercept, group dummies collapsed to "group"
-# happens at the record level, not here).
-COVARIATE_COLUMNS = COLUMN_ORDER[1:]
+# A cohort's fields, in the order of its csv columns.
+CANONICAL_FIELDS = ("outcome", "age", "sex", "other_sti", "hepb", "group")
+_BINARY_FIELDS = ("outcome", "sex", "other_sti", "hepb")
 
 _GROUP_TOKENS = {g.value: g for g in PopulationGroup}
 _GROUP_TOKENS.update({g.name.lower(): g for g in PopulationGroup})
@@ -117,26 +128,78 @@ class SubjectRecord:
         object.__setattr__(self, "population_group", _coerce_group(self.population_group))
 
 
-@dataclass(frozen=True)
-class Cohort:
-    """An ordered, non-empty collection of subject records."""
+def _validated_columns(columns):
+    """The six fields of ``columns`` as read-only arrays, checked in bulk."""
+    arrays = {name: np.asarray(columns[name]) for name in CANONICAL_FIELDS}
+    shapes = {a.shape for a in arrays.values()}
+    if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+        raise SchemaError(f"cohort columns must be 1-d and of equal length, got shapes {shapes}")
+    if arrays["outcome"].shape[0] == 0:
+        raise SchemaError("a cohort must contain at least one record")
+    for name in _BINARY_FIELDS:
+        if not np.all((arrays[name] == 0) | (arrays[name] == 1)):
+            raise SchemaError(f"{name} must be 0 or 1 in every row")
+        arrays[name] = arrays[name].astype(np.int8)
+    try:
+        arrays["age"] = arrays["age"].astype(float)
+    except (TypeError, ValueError):
+        raise SchemaError("age must be numeric in every row") from None
+    if not np.all(np.isfinite(arrays["age"]) & (arrays["age"] >= 0.0)):
+        raise SchemaError("age must be finite and non-negative in every row")
+    group = arrays["group"]
+    if group.dtype.kind not in "iu" or not np.all((group >= 0) & (group < len(GROUP_ORDER))):
+        raise SchemaError(f"group must hold indices into GROUP_ORDER, 0 to {len(GROUP_ORDER) - 1}")
+    arrays["group"] = group.astype(np.int8)
+    for a in arrays.values():
+        a.setflags(write=False)
+    return arrays
 
-    records: tuple
+
+@dataclass(frozen=True, init=False, eq=False)
+class Cohort:
+    """An ordered, non-empty cohort: one validated, read-only column per field."""
+
+    outcome: np.ndarray
+    age: np.ndarray
+    sex: np.ndarray
+    other_sti: np.ndarray
+    hepb: np.ndarray
+    group: np.ndarray
     outcome_label: str = "outcome"
 
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        if len(self.records) == 0:
-            raise SchemaError("a cohort must contain at least one record")
-        for r in self.records:
+    def __init__(self, records, outcome_label="outcome"):
+        rows = []
+        for r in records:
             if not isinstance(r, SubjectRecord):
                 raise SchemaError(f"cohort records must be SubjectRecord, got {type(r).__name__}")
+            g = _GROUP_INDEX[r.population_group]
+            rows.append((r.observed_outcome, r.age, r.sex, r.other_sti_result, r.hepb_result, g))
+        self._set_columns(zip(*rows) if rows else [()] * len(CANONICAL_FIELDS), outcome_label)
+
+    @classmethod
+    def from_columns(cls, outcome, age, sex, other_sti, hepb, group, outcome_label="outcome"):
+        """A cohort straight from its columns; ``group`` holds indices into GROUP_ORDER."""
+        cohort = cls.__new__(cls)
+        cohort._set_columns((outcome, age, sex, other_sti, hepb, group), outcome_label)
+        return cohort
+
+    def _set_columns(self, columns, outcome_label):
+        """Validate and keep ``columns``, given in CANONICAL_FIELDS order."""
+        for name, column in _validated_columns(dict(zip(CANONICAL_FIELDS, columns))).items():
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "outcome_label", outcome_label)
+
+    @cached_property
+    def records(self):
+        """The rows as SubjectRecords, built on first read and then kept."""
+        rows = zip(*(getattr(self, name).tolist() for name in CANONICAL_FIELDS))
+        return tuple(SubjectRecord(y, a, s, o, h, GROUP_ORDER[g]) for y, a, s, o, h, g in rows)
 
     def __len__(self):
-        return len(self.records)
+        return self.outcome.shape[0]
 
     def outcomes(self):
-        return np.array([r.observed_outcome for r in self.records], dtype=float)
+        return self.outcome.astype(float)
 
 
 @dataclass(frozen=True)
@@ -213,9 +276,11 @@ def design_patterns(X):
     return CovariatePatterns(rows=rows, trials=np.ones(n), inverse=np.arange(n))
 
 
-def build_design_matrix(cohort, columns=None):
-    """Assemble the model matrix for a cohort in canonical column order.
+def design_from_columns(covariates, columns=None):
+    """The model matrix of covariate columns, in canonical column order.
 
+    ``covariates`` maps ``age``, ``sex``, ``other_sti``, ``hepb`` and
+    ``group`` (indices into GROUP_ORDER) to one value per row.
     ``columns`` optionally restricts to a subset of the non-intercept
     columns (used by simulation scenarios with fewer active covariates);
     the intercept is always present and order is always canonical.
@@ -228,23 +293,20 @@ def build_design_matrix(cohort, columns=None):
             raise SchemaError(f"unknown design columns {extra}; valid: {list(COLUMN_ORDER[1:])}")
         wanted = ("intercept",) + tuple(c for c in COLUMN_ORDER[1:] if c in set(columns))
 
-    n = len(cohort)
-    out = np.empty((n, len(wanted)))
+    group = np.asarray(covariates["group"])
+    source = {name: covariates[name] for name in ("age", "sex", "other_sti", "hepb")}
+    source.update((name, group == _GROUP_INDEX[g]) for name, g in GROUP_DUMMY_COLUMNS.items())
+    source["intercept"] = 1.0
+    out = np.empty((group.shape[0], len(wanted)))
     for j, name in enumerate(wanted):
-        if name == "intercept":
-            out[:, j] = 1.0
-        elif name == "age":
-            out[:, j] = [r.age for r in cohort.records]
-        elif name == "sex":
-            out[:, j] = [r.sex for r in cohort.records]
-        elif name == "other_sti":
-            out[:, j] = [r.other_sti_result for r in cohort.records]
-        elif name == "hepb":
-            out[:, j] = [r.hepb_result for r in cohort.records]
-        else:
-            group = GROUP_DUMMY_COLUMNS[name]
-            out[:, j] = [1.0 if r.population_group is group else 0.0 for r in cohort.records]
+        out[:, j] = source[name]
     return DesignMatrix(out, wanted)
+
+
+def build_design_matrix(cohort, columns=None):
+    """The model matrix of a cohort; ``columns`` as in ``design_from_columns``."""
+    covariates = {name: getattr(cohort, name) for name in CANONICAL_FIELDS[1:]}
+    return design_from_columns(covariates, columns)
 
 
 class AssayMode(Enum):
@@ -326,9 +388,6 @@ class AssayProfile:
 # CSV ingestion and serialization
 # ---------------------------------------------------------------------------
 
-CANONICAL_FIELDS = ("outcome", "age", "sex", "other_sti", "hepb", "group")
-
-
 def _parse_binary_cell(token, row, column):
     t = token.strip()
     if t == "0":
@@ -351,12 +410,12 @@ def _parse_age_cell(token, row, column):
 def _parse_group_cell(token, row, column):
     t = token.strip().lower()
     if t in _GROUP_TOKENS:
-        return _GROUP_TOKENS[t]
+        return _GROUP_INDEX[_GROUP_TOKENS[t]]
     raise ParseError(f"unrecognized population group {token!r}", row=row, column=column)
 
 
 def load_cohort(source, column_map=None, outcome_label="outcome"):
-    """Read subject records from a delimiter-separated file.
+    """Read a cohort from a delimiter-separated file.
 
     ``column_map`` maps canonical field names (``outcome``, ``age``,
     ``sex``, ``other_sti``, ``hepb``, ``group``) to the column names
@@ -383,45 +442,34 @@ def load_cohort(source, column_map=None, outcome_label="outcome"):
     if missing:
         raise SchemaError(f"missing required columns: {missing}; found {reader.fieldnames}")
 
-    records = []
+    parsers = dict.fromkeys(_BINARY_FIELDS, _parse_binary_cell)
+    parsers.update(age=_parse_age_cell, group=_parse_group_cell)
+    columns = {name: [] for name in parsers}
     for i, row in enumerate(reader, start=1):
-        vals = {}
-        for canon in ("outcome", "sex", "other_sti", "hepb"):
-            vals[canon] = _parse_binary_cell(row[resolved[canon]] or "", i, resolved[canon])
-        age = _parse_age_cell(row[resolved["age"]] or "", i, resolved["age"])
-        group = _parse_group_cell(row[resolved["group"]] or "", i, resolved["group"])
-        records.append(
-            SubjectRecord(
-                observed_outcome=vals["outcome"],
-                age=age,
-                sex=vals["sex"],
-                other_sti_result=vals["other_sti"],
-                hepb_result=vals["hepb"],
-                population_group=group,
-            )
-        )
-    if not records:
+        for name, parse in parsers.items():
+            columns[name].append(parse(row[resolved[name]] or "", i, resolved[name]))
+    if not columns["outcome"]:
         raise SchemaError("input file has a header but no data rows")
-    log.info("loaded %d records (outcome label %r)", len(records), outcome_label)
-    return Cohort(records=tuple(records), outcome_label=outcome_label)
+    log.info("loaded %d records (outcome label %r)", len(columns["outcome"]), outcome_label)
+    return Cohort.from_columns(**columns, outcome_label=outcome_label)
 
 
 def save_cohort(cohort, path):
     """Write a cohort back out in canonical form; round-trips exactly."""
+    groups = [g.value for g in GROUP_ORDER]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(CANONICAL_FIELDS)
-        for r in cohort.records:
-            w.writerow(
-                [
-                    r.observed_outcome,
-                    repr(r.age),
-                    r.sex,
-                    r.other_sti_result,
-                    r.hepb_result,
-                    r.population_group.value,
-                ]
+        w.writerows(
+            zip(
+                cohort.outcome.tolist(),
+                map(repr, cohort.age.tolist()),
+                cohort.sex.tolist(),
+                cohort.other_sti.tolist(),
+                cohort.hepb.tolist(),
+                [groups[g] for g in cohort.group.tolist()],
             )
+        )
 
 
 @dataclass(frozen=True)

@@ -200,7 +200,8 @@ def _newton_ascent(loglik, direction, theta, max_iter, lo=-np.inf, hi=np.inf):
     the value drops by no more than 1e-12, which keeps it monotone when
     Newton overshoots. Converged when the score over the free coordinates
     is below SCORE_TOL or the step below STEP_TOL. Returns ``(theta,
-    value, converged, iterations, warning)``.
+    value, converged, iterations, warning, free)``, ``free`` the final
+    mask of coordinates not held on a bound.
     """
 
     def free_of(theta, score):
@@ -236,7 +237,7 @@ def _newton_ascent(loglik, direction, theta, max_iter, lo=-np.inf, hi=np.inf):
 
     if not converged and warning is None:
         warning = f"no convergence in {max_iter} Newton iterations"
-    return theta, ll, converged, iterations, warning
+    return theta, ll, converged, iterations, warning, free
 
 
 def fit_std(y, X, column_names=None, max_iter=100, trials=None):
@@ -252,7 +253,7 @@ def fit_std(y, X, column_names=None, max_iter=100, trials=None):
         pi = logistic(U @ beta)
         return U.T @ ((m * pi * (1.0 - pi))[:, None] * U)
 
-    beta, ll, converged, iterations, warning = _newton_ascent(
+    beta, ll, converged, iterations, warning, _ = _newton_ascent(
         lambda beta: std_loglik(k, U, beta, trials=m),
         lambda beta, free, score: np.linalg.solve(information(beta), score),
         np.zeros(p),
@@ -434,9 +435,11 @@ def fit_liu(
     the analytic Hessian ``_liu_hessian``: a rate on its bound whose
     score points out of the box is held there, so it comes out exactly
     0, and the Newton step over the rest is solved by Cholesky, with a
-    Levenberg shift only when that fails. Standard errors come from the
-    observed information over the same parameters; a rate the variant
-    pins at 0 has none. ``y`` and ``trials`` are as in ``fit_std``.
+    Levenberg shift only when that fails. Standard errors and the
+    covariance come from the observed information over the coordinates
+    not held on a bound; a held rate, or one the variant pins at 0, has
+    no SE and zero rows in ``covariance``. ``y`` and ``trials`` are as
+    in ``fit_std``.
     """
     k, m, U, names = _fit_data(y, X, column_names, trials)
     p = U.shape[1]
@@ -458,7 +461,7 @@ def fit_liu(
         return _newton_direction(-_liu_hessian(k, m, U, A, theta)[np.ix_(free, free)], score)
 
     n_free = A.shape[1]
-    theta, ll, converged, iterations, warning = _newton_ascent(
+    theta, ll, converged, iterations, warning, free = _newton_ascent(
         loglik,
         direction,
         np.concatenate([beta0, A.T @ [init.r0, init.r1] / A.sum(axis=0)]),
@@ -469,15 +472,27 @@ def fit_liu(
 
     beta_hat = theta[:p]
     r0_hat, r1_hat = A @ theta[p:]
-    info = observed_information(lambda t: _liu_score(k, m, U, A, t), theta)
-    beta_se = info.se[:p] if info.se is not None else None
-    cov = np.linalg.inv(info.matrix) if info.se is not None else None
 
+    def free_score(t):
+        full = theta.copy()
+        full[free] = t
+        return _liu_score(k, m, U, A, full)[free]
+
+    # held rates have no normal approximation: information over the rest
+    info = observed_information(free_score, theta[free])
+    beta_se = cov = se_r0 = se_r1 = None
     if info.se is None:
         converged = False
         warning = info.warning
-    elif info.warning and warning is None:
-        warning = info.warning
+    else:
+        beta_se = info.se[:p]
+        cov = np.zeros((theta.shape[0], theta.shape[0]))
+        cov[np.ix_(free, free)] = np.linalg.inv(info.matrix)
+        rate_se = np.zeros(n_free)
+        rate_se[free[p:]] = info.se[p:]
+        se_r0, se_r1 = (float(row @ rate_se) if (row * free[p:]).any() else None for row in A)
+        if info.warning and warning is None:
+            warning = info.warning
     if _degenerate(k, m, U, beta_hat):
         converged = False
         warning = SEPARATION_WARNING
@@ -487,10 +502,6 @@ def fit_liu(
     ]
     if boundary and warning is None:
         warning = f"error rate(s) {boundary} pinned at the lower boundary"
-
-    se_r0 = se_r1 = None
-    if info.se is not None:
-        se_r0, se_r1 = (float(row @ info.se[p:]) if row.any() else None for row in A)
 
     return FitResult(
         model_tag=ModelTag.LIU,

@@ -21,7 +21,7 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .bayes import fit_bc, fit_bec
 from .data_model import design_patterns
@@ -141,7 +141,7 @@ def marginal_prevalence_std(
         pi = logistic(patterns.rows @ fit.beta_hat)
         g = patterns.rows.T @ (patterns.trials * pi * (1.0 - pi)) / patterns.inverse.shape[0]
         se_mean = float(np.sqrt(g @ fit.covariance @ g)) / assay.youden
-        z = stats.norm.ppf(0.5 + conf_level / 2.0)
+        z = special.ndtri(0.5 + conf_level / 2.0)
         raw = (patterns.mean(pi) - (1.0 - assay.specificity)) / assay.youden
         lower = min(1.0, max(0.0, raw - z * se_mean))
         upper = min(1.0, max(0.0, raw + z * se_mean))
@@ -214,7 +214,7 @@ def marginal_prevalence_liu(
         var = float(g @ fit.covariance @ g)
         if not var >= 0.0:
             raise NonConvergenceError(f"LIU delta interval has variance {var}")
-        half = stats.norm.ppf(0.5 + conf_level / 2.0) * np.sqrt(var)
+        half = special.ndtri(0.5 + conf_level / 2.0) * np.sqrt(var)
         lower, upper = max(0.0, point - half), min(1.0, point + half)
     else:
         raise ValueError(f"unsupported interval method for LIU prevalence: {interval}")

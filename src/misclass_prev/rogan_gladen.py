@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 
 class IntervalMethod(Enum):
@@ -72,23 +72,13 @@ def rogan_gladen(p_obs, assay):
     return CrudeEstimate(p_obs=p_obs, p_adj=p_adj, truncated=truncated)
 
 
-def rogan_gladen_interval(
-    count_pos,
-    n,
-    assay,
-    method=IntervalMethod.WALD,
-    conf_level=0.95,
-    n_boot=2000,
-    rng=None,
-):
-    """Corrected prevalence with a confidence interval.
+def rogan_gladen_interval(count_pos, n, assay, conf_level=0.95):
+    """Corrected prevalence with a Wald confidence interval.
 
-    WALD propagates the binomial standard error through the correction:
-    se(p_adj) = sqrt(p_obs (1 - p_obs) / n) / (se + sp - 1).
-
-    BOOTSTRAP resamples the positive count from Binomial(n, p_obs),
-    corrects each resample, and takes percentile bounds; the caller
-    supplies the generator (or a seed) so resampling stays reproducible.
+    The binomial standard error is propagated through the correction:
+    se(p_adj) = sqrt(p_obs (1 - p_obs) / n) / (se + sp - 1). Under a
+    perfect assay this is the plain Wald interval of the observed
+    proportion.
 
     Bounds are truncated into [0, 1] after construction, and forced to
     bracket the point estimate so truncation cannot invert the interval.
@@ -99,31 +89,14 @@ def rogan_gladen_interval(
         raise ValueError(f"need 0 <= count_pos <= n with n > 0, got {count_pos}/{n}")
     if not (0.0 < conf_level < 1.0):
         raise ValueError(f"conf_level must lie in (0, 1), got {conf_level}")
-    method = IntervalMethod(method)
 
     p_obs = count_pos / n
     p_adj, truncated = correct_proportion(p_obs, assay)
-
-    if method is IntervalMethod.WALD:
-        z = stats.norm.ppf(0.5 + conf_level / 2.0)
-        se_adj = np.sqrt(p_obs * (1.0 - p_obs) / n) / assay.youden
-        raw = (p_obs - (1.0 - assay.specificity)) / assay.youden
-        lower = min(1.0, max(0.0, raw - z * se_adj))
-        upper = min(1.0, max(0.0, raw + z * se_adj))
-    elif method is IntervalMethod.BOOTSTRAP:
-        if n_boot < 2000:
-            raise ValueError(f"bootstrap interval needs at least 2000 resamples, got {n_boot}")
-        if rng is None:
-            rng = np.random.default_rng(0)
-        elif not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
-        counts = rng.binomial(n, p_obs, size=n_boot)
-        adj = (counts / n - (1.0 - assay.specificity)) / assay.youden
-        adj = np.clip(adj, 0.0, 1.0)
-        alpha = 1.0 - conf_level
-        lower, upper = np.quantile(adj, [alpha / 2.0, 1.0 - alpha / 2.0])
-    else:
-        raise ValueError(f"unsupported interval method for crude correction: {method}")
+    z = special.ndtri(0.5 + conf_level / 2.0)
+    se_adj = np.sqrt(p_obs * (1.0 - p_obs) / n) / assay.youden
+    raw = (p_obs - (1.0 - assay.specificity)) / assay.youden
+    lower = min(1.0, max(0.0, raw - z * se_adj))
+    upper = min(1.0, max(0.0, raw + z * se_adj))
 
     lower = min(lower, p_adj)
     upper = max(upper, p_adj)
@@ -134,5 +107,5 @@ def rogan_gladen_interval(
         n=n,
         lower=float(lower),
         upper=float(upper),
-        interval_method=method,
+        interval_method=IntervalMethod.WALD,
     )

@@ -25,15 +25,15 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import optimize, special
 
 from .data_model import (
     COLUMN_ORDER,
+    GROUP_ORDER,
     AssayProfile,
     Cohort,
-    PopulationGroup,
-    SubjectRecord,
     build_design_matrix,
+    design_from_columns,
 )
 from .errors import InputError, SchemaError, StatisticalError
 from .likelihoods import logistic
@@ -49,15 +49,8 @@ THREADS_ENV_VAR = "MISCLASS_PREV_THREADS"
 DEFAULT_COTEST_ODDS_RATIO = 5.0
 
 # Cohort margins used as generator defaults: counts 6574 / 3248 / 224 /
-# 193 / 1213 out of 11,452 for the five population groups.
+# 193 / 1213 out of 11,452 for the five population groups, in GROUP_ORDER.
 _GROUP_COUNTS = (6574.0, 3248.0, 224.0, 193.0, 1213.0)
-_GROUP_ORDER = (
-    PopulationGroup.GENERAL,
-    PopulationGroup.MSM,
-    PopulationGroup.LGTBI,
-    PopulationGroup.OTHER,
-    PopulationGroup.SEX_WORKER,
-)
 
 
 def cotest_coefficient(odds_ratio=DEFAULT_COTEST_ODDS_RATIO):
@@ -88,8 +81,8 @@ class CovariateSpec:
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must be a probability")
         probs = tuple(float(p) for p in self.group_probs)
-        if len(probs) != len(_GROUP_ORDER):
-            raise ValueError(f"group_probs needs {len(_GROUP_ORDER)} entries")
+        if len(probs) != len(GROUP_ORDER):
+            raise ValueError(f"group_probs needs {len(GROUP_ORDER)} entries")
         if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
             raise ValueError("group probabilities must be non-negative and sum to 1")
         object.__setattr__(self, "group_probs", probs)
@@ -196,34 +189,11 @@ def _draw_covariates(spec, n, rng):
 
     sex = (rng.random(n) < spec.male_rate).astype(int)
     cum = np.cumsum(spec.group_probs)
-    group_idx = np.searchsorted(cum, rng.random(n), side="right")
-    group_idx = np.minimum(group_idx, len(_GROUP_ORDER) - 1)
+    group = np.searchsorted(cum, rng.random(n), side="right")
+    group = np.minimum(group, len(GROUP_ORDER) - 1)
     other_sti = (rng.random(n) < spec.other_sti_rate).astype(int)
     hepb = (rng.random(n) < spec.hepb_rate).astype(int)
-    return {
-        "age": age,
-        "sex": sex,
-        "group_idx": group_idx,
-        "other_sti": other_sti,
-        "hepb": hepb,
-    }
-
-
-def _records_from_columns(cols, outcomes):
-    groups = [_GROUP_ORDER[i] for i in cols["group_idx"]]
-    return tuple(
-        SubjectRecord(
-            observed_outcome=int(y),
-            age=float(a),
-            sex=int(s),
-            other_sti_result=int(o),
-            hepb_result=int(h),
-            population_group=g,
-        )
-        for y, a, s, o, h, g in zip(
-            outcomes, cols["age"], cols["sex"], cols["other_sti"], cols["hepb"], groups
-        )
-    )
+    return {"age": age, "sex": sex, "group": group, "other_sti": other_sti, "hepb": hepb}
 
 
 def simulate(scenario, rng=None):
@@ -236,12 +206,7 @@ def simulate(scenario, rng=None):
     if rng is None:
         rng = np.random.default_rng(scenario.seed)
     cols = _draw_covariates(scenario.covariate_spec, scenario.n, rng)
-
-    placeholder = _records_from_columns(cols, np.zeros(scenario.n, dtype=int))
-    X = build_design_matrix(
-        Cohort(records=placeholder, outcome_label=scenario.outcome_label),
-        columns=scenario.covariates,
-    )
+    X = design_from_columns(cols, scenario.covariates)
     pi = logistic(X.matrix @ np.asarray(scenario.beta_true))
     latent = (rng.random(scenario.n) < pi).astype(int)
 
@@ -250,10 +215,7 @@ def simulate(scenario, rng=None):
     u = rng.random(scenario.n)
     observed = np.where(latent == 1, u < se, u < 1.0 - sp).astype(int)
 
-    cohort = Cohort(
-        records=_records_from_columns(cols, observed),
-        outcome_label=scenario.outcome_label,
-    )
+    cohort = Cohort.from_columns(outcome=observed, **cols, outcome_label=scenario.outcome_label)
     truth = SimTruth(pi=pi, true_status=latent, true_prevalence=float(pi.mean()))
     return cohort, truth
 
@@ -274,8 +236,7 @@ def calibrate_intercept(scenario, target_prevalence, probe_n=100_000, probe_seed
         raise ValueError("target prevalence must lie in (0, 1)")
     rng = np.random.default_rng([int(probe_seed), 0xCA11])
     cols = _draw_covariates(scenario.covariate_spec, probe_n, rng)
-    placeholder = _records_from_columns(cols, np.zeros(probe_n, dtype=int))
-    X = build_design_matrix(Cohort(records=placeholder), columns=scenario.covariates).matrix
+    X = design_from_columns(cols, scenario.covariates).matrix
     beta = np.asarray(scenario.beta_true)
 
     def gap(intercept):
@@ -395,6 +356,7 @@ def load_bundled_scenario(name="demo_cohort"):
 # ---------------------------------------------------------------------------
 
 ESTIMATOR_NAMES = ("observed", "rg", "std", "liu", "bc", "bec")
+_PERFECT_ASSAY = AssayProfile(sensitivity=1.0, specificity=1.0)
 
 
 @dataclass(frozen=True)
@@ -429,21 +391,14 @@ class ReplicationSummary:
 def _run_estimator(spec, y, X, scenario, seed):
     """Returns (point, lower, upper); raises StatisticalError on statistical failure.
 
-    STD and LIU take delta intervals; every model uses the assay's point values.
+    ``observed`` is the crude Wald interval, the Rogan-Gladen one under a
+    perfect assay; STD and LIU take delta intervals; every model uses the
+    assay's point values.
     """
     assay = (spec.assay or scenario.analysis_assay or scenario.assay_true).point_profile()
-    n = y.shape[0]
-
-    if spec.name == "observed":
-        z = stats.norm.ppf(0.5 + spec.conf_level / 2.0)
-        point = float(y.mean())
-        half = z * math.sqrt(point * (1.0 - point) / n)
-        return point, max(0.0, point - half), min(1.0, point + half)
-
-    if spec.name == "rg":
-        est = rogan_gladen_interval(
-            int(y.sum()), n, assay, method=IntervalMethod.WALD, conf_level=spec.conf_level
-        )
+    if spec.name in ("observed", "rg"):
+        crude = _PERFECT_ASSAY if spec.name == "observed" else assay
+        est = rogan_gladen_interval(int(y.sum()), y.shape[0], crude, conf_level=spec.conf_level)
         return est.p_adj, est.lower, est.upper
 
     _, est, _ = estimate(

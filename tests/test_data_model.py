@@ -1,7 +1,11 @@
 import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from misclass_prev import (
     COLUMN_ORDER,
@@ -17,6 +21,9 @@ from misclass_prev import (
     read_analysis_config,
     save_cohort,
 )
+
+from misclass_prev.data_model import CANONICAL_FIELDS, GROUP_ORDER
+from misclass_prev.simulate import calibrate_intercept, load_bundled_scenario, simulate
 
 from conftest import make_record
 
@@ -65,6 +72,137 @@ class TestCohort:
     def test_empty_rejected(self):
         with pytest.raises(SchemaError):
             Cohort(records=())
+
+    def test_columns_are_read_only(self, small_cohort):
+        for name in CANONICAL_FIELDS:
+            with pytest.raises(ValueError):
+                getattr(small_cohort, name)[0] = 1
+
+    def test_records_view_round_trips(self, small_cohort):
+        again = Cohort(records=small_cohort.records, outcome_label="HIV")
+        assert again.records == small_cohort.records
+        assert [r.population_group for r in again.records][:2] == [
+            PopulationGroup.MSM,
+            PopulationGroup.GENERAL,
+        ]
+
+
+GOOD_COLUMNS = dict(
+    outcome=[1, 0, 1],
+    age=[20.0, 35.5, 61.0],
+    sex=[0, 1, 1],
+    other_sti=[0, 0, 1],
+    hepb=[1, 0, 0],
+    group=[0, 4, 2],
+)
+
+
+class TestBulkValidation:
+    def test_good_columns_accepted(self):
+        cohort = Cohort.from_columns(**GOOD_COLUMNS)
+        assert len(cohort) == 3
+        assert cohort.records[1].population_group is GROUP_ORDER[4]
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("sex", [0, 2, 1], "sex must be 0 or 1"),
+            ("age", [20.0, float("nan"), 61.0], "age must be finite"),
+            ("age", [20.0, -1.0, 61.0], "age must be finite"),
+            ("group", [0, 5, 2], "group must hold indices"),
+            ("hepb", [1, 0], "equal length"),
+            (None, [], "at least one record"),
+        ],
+        ids=["binary_2", "nan_age", "negative_age", "group_5", "unequal_lengths", "empty"],
+    )
+    def test_each_check_raises(self, field, value, match):
+        columns = dict(GOOD_COLUMNS)
+        if field is None:
+            columns = {name: value for name in columns}
+        else:
+            columns[field] = value
+        with pytest.raises(SchemaError, match=match):
+            Cohort.from_columns(**columns)
+
+    def test_caller_arrays_stay_writable(self):
+        age = np.array(GOOD_COLUMNS["age"])
+        Cohort.from_columns(**dict(GOOD_COLUMNS, age=age))
+        age[0] = 1.0
+
+
+rows = st.lists(
+    st.tuples(
+        st.integers(0, 1),
+        st.floats(0.0, 120.0, allow_nan=False),
+        st.integers(0, 1),
+        st.integers(0, 1),
+        st.integers(0, 1),
+        st.integers(0, len(GROUP_ORDER) - 1),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+def _saved_bytes(cohort):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cohort.csv"
+        save_cohort(cohort, path)
+        return path.read_bytes()
+
+
+class TestTwoEntryPoints:
+    @given(rows, st.one_of(st.none(), st.sets(st.sampled_from(COLUMN_ORDER[1:]))))
+    @settings(max_examples=60, deadline=None)
+    def test_records_and_columns_agree(self, data, subset):
+        from_records = Cohort(
+            records=[
+                SubjectRecord(
+                    observed_outcome=y,
+                    age=a,
+                    sex=s,
+                    other_sti_result=o,
+                    hepb_result=h,
+                    population_group=GROUP_ORDER[g],
+                )
+                for y, a, s, o, h, g in data
+            ]
+        )
+        from_columns = Cohort.from_columns(
+            **{name: [row[j] for row in data] for j, name in enumerate(CANONICAL_FIELDS)}
+        )
+        assert from_records.records == from_columns.records
+        np.testing.assert_array_equal(from_records.outcomes(), from_columns.outcomes())
+        for columns in (None, subset):
+            a = build_design_matrix(from_records, columns=columns)
+            b = build_design_matrix(from_columns, columns=columns)
+            assert a.column_names == b.column_names
+            np.testing.assert_array_equal(a.matrix, b.matrix)
+        assert _saved_bytes(from_records) == _saved_bytes(from_columns)
+
+
+class TestNoRecordsUntilRead:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        count = [0]
+        original = SubjectRecord.__post_init__
+
+        def counted(self):
+            count[0] += 1
+            original(self)
+
+        monkeypatch.setattr(SubjectRecord, "__post_init__", counted)
+        return count
+
+    def test_simulate(self, built):
+        cohort, _ = simulate(load_bundled_scenario("demo_cohort"))
+        assert built[0] == 0
+        assert len(cohort.records) == len(cohort)
+        assert built[0] == len(cohort)
+
+    def test_calibrate_intercept(self, built):
+        calibrate_intercept(load_bundled_scenario("demo_cohort"), 0.05, probe_n=5_000)
+        assert built[0] == 0
 
 
 class TestDesignMatrix:

@@ -218,27 +218,36 @@ class TestFitLiu:
             est = fit.error_rates_hat
             assert 0.0 <= est.r0 < 0.5 and 0.0 <= est.r1 < 0.5
             if fit.converged:
-                assert est.se_r0 is not None and np.isfinite(est.se_r0)
-                assert est.se_r1 is not None and np.isfinite(est.se_r1)
+                # a rate held on its bound has no SE; a free one a finite SE
+                for rate, se in ((est.r0, est.se_r0), (est.r1, est.se_r1)):
+                    if rate == 0.0:
+                        assert se is None
+                    else:
+                        assert se is not None and np.isfinite(se)
             else:
                 assert fit.condition_warning
 
     @pytest.mark.parametrize(
-        "variant, pinned, free",
+        "variant, pinned, free, free_held",
         [
-            (LiuVariant.FALSE_POSITIVE_ONLY, "r1", "r0"),
-            (LiuVariant.FALSE_NEGATIVE_ONLY, "r0", "r1"),
+            (LiuVariant.FALSE_POSITIVE_ONLY, "r1", "r0", False),
+            # with the false-positive rate pinned, this draw's free
+            # false-negative rate lands on its bound as well
+            (LiuVariant.FALSE_NEGATIVE_ONLY, "r0", "r1", True),
         ],
         ids=["fp", "fn"],
     )
-    def test_single_free_rate_pins_the_other_at_zero(self, variant, pinned, free):
+    def test_single_free_rate_pins_the_other_at_zero(self, variant, pinned, free, free_held):
         sc = _liu_test_scenario(4000)
         cohort, _ = simulate(sc, rng=np.random.default_rng([12, 0, 0]))
         X = build_design_matrix(cohort, columns=sc.covariates)
         est = fit_liu(cohort.outcomes(), X, variant=variant).error_rates_hat
         assert getattr(est, pinned) == 0.0
         assert getattr(est, f"se_{pinned}") is None
-        assert np.isfinite(getattr(est, f"se_{free}"))
+        if free_held:
+            assert getattr(est, free) == 0.0 and getattr(est, f"se_{free}") is None
+        else:
+            assert getattr(est, free) > 0.0 and np.isfinite(getattr(est, f"se_{free}"))
 
     @pytest.mark.parametrize(
         "variant, pinned",
@@ -266,6 +275,17 @@ class TestFitLiu:
         score = _liu_score(k, m, U, _RATE_MAP[LiuVariant.BOTH_FREE], theta)
         assert score[-2] < 0.0
         assert np.max(np.abs(score[:-2])) < SCORE_TOL and abs(score[-1]) < SCORE_TOL
+
+    def test_rate_held_on_its_bound_has_no_se(self, intage_demo):
+        y, X = intage_demo
+        fit = fit_liu(y, X)
+        est = fit.error_rates_hat
+        assert est.r0 == 0.0 and est.se_r0 is None
+        assert np.isfinite(est.se_r1)
+        p = X.shape[1]
+        # the held rate has no row in the covariance; beta's block is finite
+        assert np.all(fit.covariance[p] == 0.0) and np.all(fit.covariance[:, p] == 0.0)
+        assert np.all(np.isfinite(fit.beta_se))
 
     def test_indicator_with_only_negatives_is_separation(self):
         rng = np.random.default_rng(3)

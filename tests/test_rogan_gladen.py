@@ -63,36 +63,26 @@ class TestCorrectionUnbiasedness:
 
 class TestIntervals:
     def test_wald_matches_delta_formula(self):
-        est = rogan_gladen_interval(159, 11452, ASSAY, method=IntervalMethod.WALD)
+        est = rogan_gladen_interval(159, 11452, ASSAY)
         p_obs = 159 / 11452
         se = np.sqrt(p_obs * (1 - p_obs) / 11452) / ASSAY.youden
         raw = (p_obs + ASSAY.specificity - 1.0) / ASSAY.youden
         assert est.lower == pytest.approx(max(0.0, raw - 1.959963984540054 * se), abs=1e-12)
         assert est.upper == pytest.approx(min(1.0, raw + 1.959963984540054 * se), abs=1e-12)
         assert est.n == 11452
-
-    def test_bootstrap_is_seed_deterministic(self):
-        a = rogan_gladen_interval(
-            80, 2000, ASSAY, method=IntervalMethod.BOOTSTRAP, rng=np.random.default_rng(7)
-        )
-        b = rogan_gladen_interval(
-            80, 2000, ASSAY, method=IntervalMethod.BOOTSTRAP, rng=np.random.default_rng(7)
-        )
-        assert (a.lower, a.upper) == (b.lower, b.upper)
-
-    def test_bootstrap_requires_enough_resamples(self):
-        with pytest.raises(ValueError):
-            rogan_gladen_interval(
-                80, 2000, ASSAY, method=IntervalMethod.BOOTSTRAP, n_boot=500,
-                rng=np.random.default_rng(7),
-            )
+        assert est.interval_method is IntervalMethod.WALD
 
     def test_interval_brackets_point(self):
-        for method in (IntervalMethod.WALD, IntervalMethod.BOOTSTRAP):
-            est = rogan_gladen_interval(
-                3, 4000, ASSAY, method=method, rng=np.random.default_rng(9)
-            )
-            assert est.lower <= est.p_adj <= est.upper
+        est = rogan_gladen_interval(3, 4000, ASSAY)
+        assert est.lower <= est.p_adj <= est.upper
+
+    def test_perfect_assay_gives_the_plain_wald_interval(self):
+        perfect = AssayProfile(sensitivity=1.0, specificity=1.0)
+        est = rogan_gladen_interval(80, 2000, perfect)
+        half = 1.959963984540054 * np.sqrt(0.04 * 0.96 / 2000)
+        assert est.p_adj == 0.04
+        assert est.lower == pytest.approx(0.04 - half, abs=1e-15)
+        assert est.upper == pytest.approx(0.04 + half, abs=1e-15)
 
     def test_counts_validated(self):
         with pytest.raises(ValueError):
