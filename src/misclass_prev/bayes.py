@@ -22,9 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .data_model import AssayMode, AssayProfile
+from .errors import NonConvergenceError
 from .likelihoods import (
     binomial_counts,
     mixture_loglik,
@@ -38,6 +39,7 @@ from .mle import (
     ModelTag,
     _fit_data,
     _resolve_design,
+    difference_information,
     observed_information,
 )
 
@@ -238,7 +240,7 @@ def _sampling_basis(score_fn, mode, res):
     size serves every coordinate. When the curvature is unusable the
     optimizer's own scale guesses stand in as a diagonal A.
     """
-    info = observed_information(score_fn, mode)
+    info = observed_information(difference_information(score_fn, mode))
     if info.se is not None:
         try:
             return np.linalg.cholesky(np.linalg.inv(info.matrix))
@@ -310,6 +312,7 @@ def _sample_posterior(neg, log_density, theta0, config, tr, names, bounds=None):
     mode-centered coordinates of ``_sampling_basis``, from seed-derived
     overdispersed starts, and undoes the standardization on every draw.
     """
+    from scipy import optimize  # here, not at the top: a fifth of a second to import
     method = "BFGS" if bounds is None else "L-BFGS-B"
     res = optimize.minimize(neg, theta0, jac=True, method=method, bounds=bounds)
     mode = res.x
@@ -337,6 +340,8 @@ def _sample_posterior(neg, log_density, theta0, config, tr, names, bounds=None):
             if np.isfinite(log_post(init[i])):
                 break
             init[i] *= 0.5
+        else:
+            raise NonConvergenceError(f"chain {i} start: no finite log posterior after 60 halvings")
 
     raw = sample(log_post, dim, config, init=init)
     # undo_beta changes only the intercept and the standardized columns,

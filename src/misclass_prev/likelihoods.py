@@ -43,18 +43,16 @@ _LOG_CLAMP = 1e-300
 def logistic(eta):
     """Numerically stable inverse logit, elementwise.
 
-    Uses the positive/negative split so neither branch exponentiates a
-    large positive number; safe for |eta| well beyond 700. Non-finite
-    input is a domain error.
+    With ``e = exp(-|eta|)`` it is ``1 / (1 + e)`` for ``eta >= 0`` and
+    ``e / (1 + e)`` below, so no exponent is a large positive number;
+    safe for |eta| well beyond 700. Both branches come out of one pass,
+    with no masked copies. Non-finite input is a domain error.
     """
     arr = np.asarray(eta, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("logistic: eta must be finite")
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    expn = np.exp(arr[~pos])
-    out[~pos] = expn / (1.0 + expn)
+    e = np.exp(-np.abs(arr))
+    out = np.where(arr >= 0, 1.0, e) / (1.0 + e)
     if np.ndim(eta) == 0:
         return float(out)
     return out

@@ -7,7 +7,9 @@ Newton with the analytic Hessian of ``likelihoods.mixture_hessian``, on
 the original scale with the free rates boxed in [0, ``RATE_MAX``];
 which of the false-positive rate r0 and the false-negative rate r1 are
 free is one matrix per ``LiuVariant``. Standard errors for both fits
-come from the observed information in the original parameterization.
+come from the analytic observed information in the original
+parameterization; ``difference_information`` differences a score only
+for the posterior sampling basis, whose log densities have no Hessian.
 
 Both fit over covariate patterns: a DesignMatrix is fitted over its
 distinct rows with trials and positives per row, and a caller that
@@ -39,7 +41,6 @@ from .likelihoods import (
     liu_loglik,
     logistic,
     mixture_hessian,
-    mixture_loglik,
     std_loglik,
 )
 
@@ -178,15 +179,13 @@ def _degenerate(k, m, U, beta):
     worst = np.maximum(np.where(k > 0.0, 1.0 - pi, 0.0), np.where(k < m, pi, 0.0))
     if np.max(worst) < 1e-6:
         return True
-    for j in range(1, U.shape[1]):
-        ones = U[:, j] == 1.0
-        if not np.all(ones | (U[:, j] == 0.0)):
-            continue
-        for level in (ones, ~ones):
-            positives = k[level].sum()
-            if positives == 0.0 or positives == m[level].sum():
-                return True
-    return False
+    # positives and trials at each level of every 0/1 column, in one pass;
+    # the counts are whole numbers, so the sums and the tests are exact
+    B = U[:, 1:][:, np.all((U[:, 1:] == 0.0) | (U[:, 1:] == 1.0), axis=0)]
+    positives, trials = k @ B, m @ B
+    positives = np.concatenate([positives, k.sum() - positives])
+    trials = np.concatenate([trials, m.sum() - trials])
+    return bool(np.any((positives == 0.0) | (positives == trials)))
 
 
 def _newton_ascent(loglik, direction, theta, max_iter, lo=-np.inf, hi=np.inf):
@@ -289,14 +288,13 @@ def fit_std(y, X, column_names=None, max_iter=100, trials=None):
     )
 
 
-def observed_information(score_fn, theta_hat, step=1e-5):
-    """Observed information by central differences of an analytic score.
+def difference_information(score_fn, theta_hat, step=1e-5):
+    """Negative Hessian by central differences of an analytic score.
 
     The Hessian of the log-likelihood is approximated column by column
     as d(score)/d(theta_j) with relative steps, then symmetrized and
-    negated. If the result is not positive definite the standard errors
-    are withheld and a warning attached; ``rcond`` is the eigenvalue
-    ratio of the symmetrized matrix.
+    negated. For a log density without an analytic Hessian; pass the
+    result to ``observed_information``.
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
     k = theta_hat.shape[0]
@@ -309,7 +307,18 @@ def observed_information(score_fn, theta_hat, step=1e-5):
             up[j] += h
             dn[j] -= h
             H[:, j] = (np.asarray(score_fn(up)) - np.asarray(score_fn(dn))) / (2.0 * h)
-    info = -0.5 * (H + H.T)
+    return -0.5 * (H + H.T)
+
+
+def observed_information(info):
+    """Standard errors from a symmetric observed information matrix.
+
+    ``fit_liu`` passes the analytic information; the posterior sampling
+    basis passes ``difference_information``. If the matrix is not
+    positive definite the standard errors are withheld and a warning
+    attached; ``rcond`` is its eigenvalue ratio.
+    """
+    info = np.asarray(info, dtype=float)
     if not np.all(np.isfinite(info)):
         return InformationResult(
             matrix=info,
@@ -374,19 +383,6 @@ _RATE_MAP = {
     LiuVariant.FALSE_NEGATIVE_ONLY: np.array([[0.0], [1.0]]),
     LiuVariant.ERRORS_EQUAL: np.array([[1.0], [1.0]]),
 }
-
-
-def _liu_score(k, m, U, A, theta):
-    """Score of the joint log-likelihood over ``theta = (beta, free rates)``.
-
-    Calls the kernel directly: the difference steps of
-    ``observed_information`` may leave the rates' domain, which
-    ErrorRates would refuse.
-    """
-    p = U.shape[1]
-    r0, r1 = A @ theta[p:]
-    _, g_beta, g_p0, g_p1 = mixture_loglik(k, m, U, theta[:p], r0, 1.0 - r0 - r1)
-    return np.concatenate([g_beta, A.T @ [g_p0, -g_p1]])  # p0 = r0, p1 = 1 - r1
 
 
 def _liu_hessian(k, m, U, A, theta):
@@ -473,13 +469,9 @@ def fit_liu(
     beta_hat = theta[:p]
     r0_hat, r1_hat = A @ theta[p:]
 
-    def free_score(t):
-        full = theta.copy()
-        full[free] = t
-        return _liu_score(k, m, U, A, full)[free]
-
     # held rates have no normal approximation: information over the rest
-    info = observed_information(free_score, theta[free])
+    neg_h = -_liu_hessian(k, m, U, A, theta)[np.ix_(free, free)]
+    info = observed_information(0.5 * (neg_h + neg_h.T))
     beta_se = cov = se_r0 = se_r1 = None
     if info.se is None:
         converged = False

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .data_model import (
     COLUMN_ORDER,
@@ -121,6 +121,7 @@ def _calibrated_truncnorm(mean, sd, lo, hi):
             return [1e6, 1e6]
         return [m - mean, s - sd]
 
+    from scipy import optimize  # here, not at the top: a fifth of a second to import
     sol = optimize.root(residual, [mean, math.log(sd)], method="hybr")
     mu, sigma = float(sol.x[0]), float(math.exp(sol.x[1]))
     m, s = _truncnorm_moments(mu, sigma, lo, hi)
@@ -244,6 +245,7 @@ def calibrate_intercept(scenario, target_prevalence, probe_n=100_000, probe_seed
         b[0] = intercept
         return float(np.mean(logistic(X @ b))) - target_prevalence
 
+    from scipy import optimize
     b0 = optimize.brentq(gap, -30.0, 10.0, xtol=1e-10)
     return replace(scenario, beta_true=(float(b0),) + scenario.beta_true[1:])
 

@@ -10,6 +10,7 @@ from misclass_prev.bayes import (
     BecParameterBlock,
     Standardization,
     _posterior_fit_result,
+    _sample_posterior,
     bc_log_posterior,
     bc_log_posterior_grad,
     bec_log_posterior,
@@ -20,6 +21,7 @@ from misclass_prev.bayes import (
     standardize_design,
 )
 from misclass_prev.data_model import AssayProfile, build_design_matrix
+from misclass_prev.errors import NonConvergenceError
 from misclass_prev.likelihoods import logistic, std_loglik
 from misclass_prev.mcmc import SamplerConfig, package_draws
 from misclass_prev.mle import ModelTag, fit_liu, fit_std
@@ -316,3 +318,18 @@ class TestConvergenceGate:
         fit = _posterior_fit_result(ModelTag.BEC, draws, 2, -10.0, ("beta0", "beta1"))
         assert fit.converged
         assert fit.condition_warning is None
+
+
+class TestChainStart:
+    def test_start_with_no_finite_density_is_a_statistical_error(self):
+        # the density is finite at the mode alone: halving a start toward
+        # the mode never reaches it, so no chain can start
+        def neg(theta):
+            return 0.5 * float(theta @ theta), theta
+
+        def log_density(theta):
+            return 0.0 if not np.any(theta) else -np.inf
+
+        tr = Standardization(indices=(), means=(), sds=())
+        with pytest.raises(NonConvergenceError, match="^chain 0 start: "):
+            _sample_posterior(neg, log_density, np.zeros(2), QUICK, tr, ("a", "b"))

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from misclass_prev import data_model
@@ -26,7 +26,14 @@ from misclass_prev.likelihoods import (
     std_loglik,
 )
 from misclass_prev.mcmc import package_draws
-from misclass_prev.mle import _RATE_MAP, LiuVariant, _liu_hessian, fit_liu, fit_std
+from misclass_prev.mle import (
+    _RATE_MAP,
+    LiuVariant,
+    _liu_hessian,
+    difference_information,
+    fit_liu,
+    fit_std,
+)
 from misclass_prev.report import posterior_prevalence_draws
 from misclass_prev.simulate import load_bundled_scenario, simulate
 
@@ -144,6 +151,62 @@ class TestHessian:
 
         theta = np.concatenate([beta, A.T @ [0.05, 0.15] / A.sum(axis=0)])
         assert_hessian_close(_liu_hessian(k, m, U, A, theta), fd_jacobian(score, theta))
+
+    @pytest.mark.parametrize("variant", list(LiuVariant), ids=lambda v: v.value)
+    @given(
+        design=st.tuples(st.integers(0, 2**32 - 1), st.integers(400, 1500)),
+        r0=st.sampled_from([0.0, 0.02, 0.06]),
+        r1=st.sampled_from([0.0, 0.1, 0.25]),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_covariance_is_the_inverse_differenced_information(self, variant, design, r0, r1):
+        # outcomes misread at rates r0, r1; a zero rate often leaves its estimate
+        # held on the bound, where fit_liu gives it no row in the covariance
+        y, X, _ = repeated_design(*design)
+        flip = np.random.default_rng(design[0]).random(y.shape[0])
+        y = np.where(y == 1.0, flip >= r1, flip < r0).astype(float)
+        k, m, U = grouped(y, X)
+        try:
+            fit = fit_liu(k, U, variant=variant, trials=m)
+        except SingularDesignError:
+            assume(False)
+        assume(fit.converged)
+        free, theta, reference = differenced_information(fit, k, m, U)
+        assume(np.all(theta[free][U.shape[1] :] > 1e-4))  # differences stay in the rates' domain
+        assume(np.linalg.cond(reference) < 1e10)  # else no covariance is accurate
+        assert_hessian_close(np.linalg.inv(fit.covariance[np.ix_(free, free)]), reference)
+
+    def test_held_rate_is_left_out_of_the_information(self, intage_demo):
+        y, X = intage_demo
+        fit = fit_liu(y, X)
+        k, m, U = X.patterns.positives(y), X.patterns.trials, X.patterns.rows
+        free, _, reference = differenced_information(fit, k, m, U)
+        assert list(free[U.shape[1] :]) == [False, True]  # r0 held at 0, r1 free
+        assert_hessian_close(np.linalg.inv(fit.covariance[np.ix_(free, free)]), reference)
+
+
+def differenced_information(fit, k, m, U):
+    """``(free, theta, information)`` at a LIU fit's optimum, by differences.
+
+    The information over the coordinates with a covariance row, from
+    central differences of ``liu_loglik``'s score mapped by the rate map.
+    Compared as information: inverting it amplifies the differences' own
+    error by the condition number, up to 2e-5 on covariance entries.
+    """
+    p = U.shape[1]
+    A = _RATE_MAP[fit.variant]
+    est = fit.error_rates_hat
+    theta = np.concatenate([fit.beta_hat, A.T @ [est.r0, est.r1] / A.sum(axis=0)])
+    free = np.diag(fit.covariance) > 0.0
+    assert np.all(free[:p])
+
+    def free_score(t):
+        full = theta.copy()
+        full[free] = t
+        _, grad = liu_loglik(k, U, full[:p], ErrorRates(*(A @ full[p:])), trials=m)
+        return np.concatenate([grad[:p], A.T @ grad[p:]])[free]
+
+    return free, theta, difference_information(free_score, theta[free])
 
 
 class TestFits:

@@ -33,6 +33,29 @@ class TestLogistic:
         with pytest.raises(ValueError):
             logistic(np.array([1.0, np.nan]))
 
+    @staticmethod
+    def masked_logistic(x):
+        """The positive/negative split form ``logistic`` replaced."""
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        expn = np.exp(x[~pos])
+        out[~pos] = expn / (1.0 + expn)
+        return out
+
+    @given(st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_the_masked_form(self, xs):
+        x = np.array(xs)
+        assert np.array_equal(logistic(x), self.masked_logistic(x))
+
+    def test_bitwise_equal_at_the_edges(self):
+        x = np.array([0.0, -0.0, 745.0, -745.0, 1e4, -1e4, -708.5, -740.0, -744.4, 5e-324, 37.0])
+        got, want = logistic(x), self.masked_logistic(x)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert 0.0 < got[7] < np.finfo(float).tiny  # a subnormal output
+        assert [logistic(v) for v in x] == list(want) and isinstance(logistic(-0.0), float)
+
 
 class TestErrorRates:
     def test_bounds(self):

@@ -2,19 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from misclass_prev.data_model import AssayProfile, build_design_matrix
 from misclass_prev.errors import SingularDesignError
-from misclass_prev.likelihoods import logistic, std_loglik
+from misclass_prev.likelihoods import ErrorRates, liu_loglik, logistic, std_loglik
 from misclass_prev.mle import (
-    _RATE_MAP,
     SCORE_TOL,
     FitResult,
     LiuVariant,
     ModelTag,
-    _liu_score,
+    _degenerate,
     default_liu_init,
+    difference_information,
     fit_liu,
     fit_std,
     observed_information,
@@ -123,16 +125,70 @@ class TestObservedInformation:
     def test_exact_on_quadratic(self):
         A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
         theta = np.array([0.3, -0.2, 1.1])
-        info = observed_information(lambda t: -A @ t, theta)
+        info = observed_information(difference_information(lambda t: -A @ t, theta))
         assert info.se is not None
         assert np.max(np.abs(info.matrix - A)) < 1e-7
         assert np.max(np.abs(info.se - np.sqrt(np.diag(np.linalg.inv(A))))) < 1e-7
 
     def test_indefinite_matrix_withholds_se(self):
         A = np.diag([2.0, -1.0])
-        info = observed_information(lambda t: -A @ t, np.zeros(2))
+        info = observed_information(difference_information(lambda t: -A @ t, np.zeros(2)))
         assert info.se is None
         assert "not positive definite" in info.warning
+
+    def test_takes_the_matrix_as_given(self):
+        A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
+        info = observed_information(A)
+        assert np.array_equal(info.matrix, A) and info.warning is None
+        np.testing.assert_allclose(info.se, np.sqrt(np.diag(np.linalg.inv(A))), rtol=1e-14)
+        assert info.rcond == pytest.approx(np.linalg.cond(A) ** -1, rel=1e-12)
+        bad = observed_information(np.array([[1.0, np.inf], [np.inf, 1.0]]))
+        assert bad.se is None and "non-finite" in bad.warning
+
+
+def _degenerate_by_loop(k, m, U, beta):
+    """``_degenerate`` as a loop over the 0/1 columns and their two levels."""
+    if np.max(np.abs(beta)) > 30.0:
+        return True
+    pi = logistic(U @ beta)
+    worst = np.maximum(np.where(k > 0.0, 1.0 - pi, 0.0), np.where(k < m, pi, 0.0))
+    if np.max(worst) < 1e-6:
+        return True
+    for j in range(1, U.shape[1]):
+        ones = U[:, j] == 1.0
+        if not np.all(ones | (U[:, j] == 0.0)):
+            continue
+        for level in (ones, ~ones):
+            positives = k[level].sum()
+            if positives == 0.0 or positives == m[level].sum():
+                return True
+    return False
+
+
+class TestDegenerate:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(5, 300),
+        st.sampled_from([0.002, 0.02, 0.3]),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_loop(self, seed, rows, rare, separate):
+        rng = np.random.default_rng(seed)
+        U = np.column_stack(
+            [
+                np.ones(rows),
+                rng.normal(size=rows),
+                (rng.random(rows) < 0.5).astype(float),
+                (rng.random(rows) < rare).astype(float),
+            ]
+        )
+        m = rng.integers(1, 6, size=rows).astype(float)
+        k = np.floor(rng.random(rows) * (m + 1.0))
+        if separate:  # the rare dummy's level: all negative, or all positive
+            k = np.where(U[:, 3] == 1.0, m * rng.integers(0, 2), k)
+        beta = rng.normal(scale=2.0, size=4)
+        assert _degenerate(k, m, U, beta) == _degenerate_by_loop(k, m, U, beta)
 
 
 class TestFitResultContract:
@@ -271,8 +327,8 @@ class TestFitLiu:
         assert fit.error_rates_hat.r0 == 0.0
         assert 0.0 < fit.error_rates_hat.r1 < 0.5
         k, m, U = X.patterns.positives(y), X.patterns.trials, X.patterns.rows
-        theta = np.concatenate([fit.beta_hat, [0.0, fit.error_rates_hat.r1]])
-        score = _liu_score(k, m, U, _RATE_MAP[LiuVariant.BOTH_FREE], theta)
+        rates = ErrorRates(0.0, fit.error_rates_hat.r1)
+        _, score = liu_loglik(k, U, fit.beta_hat, rates, trials=m)
         assert score[-2] < 0.0
         assert np.max(np.abs(score[:-2])) < SCORE_TOL and abs(score[-1]) < SCORE_TOL
 
