@@ -11,9 +11,10 @@ and scale continuous design columns internally and undo the
 transformation on every draw before reporting. The centering and
 scaling stay row-weighted: means and SDs come from the cohort's rows,
 and are then applied to its covariate patterns, over which every
-likelihood evaluation runs. Sampling itself runs in a rotated basis
-centered at the posterior mode so the random-walk proposal sees roughly
-independent unit-scale coordinates.
+likelihood evaluation runs. Sampling itself runs in the Laplace basis
+of ``_sampling_basis``, centered at the posterior mode and whitened by
+the curvature there, where the posterior is roughly N(0, I) and the
+sampler's fixed independence proposal fits it.
 """
 
 from __future__ import annotations
@@ -229,53 +230,25 @@ def _posterior_data(y, X, column_names):
     return k, m, U, tr.apply(U), tr, names
 
 
-def _sampling_basis(score_fn, mode, res):
+def _sampling_basis(score_fn, mode):
     """Rotation that makes the posterior roughly N(0, I) around its mode.
 
-    A random-walk proposal with a diagonal shape mixes poorly when the
-    posterior is correlated, which a logistic design guarantees (the
-    intercept trades off against every covariate). Sampling therefore
-    runs in phi with theta = mode + A phi, where A A' approximates the
-    posterior covariance from the curvature at the mode; in phi one step
-    size serves every coordinate. When the curvature is unusable the
-    optimizer's own scale guesses stand in as a diagonal A.
+    Sampling runs in phi with theta = mode + A phi, where A A' is the
+    inverse of the curvature at the mode (the Laplace approximation), so
+    the sampler's fixed independence proposal, centered at 0 with unit
+    scale, covers the posterior in every direction. A curvature that is
+    not positive definite has no such basis; the fit then fails with the
+    information's own warning.
     """
     info = observed_information(difference_information(score_fn, mode))
-    if info.se is not None:
-        try:
-            return np.linalg.cholesky(np.linalg.inv(info.matrix))
-        except np.linalg.LinAlgError:
-            pass
-    scale = _mode_scale(res, mode.shape[0])
-    if scale is None:
-        scale = np.full(mode.shape[0], 0.05)
-    return np.diag(scale)
+    if info.se is None:
+        raise NonConvergenceError(f"no sampling basis at the posterior mode: {info.warning}")
+    return np.linalg.cholesky(np.linalg.inv(info.matrix))
 
 
 # ---------------------------------------------------------------------------
 # Posterior fitting
 # ---------------------------------------------------------------------------
-
-
-def _mode_scale(res, dim):
-    """Per-coordinate scale guesses from the optimizer's inverse Hessian.
-
-    BFGS carries a dense approximation, L-BFGS-B a linear operator; both
-    are rough, which is fine, the sampler only uses them to precondition
-    its proposal before warmup adaptation takes over.
-    """
-    H = getattr(res, "hess_inv", None)
-    if H is None:
-        return None
-    if hasattr(H, "todense"):
-        H = H.todense()
-    H = np.asarray(H, dtype=float)
-    if H.shape != (dim, dim):
-        return None
-    d = np.diag(H)
-    if not np.all(np.isfinite(d)) or np.any(d <= 0):
-        return None
-    return np.sqrt(d)
 
 
 def _posterior_fit_result(tag, draws_obj, n_beta, loglik, names):
@@ -325,7 +298,7 @@ def _sample_posterior(neg, log_density, theta0, config, tr, names, bounds=None):
             # curvature probe stepped outside the accuracy support
             return np.full(dim, np.nan)
 
-    A = _sampling_basis(post_score, mode, res)
+    A = _sampling_basis(post_score, mode)
 
     def log_post(phi):
         return log_density(mode + A @ phi)

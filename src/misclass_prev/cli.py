@@ -104,7 +104,9 @@ def _add_assay_flags(sub):
 
 def _add_sampler_flags(sub, chains=4, warmup=2000, samples=2000):
     sub.add_argument("--chains", type=int, default=chains)
-    sub.add_argument("--warmup", type=int, default=warmup)
+    sub.add_argument(
+        "--warmup", type=int, default=warmup, help="burn-in iterations per chain, discarded"
+    )
     sub.add_argument("--samples", type=int, default=samples)
 
 

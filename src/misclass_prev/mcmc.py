@@ -1,11 +1,13 @@
-"""Adaptive random-walk Metropolis sampler and chain diagnostics.
+"""Independence Metropolis-Hastings sampler and chain diagnostics.
 
-The proposal is Gaussian, x' = x + sigma * (s .* z), with a scalar step
-sigma tuned by Robbins-Monro toward a target acceptance rate (0.234 for
-multivariate targets, 0.44 in one dimension) and a per-coordinate shape
-vector s tracking the chain's running marginal standard deviations.
-Both adapt during warmup only and are frozen afterwards, so the
-post-warmup kernel is time homogeneous.
+Every proposal is drawn from one fixed multivariate Student t,
+phi ~ t_7(0, 1.1^2 I), whatever the chain's current state, and accepted
+with the Hastings ratio p(x') q(x) / (p(x) q(x')). The kernel suits a
+target that is roughly N(0, I), as the Bayesian fitters' posteriors are
+in their whitened basis: the t's heavier tails keep the importance
+weights p / q bounded, which makes the chain uniformly ergodic (Tierney
+1994; Mengersen & Tweedie 1996). Nothing adapts; warmup is a burn-in
+whose draws are discarded.
 
 Every chain owns its own generator seeded from (seed, chain index);
 runs are bit reproducible for a fixed configuration.
@@ -14,13 +16,12 @@ runs are bit reproducible for a fixed configuration.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-MULTIVARIATE_TARGET = 0.234
-UNIVARIATE_TARGET = 0.44
-ADAPT_WINDOW = 50  # warmup iterations between step-size updates
+PROPOSAL_DF = 7
+PROPOSAL_SCALE = 1.1
 
 
 @dataclass(frozen=True)
@@ -38,9 +39,6 @@ class SamplerConfig:
         if not isinstance(self.seed, (int, np.integer)):
             raise ValueError("seed must be an integer")
 
-    def resolve_target(self, dim):
-        return UNIVARIATE_TARGET if dim == 1 else MULTIVARIATE_TARGET
-
 
 @dataclass
 class PosteriorDraws:
@@ -51,7 +49,6 @@ class PosteriorDraws:
     rhat: np.ndarray
     ess_bulk: np.ndarray
     accept_rate: np.ndarray  # per chain, post warmup
-    scale_trace: np.ndarray = None  # optional (chains, iterations, dim) proposal scales
 
     def __post_init__(self):
         self.draws = np.asarray(self.draws, dtype=float)
@@ -80,80 +77,56 @@ class PosteriorDraws:
                     w.writerow([repr(float(v)) for v in self.draws[c, i]] + [c, i])
 
 
-def _run_chain(log_post, dim, config, x0, chain_index, target, collect_scales):
+def _proposal_logpdf(phi):
+    """Log density of the t proposal at each row of ``phi``, up to a constant."""
+    r2 = np.sum(phi**2, axis=-1) / (PROPOSAL_DF * PROPOSAL_SCALE**2)
+    return -0.5 * (PROPOSAL_DF + phi.shape[-1]) * np.log1p(r2)
+
+
+def _run_chain(log_post, dim, config, x0, chain_index):
     rng = np.random.default_rng([int(config.seed), int(chain_index)])
-    x = np.array(x0, dtype=float)
-    lp = float(log_post(x))
+    x0 = np.array(x0, dtype=float)
+    lp = float(log_post(x0))
     if not np.isfinite(lp):
         raise ValueError(
             f"log posterior is not finite at the chain {chain_index} start point"
         )
 
-    sigma = 2.38 / np.sqrt(dim)
-    shape = np.ones(dim)
+    # Proposals ignore the state, so all of them are drawn up front.
     total = config.warmup + config.samples
-    draws = np.empty((config.samples, dim))
-    trace = np.empty((total, dim)) if collect_scales else None
+    z = rng.standard_normal((total, dim))
+    w = rng.chisquare(PROPOSAL_DF, total) / PROPOSAL_DF
+    proposals = PROPOSAL_SCALE * z / np.sqrt(w)[:, None]
+    log_u = np.log(rng.random(total))
+    log_q = _proposal_logpdf(proposals)
 
-    # Welford accumulators over the later portion of warmup.
-    mean = np.zeros(dim)
-    m2 = np.zeros(dim)
-    count = 0
-    var_start = config.warmup // 4
-
-    window_accepts = 0
-    window_index = 0
-    accepted_post = 0
-
+    # held[t]: row of states (start point, then proposals) held after step t
+    held = np.empty(total, dtype=np.intp)
+    current, lq = 0, float(_proposal_logpdf(x0))
     for t in range(total):
-        if collect_scales:
-            trace[t] = sigma * shape
-        z = rng.standard_normal(dim)
-        proposal = x + sigma * shape * z
-        lp_prop = float(log_post(proposal))
-        if np.isnan(lp_prop):
-            lp_prop = -np.inf  # reject, but count the proposal
-        accept = np.log(rng.random()) < lp_prop - lp
-        if accept:
-            x = proposal
-            lp = lp_prop
+        lp_prop = float(log_post(proposals[t]))
+        if log_u[t] < lp_prop - lp + lq - log_q[t]:  # False for a NaN density
+            current, lp, lq = t + 1, lp_prop, log_q[t]
+        held[t] = current
 
-        if t < config.warmup:
-            window_accepts += int(accept)
-            if t >= var_start:
-                count += 1
-                delta = x - mean
-                mean += delta / count
-                m2 += delta * (x - mean)
-            if (t + 1) % ADAPT_WINDOW == 0:
-                window_index += 1
-                rate = window_accepts / ADAPT_WINDOW
-                window_accepts = 0
-                sigma *= float(np.exp((rate - target) / np.sqrt(window_index)))
-                if count >= max(100, 2 * ADAPT_WINDOW):
-                    sd = np.sqrt(m2 / (count - 1) + 1e-12)
-                    sd = np.clip(sd, 1e-6, 1e6)
-                    # carry overall magnitude in sigma, relative scale in shape
-                    shape = sd / np.exp(np.mean(np.log(sd)))
-        else:
-            draws[t - config.warmup] = x
-            accepted_post += int(accept)
-
-    return draws, accepted_post / config.samples, trace
+    states = np.vstack([x0, proposals])
+    post = held[config.warmup:]
+    accepted = post == np.arange(config.warmup + 1, total + 1)
+    return states[post], float(accepted.mean())
 
 
-def sample(log_post, dim, config, init=None, collect_scale_trace=False):
+def sample(log_post, dim, config, init=None):
     """Run all chains and package draws with diagnostics.
 
     ``init`` is an optional (chains, dim) array of start points; the
     log posterior must be finite at each. When omitted, chains start at
     small seed-derived jitter around the origin. A NaN log posterior at
     a proposal counts as a rejected proposal; a NaN at the start point
-    is an error.
+    is an error. ``log_post`` is called once per start point and once
+    per iteration: chains * (warmup + samples + 1) times in all.
     """
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    target = config.resolve_target(dim)
 
     if init is None:
         jitter_rng = np.random.default_rng([int(config.seed), 0x5EED])
@@ -164,15 +137,8 @@ def sample(log_post, dim, config, init=None, collect_scale_trace=False):
 
     all_draws = np.empty((config.chains, config.samples, dim))
     accept = np.empty(config.chains)
-    traces = [] if collect_scale_trace else None
     for c in range(config.chains):
-        draws, acc, trace = _run_chain(
-            log_post, dim, config, init[c], c, target, collect_scale_trace
-        )
-        all_draws[c] = draws
-        accept[c] = acc
-        if collect_scale_trace:
-            traces.append(trace)
+        all_draws[c], accept[c] = _run_chain(log_post, dim, config, init[c], c)
 
     names = tuple(f"theta{j}" for j in range(dim))
     return PosteriorDraws(
@@ -181,7 +147,6 @@ def sample(log_post, dim, config, init=None, collect_scale_trace=False):
         rhat=rhat(all_draws),
         ess_bulk=ess_bulk(all_draws),
         accept_rate=accept,
-        scale_trace=np.stack(traces) if collect_scale_trace else None,
     )
 
 

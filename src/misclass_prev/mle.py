@@ -49,6 +49,7 @@ log = logging.getLogger(__name__)
 SCORE_TOL = 1e-8
 STEP_TOL = 1e-10
 SEPARATION_BOUND = 30.0
+RCOND_MIN = 1e-12  # eigenvalue ratio below which an information counts as singular
 SEPARATION_WARNING = "separation or boundary: fitted probabilities degenerate"
 
 
@@ -315,8 +316,9 @@ def observed_information(info):
 
     ``fit_liu`` passes the analytic information; the posterior sampling
     basis passes ``difference_information``. If the matrix is not
-    positive definite the standard errors are withheld and a warning
-    attached; ``rcond`` is its eigenvalue ratio.
+    positive definite, or its eigenvalue ratio ``rcond`` is below
+    ``RCOND_MIN`` so that its inverse is rounding noise, the standard
+    errors are withheld and a warning attached.
     """
     info = np.asarray(info, dtype=float)
     if not np.all(np.isfinite(info)):
@@ -335,22 +337,15 @@ def observed_information(info):
             rcond=rcond,
             warning="observed information is not positive definite",
         )
-    try:
-        variances = np.diag(np.linalg.inv(info))
-    except np.linalg.LinAlgError:
-        variances = None
-    # inversion can go unstable even past the eigenvalue check
-    if variances is None or np.any(variances <= 0) or not np.all(np.isfinite(variances)):
+    if rcond < RCOND_MIN:
         return InformationResult(
             matrix=info,
             se=None,
             rcond=rcond,
-            warning="observed information is numerically singular",
+            warning=f"observed information is numerically singular (rcond {rcond:.2e})",
         )
-    warning = None
-    if rcond < 1e-12:
-        warning = f"observed information is ill conditioned (rcond {rcond:.2e})"
-    return InformationResult(matrix=info, se=np.sqrt(variances), rcond=rcond, warning=warning)
+    se = np.sqrt(np.diag(np.linalg.inv(info)))
+    return InformationResult(matrix=info, se=se, rcond=rcond, warning=None)
 
 
 @dataclass(frozen=True)
@@ -483,8 +478,6 @@ def fit_liu(
         rate_se = np.zeros(n_free)
         rate_se[free[p:]] = info.se[p:]
         se_r0, se_r1 = (float(row @ rate_se) if (row * free[p:]).any() else None for row in A)
-        if info.warning and warning is None:
-            warning = info.warning
     if _degenerate(k, m, U, beta_hat):
         converged = False
         warning = SEPARATION_WARNING

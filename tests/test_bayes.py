@@ -300,6 +300,18 @@ class TestCorrectedPosterior:
             fit_bec(y, X, (0.9, 0.95), config=QUICK)
 
 
+class TestDemoCohortMixing:
+    def test_short_chains_converge_on_the_integer_age_demo_cohort(self, intage_demo):
+        # the compare benchmark's sampler budget and BEC assay
+        y, X = intage_demo
+        cfg = SamplerConfig(chains=2, warmup=500, samples=500, seed=42)
+        assay = AssayProfile.with_beta_priors(0.964, 0.974, se_prior_n=1000, sp_prior_n=1000)
+        bc, _ = fit_bc(y, X, config=cfg)
+        bec, _ = fit_bec(y, X, assay, config=cfg)
+        assert bc.converged, bc.condition_warning
+        assert bec.converged, bec.condition_warning
+
+
 class TestConvergenceGate:
     def test_unmixed_chains_are_flagged(self):
         rng = np.random.default_rng(33)

@@ -249,6 +249,18 @@ class TestFits:
         np.testing.assert_allclose(counts.beta_hat, rows.beta_hat, rtol=1e-5, atol=1e-5)
         assert counts.loglik == pytest.approx(rows.loglik, rel=1e-9)
 
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_fit_liu_with_singular_information_is_not_converged(self, seed):
+        # 6% of negatives flipped: both rates absorb the signal and three
+        # coefficients run off inside the separation bound, leaving an
+        # information with rcond near 1e-16 whose SEs would be noise
+        y, X, _ = repeated_design(seed, 400)
+        y[(y == 0) & (np.random.default_rng(seed).random(y.shape[0]) < 0.06)] = 1.0
+        fit = fit_liu(y, X)
+        assert fit.converged is False
+        assert fit.beta_se is None
+        assert "numerically singular" in fit.condition_warning
+
 
 def test_posterior_prevalence_over_patterns_matches_rows():
     sc = replace(load_bundled_scenario("demo_cohort"), n=2000, seed=4)

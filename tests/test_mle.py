@@ -136,6 +136,12 @@ class TestObservedInformation:
         assert info.se is None
         assert "not positive definite" in info.warning
 
+    def test_near_singular_matrix_withholds_se(self):
+        info = observed_information(np.diag([1.0, 1e-13]))
+        assert info.se is None
+        assert info.rcond == pytest.approx(1e-13)
+        assert "numerically singular" in info.warning
+
     def test_takes_the_matrix_as_given(self):
         A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
         info = observed_information(A)
