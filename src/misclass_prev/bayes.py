@@ -11,10 +11,12 @@ and scale continuous design columns internally and undo the
 transformation on every draw before reporting. The centering and
 scaling stay row-weighted: means and SDs come from the cohort's rows,
 and are then applied to its covariate patterns, over which every
-likelihood evaluation runs. Sampling itself runs in the Laplace basis
-of ``_sampling_basis``, centered at the posterior mode and whitened by
-the curvature there, where the posterior is roughly N(0, I) and the
-sampler's fixed independence proposal fits it.
+likelihood evaluation runs. Each fit finds its posterior mode by the
+projected Newton loop of ``mle`` with the exact Hessian of its log
+posterior. Sampling itself runs in the Laplace basis of
+``_sampling_basis``, centered at the mode and whitened by that Hessian
+there, where the posterior is roughly N(0, I) and the sampler's fixed
+independence proposal fits it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .data_model import AssayMode, AssayProfile
 from .errors import NonConvergenceError
 from .likelihoods import (
     binomial_counts,
+    mixture_hessian,
     mixture_loglik,
     mixture_loglik_value,
     std_loglik,
@@ -39,12 +42,15 @@ from .mle import (
     FitResult,
     ModelTag,
     _fit_data,
+    _logistic_information,
+    _newton_ascent,
+    _newton_direction,
     _resolve_design,
-    difference_information,
     observed_information,
 )
 
 RHAT_LIMIT = 1.05
+MODE_MAX_ITER = 100
 
 
 def newman_prior_variance(n_covariates):
@@ -83,6 +89,12 @@ def bc_log_posterior_grad(y, X, beta, trials=None):
     ll, grad = std_loglik(y, Xm, beta, trials=trials)
     value = ll + _normal_logpdf_sum(beta, var)
     return value, grad - beta / var
+
+
+def _bc_neg_hessian(m, U, beta):
+    """Negative Hessian of ``bc_log_posterior``: the logistic information plus ``I / var``."""
+    var = newman_prior_variance(U.shape[1] - 1)
+    return _logistic_information(m, U, beta) + np.eye(U.shape[1]) / var
 
 
 @dataclass(frozen=True)
@@ -163,6 +175,27 @@ def bec_log_posterior_grad(y, X, block, assay, trials=None):
     return value, np.concatenate([g_beta, [g_se, g_sp]])
 
 
+def _bec_neg_hessian(k, m, U, beta, se, sp, assay):
+    """Negative Hessian of ``_bec_log_density`` over (beta[, se, sp]).
+
+    ``-J' H J`` from ``mixture_hessian`` over (beta, p0, p1), with J the
+    Jacobian of the linear map to ``(beta, p0 = 1 - sp, p1 = se)``; plus
+    ``I / var`` on beta and, in beta-prior mode, each Beta prior's
+    curvature ``(a - 1)/x^2 + (b - 1)/(1 - x)^2``.
+    """
+    p = U.shape[1]
+    sampled = assay.mode is AssayMode.BETA_PRIOR
+    J = np.eye(p + 2)[:, : p + 2 * sampled]
+    if sampled:
+        J[p:, p:] = [[0.0, -1.0], [1.0, 0.0]]
+    neg_h = -J.T @ mixture_hessian(k, m, U, beta, 1.0 - sp, se + sp - 1.0) @ J
+    neg_h[:p, :p] += np.eye(p) / newman_prior_variance(p - 1)
+    if sampled:
+        for j, x, (a, b) in ((p, se, assay.se_prior), (p + 1, sp, assay.sp_prior)):
+            neg_h[j, j] += (a - 1.0) / x**2 + (b - 1.0) / (1.0 - x) ** 2
+    return neg_h
+
+
 # ---------------------------------------------------------------------------
 # Covariate standardization
 # ---------------------------------------------------------------------------
@@ -230,17 +263,18 @@ def _posterior_data(y, X, column_names):
     return k, m, U, tr.apply(U), tr, names
 
 
-def _sampling_basis(score_fn, mode):
+def _sampling_basis(neg_h):
     """Rotation that makes the posterior roughly N(0, I) around its mode.
 
     Sampling runs in phi with theta = mode + A phi, where A A' is the
-    inverse of the curvature at the mode (the Laplace approximation), so
-    the sampler's fixed independence proposal, centered at 0 with unit
-    scale, covers the posterior in every direction. A curvature that is
-    not positive definite has no such basis; the fit then fails with the
+    inverse of ``neg_h``, the negative Hessian of the log posterior at
+    the mode (the Laplace approximation), so the sampler's fixed
+    independence proposal, centered at 0 with unit scale, covers the
+    posterior in every direction. A curvature that is not positive
+    definite has no such basis; the fit then fails with the
     information's own warning.
     """
-    info = observed_information(difference_information(score_fn, mode))
+    info = observed_information(0.5 * (neg_h + neg_h.T))
     if info.se is None:
         raise NonConvergenceError(f"no sampling basis at the posterior mode: {info.warning}")
     return np.linalg.cholesky(np.linalg.inv(info.matrix))
@@ -276,29 +310,32 @@ def _posterior_fit_result(tag, draws_obj, n_beta, loglik, names):
     )
 
 
-def _sample_posterior(neg, log_density, theta0, config, tr, names, bounds=None):
+def _sample_posterior(
+    tag, loglik, neg_hess, log_density, theta0, config, tr, names, lo=-np.inf, hi=np.inf
+):
     """Draws of a posterior over (beta[, se, sp]), on the input scale.
 
-    Finds the mode of ``neg`` (minus the log posterior and its gradient
-    over standardized coefficients) from ``theta0``: BFGS, or L-BFGS-B
-    when ``bounds`` are given. Samples ``log_density`` in the
-    mode-centered coordinates of ``_sampling_basis``, from seed-derived
+    Finds the mode from ``theta0`` by ``mle._newton_ascent``, the
+    projected Newton loop of the maximum-likelihood fits: ``loglik``
+    gives the log posterior over standardized coefficients and its
+    gradient, ``neg_hess`` its exact negative Hessian, and ``[lo, hi]``
+    boxes the coordinates. A search that ends unconverged is a
+    NonConvergenceError naming the model ``tag``. Samples
+    ``log_density`` in the mode-centered coordinates of
+    ``_sampling_basis`` at ``neg_hess(mode)``, from seed-derived
     overdispersed starts, and undoes the standardization on every draw.
     """
-    from scipy import optimize  # here, not at the top: a fifth of a second to import
-    method = "BFGS" if bounds is None else "L-BFGS-B"
-    res = optimize.minimize(neg, theta0, jac=True, method=method, bounds=bounds)
-    mode = res.x
+
+    def direction(theta, free, score):
+        return _newton_direction(neg_hess(theta)[np.ix_(free, free)], score)
+
+    mode, _, converged, _, warning, _ = _newton_ascent(
+        loglik, direction, theta0, MODE_MAX_ITER, lo, hi
+    )
+    if not converged:
+        raise NonConvergenceError(f"{tag.value} posterior mode: {warning}")
     dim = mode.shape[0]
-
-    def post_score(theta):
-        try:
-            return -neg(theta)[1]
-        except ValueError:
-            # curvature probe stepped outside the accuracy support
-            return np.full(dim, np.nan)
-
-    A = _sampling_basis(post_score, mode)
+    A = _sampling_basis(neg_hess(mode))
 
     def log_post(phi):
         return log_density(mode + A @ phi)
@@ -333,14 +370,18 @@ def fit_bc(y, X, config=None, column_names=None):
     p = Us.shape[1]
     var = newman_prior_variance(p - 1)
 
-    def neg(beta):
-        value, grad = bc_log_posterior_grad(k, Us, beta, trials=m)
-        return -value, -grad
+    def loglik(beta):
+        return bc_log_posterior_grad(k, Us, beta, trials=m)
+
+    def neg_hess(beta):
+        return _bc_neg_hessian(m, Us, beta)
 
     def log_density(beta):
         return std_loglik_value(k, m, Us, beta) + _normal_logpdf_sum(beta, var)
 
-    draws = _sample_posterior(neg, log_density, np.zeros(p), config, tr, names)
+    draws = _sample_posterior(
+        ModelTag.BC, loglik, neg_hess, log_density, np.zeros(p), config, tr, names
+    )
     beta_hat = draws.flat().mean(axis=0)
     ll_hat = std_loglik_value(k, m, U, beta_hat)
     fit = _posterior_fit_result(ModelTag.BC, draws, p, ll_hat, names)
@@ -367,20 +408,25 @@ def fit_bec(y, X, assay, config=None, column_names=None):
             return theta[p], theta[p + 1]
         return assay.sensitivity, assay.specificity
 
-    def neg(theta):
+    def loglik(theta):
         block = BecParameterBlock(theta[:p], *theta[p:])
-        value, grad = bec_log_posterior_grad(k, Us, block, assay, trials=m)
-        return -value, -grad
+        return bec_log_posterior_grad(k, Us, block, assay, trials=m)
+
+    def neg_hess(theta):
+        return _bec_neg_hessian(k, m, Us, theta[:p], *accuracy(theta), assay)
 
     def log_density(theta):
         return _bec_log_density(k, m, Us, theta[:p], *accuracy(theta), assay)
 
-    theta0, bounds, out_names = np.zeros(p), None, tuple(names)
+    theta0, lo, hi, out_names = np.zeros(p), -np.inf, np.inf, tuple(names)
     if assay.mode is AssayMode.BETA_PRIOR:
         theta0 = np.concatenate([theta0, [assay.sensitivity, assay.specificity]])
-        bounds = [(None, None)] * p + [(0.501, 1.0 - 1e-9)] * 2
+        lo = np.concatenate([np.full(p, -np.inf), [0.501, 0.501]])
+        hi = np.concatenate([np.full(p, np.inf), [1.0 - 1e-9, 1.0 - 1e-9]])
         out_names += ("sensitivity", "specificity")
-    draws = _sample_posterior(neg, log_density, theta0, config, tr, out_names, bounds)
+    draws = _sample_posterior(
+        ModelTag.BEC, loglik, neg_hess, log_density, theta0, config, tr, out_names, lo, hi
+    )
 
     flat = draws.flat()
     beta_hat = flat[:, :p].mean(axis=0)

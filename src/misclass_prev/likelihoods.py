@@ -174,6 +174,15 @@ def mixture_loglik_value(k, m, U, beta, offset, slope):
     return _mixture_terms(k, m, U, beta, offset, slope)[0]
 
 
+def _count_over_square(count, prob):
+    """``count / prob**2``, and 0 where the count is 0.
+
+    At the 1e-300 clamp ``prob**2`` underflows to 0, and a pattern with
+    no such outcomes would give 0/0 for a term that is 0.
+    """
+    return np.divide(count, prob**2, out=np.zeros_like(count), where=count > 0.0)
+
+
 def mixture_hessian(k, m, U, beta, offset, slope):
     """Hessian of ``mixture_loglik`` over ``(beta, p0, p1)``.
 
@@ -187,7 +196,7 @@ def mixture_hessian(k, m, U, beta, offset, slope):
     """
     _, pi, pc, qc = _mixture_terms(k, m, U, beta, offset, slope)
     w = k / pc - (m - k) / qc
-    v = -k / pc**2 - (m - k) / qc**2
+    v = -_count_over_square(k, pc) - _count_over_square(m - k, qc)
     d = pi * (1.0 - pi)  # d sigmoid / d eta
     p = U.shape[1]
     H = np.empty((p + 2, p + 2))

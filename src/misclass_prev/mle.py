@@ -8,8 +8,8 @@ the original scale with the free rates boxed in [0, ``RATE_MAX``];
 which of the false-positive rate r0 and the false-negative rate r1 are
 free is one matrix per ``LiuVariant``. Standard errors for both fits
 come from the analytic observed information in the original
-parameterization; ``difference_information`` differences a score only
-for the posterior sampling basis, whose log densities have no Hessian.
+parameterization. ``bayes`` finds the BC and BEC posterior modes with
+the same loop and the exact Hessians of their log posteriors.
 
 Both fit over covariate patterns: a DesignMatrix is fitted over its
 distinct rows with trials and positives per row, and a caller that
@@ -189,6 +189,12 @@ def _degenerate(k, m, U, beta):
     return bool(np.any((positives == 0.0) | (positives == trials)))
 
 
+def _logistic_information(m, U, beta):
+    """Negative Hessian of the logistic log-likelihood, ``U' diag(m pi (1 - pi)) U``."""
+    pi = logistic(U @ beta)
+    return U.T @ ((m * pi * (1.0 - pi))[:, None] * U)
+
+
 def _newton_ascent(loglik, direction, theta, max_iter, lo=-np.inf, hi=np.inf):
     """Damped Newton ascent of ``loglik``, projected onto the box ``[lo, hi]``.
 
@@ -249,13 +255,9 @@ def fit_std(y, X, column_names=None, max_iter=100, trials=None):
     k, m, U, names = _fit_data(y, X, column_names, trials)
     p = U.shape[1]
 
-    def information(beta):
-        pi = logistic(U @ beta)
-        return U.T @ ((m * pi * (1.0 - pi))[:, None] * U)
-
     beta, ll, converged, iterations, warning, _ = _newton_ascent(
         lambda beta: std_loglik(k, U, beta, trials=m),
-        lambda beta, free, score: np.linalg.solve(information(beta), score),
+        lambda beta, free, score: np.linalg.solve(_logistic_information(m, U, beta), score),
         np.zeros(p),
         max_iter,
     )
@@ -268,7 +270,7 @@ def fit_std(y, X, column_names=None, max_iter=100, trials=None):
     cov = None
     if converged:
         try:
-            cho = sla.cho_factor(information(beta))
+            cho = sla.cho_factor(_logistic_information(m, U, beta))
             cov = sla.cho_solve(cho, np.eye(p))
             beta_se = np.sqrt(np.diag(cov))
         except (sla.LinAlgError, ValueError):
@@ -289,34 +291,12 @@ def fit_std(y, X, column_names=None, max_iter=100, trials=None):
     )
 
 
-def difference_information(score_fn, theta_hat, step=1e-5):
-    """Negative Hessian by central differences of an analytic score.
-
-    The Hessian of the log-likelihood is approximated column by column
-    as d(score)/d(theta_j) with relative steps, then symmetrized and
-    negated. For a log density without an analytic Hessian; pass the
-    result to ``observed_information``.
-    """
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    k = theta_hat.shape[0]
-    H = np.empty((k, k))
-    with np.errstate(all="ignore"):
-        for j in range(k):
-            h = step * max(1.0, abs(theta_hat[j]))
-            up = theta_hat.copy()
-            dn = theta_hat.copy()
-            up[j] += h
-            dn[j] -= h
-            H[:, j] = (np.asarray(score_fn(up)) - np.asarray(score_fn(dn))) / (2.0 * h)
-    return -0.5 * (H + H.T)
-
-
 def observed_information(info):
     """Standard errors from a symmetric observed information matrix.
 
-    ``fit_liu`` passes the analytic information; the posterior sampling
-    basis passes ``difference_information``. If the matrix is not
-    positive definite, or its eigenvalue ratio ``rcond`` is below
+    ``fit_liu`` passes the analytic information, and the posterior
+    sampling basis the exact negative Hessian at the mode. If the matrix
+    is not positive definite, or its eigenvalue ratio ``rcond`` is below
     ``RCOND_MIN`` so that its inverse is rounding noise, the standard
     errors are withheld and a warning attached.
     """

@@ -22,6 +22,29 @@ def fd_gradient(f, theta, step=1e-6):
     return g
 
 
+def fd_jacobian(score, theta, step=1e-5):
+    """Central differences of a score, column by column, with relative steps."""
+    cols = []
+    for j in range(theta.shape[0]):
+        h = step * max(1.0, abs(theta[j]))
+        up, dn = theta.copy(), theta.copy()
+        up[j] += h
+        dn[j] -= h
+        cols.append((np.asarray(score(up)) - np.asarray(score(dn))) / (2.0 * h))
+    return np.column_stack(cols)
+
+
+def fd_information(score, theta, step=1e-5):
+    """Negative Hessian by central differences of an analytic score, symmetrized."""
+    H = fd_jacobian(score, np.asarray(theta, dtype=float), step)
+    return -0.5 * (H + H.T)
+
+
+def assert_hessian_close(analytic, numeric):
+    # relative to the matrix's scale: some cross entries nearly cancel
+    np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-6 * np.max(np.abs(numeric)))
+
+
 def rel_err(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fd_gradient, random_logit_data
+from conftest import assert_hessian_close, fd_gradient, fd_information, random_logit_data
+from misclass_prev import bayes
 from misclass_prev.bayes import (
     BecParameterBlock,
     Standardization,
+    _bc_neg_hessian,
+    _bec_neg_hessian,
     _posterior_fit_result,
     _sample_posterior,
     bc_log_posterior,
@@ -117,6 +120,90 @@ class TestPosteriorGradients:
         assert bc_log_posterior(y, X, beta) == pytest.approx(
             bc_log_posterior_grad(y, X, beta)[0], abs=1e-10
         )
+
+
+class TestPosteriorHessians:
+    """The exact negative Hessians the mode search and the sampling basis use."""
+
+    def counts(self, seed):
+        rng = np.random.default_rng(seed)
+        _, U, _ = random_logit_data(rng, 40, 3)
+        m = rng.integers(1, 6, size=40).astype(float)
+        k = rng.binomial(m.astype(int), 0.3).astype(float)
+        return k, m, U, rng
+
+    def test_plain_model_matches_differenced_gradient(self):
+        k, m, U, rng = self.counts(40)
+        beta = rng.normal(scale=0.7, size=3)
+        numeric = fd_information(lambda b: bc_log_posterior_grad(k, U, b, trials=m)[1], beta)
+        assert_hessian_close(_bc_neg_hessian(m, U, beta), numeric)
+
+    def test_corrected_model_fixed_mode_matches_differenced_gradient(self):
+        k, m, U, rng = self.counts(41)
+        assay = AssayProfile(sensitivity=0.9, specificity=0.95)
+        beta = rng.normal(scale=0.7, size=3)
+
+        def score(b):
+            return bec_log_posterior_grad(k, U, BecParameterBlock(beta=b), assay, trials=m)[1]
+
+        analytic = _bec_neg_hessian(k, m, U, beta, 0.9, 0.95, assay)
+        assert_hessian_close(analytic, fd_information(score, beta))
+
+    def test_corrected_model_with_accuracy_priors_matches_differenced_gradient(self):
+        k, m, U, rng = self.counts(42)
+        assay = AssayProfile.with_beta_priors(0.9, 0.92, se_prior_n=50, sp_prior_n=80)
+        theta = np.concatenate([rng.normal(scale=0.7, size=3), [0.86, 0.9]])
+
+        def score(t):
+            block = BecParameterBlock(beta=t[:3], se=t[3], sp=t[4])
+            return bec_log_posterior_grad(k, U, block, assay, trials=m)[1]
+
+        analytic = _bec_neg_hessian(k, m, U, theta[:3], *theta[3:], assay)
+        assert_hessian_close(analytic, fd_information(score, theta))
+
+
+class TestModeSearch:
+    def test_beta_prior_mode_does_not_depend_on_the_start(self, intage_demo, monkeypatch):
+        # the benchmark's BEC fit: from its own start and from one moved by
+        # up to 0.5 in each coefficient and 0.025 in se and sp
+        y, X = intage_demo
+        assay = AssayProfile.with_beta_priors(0.964, 0.974, se_prior_n=1000, sp_prior_n=1000)
+        newton = bayes._newton_ascent
+        modes = []
+
+        class Found(Exception):
+            pass
+
+        def both_starts(loglik, direction, theta, max_iter, lo, hi):
+            moved = theta + np.random.default_rng(7).uniform(-0.5, 0.5, theta.shape) * [
+                1.0 if np.isinf(b) else 0.05 for b in lo
+            ]
+            for start in (theta, moved):
+                mode, _, converged, _, warning, _ = newton(
+                    loglik, direction, start, max_iter, lo, hi
+                )
+                assert converged, warning
+                modes.append(mode)
+            raise Found
+
+        monkeypatch.setattr(bayes, "_newton_ascent", both_starts)
+        with pytest.raises(Found):
+            fit_bec(y, X, assay)
+        assert modes[0].shape == (X.matrix.shape[1] + 2,)
+        np.testing.assert_allclose(modes[0], modes[1], rtol=0.0, atol=1e-6)
+
+    def test_mode_search_that_ends_unconverged_is_a_statistical_error(self):
+        def loglik(theta):
+            return -0.5 * float(theta @ theta), -theta
+
+        def neg_hess(theta):
+            return np.full((2, 2), np.nan)
+
+        tr = Standardization(indices=(), means=(), sds=())
+        with pytest.raises(NonConvergenceError, match="^BEC posterior mode: singular Hessian"):
+            _sample_posterior(
+                ModelTag.BEC, loglik, neg_hess, lambda t: 0.0, np.ones(2), QUICK, tr, ("a", "b")
+            )
 
 
 class TestAccuracySupport:
@@ -336,12 +423,21 @@ class TestChainStart:
     def test_start_with_no_finite_density_is_a_statistical_error(self):
         # the density is finite at the mode alone: halving a start toward
         # the mode never reaches it, so no chain can start
-        def neg(theta):
-            return 0.5 * float(theta @ theta), theta
+        def loglik(theta):
+            return -0.5 * float(theta @ theta), -theta
 
         def log_density(theta):
             return 0.0 if not np.any(theta) else -np.inf
 
         tr = Standardization(indices=(), means=(), sds=())
         with pytest.raises(NonConvergenceError, match="^chain 0 start: "):
-            _sample_posterior(neg, log_density, np.zeros(2), QUICK, tr, ("a", "b"))
+            _sample_posterior(
+                ModelTag.BC,
+                loglik,
+                lambda theta: np.eye(2),
+                log_density,
+                np.zeros(2),
+                QUICK,
+                tr,
+                ("a", "b"),
+            )

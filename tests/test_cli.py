@@ -2,6 +2,8 @@
 
 import csv
 import io
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -451,6 +453,20 @@ class TestCompareCommand:
         assert rc == 0
         assert read_rows(coef)[0][0] == "coefficient"
         assert read_rows(se)[0] == ["coefficient", "se_liu", "se_bec", "relative_change"]
+
+    def test_bayesian_models_leave_scipy_optimize_unimported(self, cohort_file, tmp_path):
+        # the posterior modes come from the package's own Newton loop
+        argv = ["compare", "--data", cohort_file, "--models", "bc,bec", "--se", "0.9",
+                "--sp", "0.95", "--chains", "2", "--warmup", "200", "--samples", "200",
+                "--allow-nonconverged", "--out", str(tmp_path / "cmp.csv")]  # fmt: skip
+        code = (
+            "import sys\n"
+            "from misclass_prev.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestOnePipeline:

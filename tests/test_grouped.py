@@ -30,12 +30,13 @@ from misclass_prev.mle import (
     _RATE_MAP,
     LiuVariant,
     _liu_hessian,
-    difference_information,
     fit_liu,
     fit_std,
 )
 from misclass_prev.report import posterior_prevalence_draws
 from misclass_prev.simulate import load_bundled_scenario, simulate
+
+from conftest import assert_hessian_close, fd_information, fd_jacobian
 
 
 def repeated_design(seed, n):
@@ -100,25 +101,6 @@ class TestLikelihoods:
             std_loglik(np.array([3.0, 0.0]), U, np.zeros(1), trials=np.array([2.0, 1.0]))
         with pytest.raises(ValueError):
             std_loglik(np.array([0.0, 0.0]), U, np.zeros(1), trials=np.array([0.0, 1.0]))
-
-
-def fd_jacobian(score, theta, step=1e-5):
-    """Central differences of a score, column by column, with relative steps."""
-    cols = []
-    for j in range(theta.shape[0]):
-        h = step * max(1.0, abs(theta[j]))
-        up, dn = theta.copy(), theta.copy()
-        up[j] += h
-        dn[j] -= h
-        cols.append((score(up) - score(dn)) / (2.0 * h))
-    return np.column_stack(cols)
-
-
-def assert_hessian_close(analytic, numeric):
-    # relative to the matrix's scale: some cross entries nearly cancel
-    np.testing.assert_allclose(
-        analytic, numeric, rtol=1e-6, atol=1e-6 * np.max(np.abs(numeric))
-    )
 
 
 class TestHessian:
@@ -206,7 +188,7 @@ def differenced_information(fit, k, m, U):
         _, grad = liu_loglik(k, U, full[:p], ErrorRates(*(A @ full[p:])), trials=m)
         return np.concatenate([grad[:p], A.T @ grad[p:]])[free]
 
-    return free, theta, difference_information(free_score, theta[free])
+    return free, theta, fd_information(free_score, theta[free])
 
 
 class TestFits:

@@ -12,6 +12,8 @@ from misclass_prev import (
     std_loglik,
 )
 
+from misclass_prev.likelihoods import mixture_hessian, mixture_loglik_value
+
 from conftest import fd_gradient, random_logit_data
 
 
@@ -115,6 +117,21 @@ class TestLiuLoglik:
             _, grad = liu_loglik(y, X, beta, ErrorRates(r0, r1))
             num = fd_gradient(f, theta)
             np.testing.assert_allclose(grad, num, rtol=1e-6, atol=1e-6)
+
+
+class TestMixtureHessian:
+    def test_finite_where_an_empty_outcome_meets_the_probability_clamp(self):
+        # row 0: eta = -800, so p = 0 sits at the 1e-300 clamp, where p^2
+        # underflows, and the row has no positives; row 1: eta = 0
+        U = np.array([[1.0, 0.0], [1.0, 1.0]])
+        k, m = np.array([0.0, 3.0]), np.array([5.0, 5.0])
+        beta = np.array([-800.0, 800.0])
+        assert np.isfinite(mixture_loglik_value(k, m, U, beta, 0.0, 1.0))
+        with np.errstate(divide="raise", invalid="raise"):
+            H = mixture_hessian(k, m, U, beta, 0.0, 1.0)
+        # the p0 entry: 5 negatives at p = 0 and 3 of 5 positives at p = 1/2
+        assert H[2, 2] == -10.0
+        assert np.all(np.isfinite(H))
 
 
 class TestBecMarginalLoglik:

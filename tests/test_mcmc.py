@@ -230,6 +230,6 @@ class TestIndependenceKernel:
         assert len(calls) == config.chains * (config.warmup + config.samples) + config.chains
 
     def test_indefinite_curvature_has_no_sampling_basis(self):
-        H = np.diag([2.0, -1.0])  # the score of a saddle, not of a mode
+        H = np.diag([2.0, -1.0])  # the curvature of a saddle, not of a mode
         with pytest.raises(NonConvergenceError, match="not positive definite"):
-            _sampling_basis(lambda t: -H @ t, np.zeros(2))
+            _sampling_basis(H)

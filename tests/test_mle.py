@@ -16,14 +16,13 @@ from misclass_prev.mle import (
     ModelTag,
     _degenerate,
     default_liu_init,
-    difference_information,
     fit_liu,
     fit_std,
     observed_information,
 )
 from misclass_prev.simulate import CovariateSpec, SimScenario, calibrate_intercept, simulate
 
-from conftest import random_logit_data
+from conftest import fd_information, random_logit_data
 
 
 class TestFitStd:
@@ -125,14 +124,14 @@ class TestObservedInformation:
     def test_exact_on_quadratic(self):
         A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
         theta = np.array([0.3, -0.2, 1.1])
-        info = observed_information(difference_information(lambda t: -A @ t, theta))
+        info = observed_information(fd_information(lambda t: -A @ t, theta))
         assert info.se is not None
         assert np.max(np.abs(info.matrix - A)) < 1e-7
         assert np.max(np.abs(info.se - np.sqrt(np.diag(np.linalg.inv(A))))) < 1e-7
 
     def test_indefinite_matrix_withholds_se(self):
         A = np.diag([2.0, -1.0])
-        info = observed_information(difference_information(lambda t: -A @ t, np.zeros(2)))
+        info = observed_information(fd_information(lambda t: -A @ t, np.zeros(2)))
         assert info.se is None
         assert "not positive definite" in info.warning
 
