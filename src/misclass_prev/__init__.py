@@ -69,7 +69,6 @@ from .simulate import (
     EstimatorSpec,
     SimScenario,
     SimTruth,
-    brute_force_prevalence,
     calibrate_intercept,
     load_bundled_scenario,
     read_scenario,
@@ -109,7 +108,6 @@ __all__ = [
     "StatisticalError",
     "SubjectRecord",
     "bec_marginal_loglik",
-    "brute_force_prevalence",
     "build_comparison_report",
     "build_design_matrix",
     "calibrate_intercept",

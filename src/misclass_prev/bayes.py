@@ -37,7 +37,7 @@ from .likelihoods import (
     std_loglik,
     std_loglik_value,
 )
-from .mcmc import PosteriorDraws, SamplerConfig, package_draws, sample
+from .mcmc import PosteriorDraws, SamplerConfig, sample
 from .mle import (
     FitResult,
     ModelTag,
@@ -45,7 +45,6 @@ from .mle import (
     _logistic_information,
     _newton_ascent,
     _newton_direction,
-    _resolve_design,
     observed_information,
 )
 
@@ -228,15 +227,15 @@ class Standardization:
         return b
 
 
-def standardize_design(X, column_names=None):
-    """Center continuous columns and scale them to unit variance.
+def standardize_design(X):
+    """The Standardization that centers continuous columns and scales them to unit variance.
 
     A column is continuous when it holds any value other than 0 or 1;
-    the intercept and dummies pass through untouched. Returns the
-    transformed matrix and the Standardization record needed to undo
-    the change on coefficients.
+    the intercept and dummies pass through untouched. Means and SDs come
+    from the rows of ``X``; the record's ``apply`` transforms a matrix
+    and its ``undo_beta`` maps coefficients back.
     """
-    X, names = _resolve_design(X, column_names)
+    X = X.matrix if hasattr(X, "matrix") else np.asarray(X, dtype=float)
     idx, means, sds = [], [], []
     for j in range(1, X.shape[1]):
         col = X[:, j]
@@ -248,8 +247,7 @@ def standardize_design(X, column_names=None):
         idx.append(j)
         means.append(float(col.mean()))
         sds.append(sd)
-    tr = Standardization(indices=tuple(idx), means=tuple(means), sds=tuple(sds))
-    return tr.apply(X), tr, names
+    return Standardization(indices=tuple(idx), means=tuple(means), sds=tuple(sds))
 
 
 def _posterior_data(y, X, column_names):
@@ -259,7 +257,7 @@ def _posterior_data(y, X, column_names):
     whether or not the rows are grouped, and applied to the patterns.
     """
     k, m, U, names = _fit_data(y, X, column_names, None)
-    _, tr, _ = standardize_design(X, names)
+    tr = standardize_design(X)
     return k, m, U, tr.apply(U), tr, names
 
 
@@ -324,6 +322,8 @@ def _sample_posterior(
     ``log_density`` in the mode-centered coordinates of
     ``_sampling_basis`` at ``neg_hess(mode)``, from seed-derived
     overdispersed starts, and undoes the standardization on every draw.
+    The returned draws carry the sampler's acceptance rates; their
+    R-hat and ESS are computed when first read, on the input scale.
     """
 
     def direction(theta, free, score):
@@ -357,7 +357,7 @@ def _sample_posterior(
     # undo_beta changes only the intercept and the standardized columns,
     # so sampled accuracy coordinates after the coefficients pass through
     theta_draws = tr.undo_beta(mode + raw.draws @ A.T)
-    return package_draws(theta_draws, names, raw.accept_rate)
+    return PosteriorDraws(theta_draws, names, raw.accept_rate)
 
 
 def fit_bc(y, X, config=None, column_names=None):

@@ -215,20 +215,9 @@ def _resolve_assay(args, config, outcome_label, required):
                 f"[assay] or [assay.{outcome_label.lower()}] config block"
             )
         return None
-    se_n = getattr(args, "se_prior_n", None)
-    sp_n = getattr(args, "sp_prior_n", None)
-    if se_n is None:
-        se_n = block.get("se_prior_n")
-    if sp_n is None:
-        sp_n = block.get("sp_prior_n")
-    if se_n is not None or sp_n is not None:
-        return AssayProfile.with_beta_priors(
-            se,
-            sp,
-            se_prior_n=1000.0 if se_n is None else se_n,
-            sp_prior_n=1000.0 if sp_n is None else sp_n,
-        )
-    return AssayProfile(sensitivity=float(se), specificity=float(sp))
+    se_n = args.se_prior_n if args.se_prior_n is not None else block.get("se_prior_n")
+    sp_n = args.sp_prior_n if args.sp_prior_n is not None else block.get("sp_prior_n")
+    return AssayProfile.from_settings(se, sp, se_n, sp_n)
 
 
 def _assay_echo(assay):

@@ -53,9 +53,6 @@ class PopulationGroup(Enum):
 GROUP_ORDER = tuple(PopulationGroup)
 _GROUP_INDEX = {g: i for i, g in enumerate(GROUP_ORDER)}
 
-# Reference category: absorbed into the intercept, never dummy coded.
-REFERENCE_GROUP = PopulationGroup.GENERAL
-
 GROUP_DUMMY_COLUMNS = {
     "msm": PopulationGroup.MSM,
     "lgtbi": PopulationGroup.LGTBI,
@@ -314,6 +311,10 @@ class AssayMode(Enum):
     BETA_PRIOR = "beta_prior"
 
 
+# Prior effective sample size of a rate whose size is not given.
+DEFAULT_PRIOR_N = 1000.0
+
+
 @dataclass(frozen=True)
 class AssayProfile:
     """Diagnostic test accuracy: known values, optionally with Beta priors.
@@ -358,20 +359,29 @@ class AssayProfile:
                 raise SchemaError("priors are only meaningful in beta_prior mode")
 
     @classmethod
-    def with_beta_priors(cls, sensitivity, specificity, se_prior_n=1000.0, sp_prior_n=1000.0):
+    def with_beta_priors(cls, sensitivity, specificity, se_prior_n=None, sp_prior_n=None):
         """Build a BETA_PRIOR profile from prior effective sample sizes.
 
         The Beta shapes are (value * n, (1 - value) * n), so the prior
-        mean equals the stated value and alpha + beta equals n.
+        mean equals the stated value and alpha + beta equals n; a size
+        left out is ``DEFAULT_PRIOR_N``.
         """
         se, sp = float(sensitivity), float(specificity)
+        se_n, sp_n = (DEFAULT_PRIOR_N if n is None else float(n) for n in (se_prior_n, sp_prior_n))
         return cls(
             sensitivity=se,
             specificity=sp,
             mode=AssayMode.BETA_PRIOR,
-            se_prior=(se * se_prior_n, (1.0 - se) * se_prior_n),
-            sp_prior=(sp * sp_prior_n, (1.0 - sp) * sp_prior_n),
+            se_prior=(se * se_n, (1.0 - se) * se_n),
+            sp_prior=(sp * sp_n, (1.0 - sp) * sp_n),
         )
+
+    @classmethod
+    def from_settings(cls, sensitivity, specificity, se_prior_n=None, sp_prior_n=None):
+        """The profile that assay settings describe: fixed unless a prior size is given."""
+        if se_prior_n is None and sp_prior_n is None:
+            return cls(sensitivity=float(sensitivity), specificity=float(specificity))
+        return cls.with_beta_priors(sensitivity, specificity, se_prior_n, sp_prior_n)
 
     def point_profile(self):
         """The fixed (se, sp) view of this profile, for external corrections."""

@@ -11,12 +11,17 @@ whose draws are discarded.
 
 Every chain owns its own generator seeded from (seed, chain index);
 runs are bit reproducible for a fixed configuration.
+
+The sampler computes no diagnostics: split R-hat and effective sample
+size are computed from the draws a fit reports, on that scale, when
+first read.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,12 +47,10 @@ class SamplerConfig:
 
 @dataclass
 class PosteriorDraws:
-    """Post-warmup draws with convergence diagnostics attached."""
+    """Post-warmup draws, with split R-hat and bulk ESS per parameter on demand."""
 
     draws: np.ndarray  # (chains, samples, dim)
     param_names: tuple
-    rhat: np.ndarray
-    ess_bulk: np.ndarray
     accept_rate: np.ndarray  # per chain, post warmup
 
     def __post_init__(self):
@@ -59,6 +62,14 @@ class PosteriorDraws:
         if len(self.param_names) != self.draws.shape[2]:
             raise ValueError("param_names length must match draw dimension")
         self.param_names = tuple(self.param_names)
+
+    @cached_property
+    def rhat(self):
+        return rhat(self.draws)
+
+    @cached_property
+    def ess_bulk(self):
+        return ess_bulk(self.draws)
 
     @property
     def n_total(self):
@@ -116,7 +127,7 @@ def _run_chain(log_post, dim, config, x0, chain_index):
 
 
 def sample(log_post, dim, config, init=None):
-    """Run all chains and package draws with diagnostics.
+    """Run all chains; the draws, named theta0, theta1, ..., and acceptance rates.
 
     ``init`` is an optional (chains, dim) array of start points; the
     log posterior must be finite at each. When omitted, chains start at
@@ -141,32 +152,7 @@ def sample(log_post, dim, config, init=None):
         all_draws[c], accept[c] = _run_chain(log_post, dim, config, init[c], c)
 
     names = tuple(f"theta{j}" for j in range(dim))
-    return PosteriorDraws(
-        draws=all_draws,
-        param_names=names,
-        rhat=rhat(all_draws),
-        ess_bulk=ess_bulk(all_draws),
-        accept_rate=accept,
-    )
-
-
-def package_draws(draws, param_names, accept_rate=None):
-    """Wrap an existing (chains, samples, dim) array with fresh diagnostics.
-
-    Used after deterministic reparameterizations of sampler output
-    (e.g. undoing covariate standardization), where the diagnostics
-    must describe the reported scale.
-    """
-    draws = np.asarray(draws, dtype=float)
-    if accept_rate is None:
-        accept_rate = np.full(draws.shape[0], np.nan)
-    return PosteriorDraws(
-        draws=draws,
-        param_names=tuple(param_names),
-        rhat=rhat(draws),
-        ess_bulk=ess_bulk(draws),
-        accept_rate=np.asarray(accept_rate, dtype=float),
-    )
+    return PosteriorDraws(draws=all_draws, param_names=names, accept_rate=accept)
 
 
 def _split_chains(draws_2d):
@@ -191,6 +177,16 @@ def _rhat_single(draws_2d):
     return float(np.sqrt(var_plus / w))
 
 
+def _per_parameter(single, draws):
+    """``single`` of a (chains, samples) array, or of each parameter of a 3-d one."""
+    draws = np.asarray(draws, dtype=float)
+    if draws.ndim == 2:
+        return single(draws)
+    if draws.ndim != 3:
+        raise ValueError("draws must be 2-d or 3-d")
+    return np.array([single(draws[:, :, j]) for j in range(draws.shape[2])])
+
+
 def rhat(draws):
     """Split-chain potential scale reduction factor.
 
@@ -198,12 +194,7 @@ def rhat(draws):
     dim) for many. Degenerate zero-variance input returns NaN rather
     than a spurious 1.0.
     """
-    draws = np.asarray(draws, dtype=float)
-    if draws.ndim == 2:
-        return _rhat_single(draws)
-    if draws.ndim != 3:
-        raise ValueError("draws must be 2-d or 3-d")
-    return np.array([_rhat_single(draws[:, :, j]) for j in range(draws.shape[2])])
+    return _per_parameter(_rhat_single, draws)
 
 
 def _autocovariance(x):
@@ -263,9 +254,4 @@ def ess_bulk(draws):
     non-positive pair (made monotone along the way); constant chains
     give NaN. Accepts the same shapes as ``rhat``.
     """
-    draws = np.asarray(draws, dtype=float)
-    if draws.ndim == 2:
-        return _ess_single(draws)
-    if draws.ndim != 3:
-        raise ValueError("draws must be 2-d or 3-d")
-    return np.array([_ess_single(draws[:, :, j]) for j in range(draws.shape[2])])
+    return _per_parameter(_ess_single, draws)

@@ -21,15 +21,14 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
-from .bayes import fit_bc, fit_bec
+from .bayes import RHAT_LIMIT, fit_bc, fit_bec
 from .data_model import design_patterns
 from .errors import DiagnosticsError, NonConvergenceError, SingularDesignError
 from .likelihoods import logistic
 from .mcmc import SamplerConfig
 from .mle import LiuInit, LiuVariant, ModelTag, fit_liu, fit_std
-from .rogan_gladen import IntervalMethod, correct_proportion
+from .rogan_gladen import IntervalMethod, correct_proportion, wald_bounds
 
 log = logging.getLogger(__name__)
 
@@ -145,23 +144,21 @@ def marginal_prevalence_std(
                 vals.append(correct_proportion(mean, assay)[0])
         failures = n_boot - len(vals)
         lower, upper = _bootstrap_bounds(vals, n_boot, conf_level, "bootstrap")
+        lower, upper = float(min(lower, point)), float(max(upper, point))
     elif interval is IntervalMethod.DELTA:
         pi = logistic(patterns.rows @ fit.beta_hat)
         g = patterns.rows.T @ (patterns.trials * pi * (1.0 - pi)) / patterns.inverse.shape[0]
         se_mean = float(np.sqrt(g @ fit.covariance @ g)) / assay.youden
-        z = special.ndtri(0.5 + conf_level / 2.0)
         raw = (patterns.mean(pi) - (1.0 - assay.specificity)) / assay.youden
-        lower = min(1.0, max(0.0, raw - z * se_mean))
-        upper = min(1.0, max(0.0, raw + z * se_mean))
+        lower, upper = wald_bounds(raw, se_mean, point, conf_level)
     else:
         raise ValueError(f"unsupported interval method for STD prevalence: {interval}")
 
-    lower, upper = min(lower, point), max(upper, point)
     return PrevalenceEstimate(
         model_tag=ModelTag.STD,
         point=point,
-        lower=float(lower),
-        upper=float(upper),
+        lower=lower,
+        upper=upper,
         interval_method=interval,
         n_resample_failures=failures,
     )
@@ -216,18 +213,17 @@ def marginal_prevalence_liu(
                 vals.append(_mean_prob(patterns, refit.beta_hat))
         failures = n_boot - len(vals)
         lower, upper = _bootstrap_bounds(vals, n_boot, conf_level, "parametric bootstrap")
+        lower, upper = float(min(lower, point)), float(max(upper, point))
     elif interval is IntervalMethod.DELTA:
         g = np.zeros(fit.covariance.shape[0])
         g[:p] = patterns.rows.T @ (patterns.trials * pi_hat * (1.0 - pi_hat)) / n
         var = float(g @ fit.covariance @ g)
         if not var >= 0.0:
             raise NonConvergenceError(f"LIU delta interval has variance {var}")
-        half = special.ndtri(0.5 + conf_level / 2.0) * np.sqrt(var)
-        lower, upper = max(0.0, point - half), min(1.0, point + half)
+        lower, upper = wald_bounds(point, np.sqrt(var), point, conf_level)
     else:
         raise ValueError(f"unsupported interval method for LIU prevalence: {interval}")
 
-    lower, upper = min(float(lower), point), max(float(upper), point)
     return PrevalenceEstimate(
         model_tag=ModelTag.LIU,
         point=point,
@@ -275,19 +271,20 @@ def marginal_prevalence_bayes(
 
     ``assay`` switches on external correction (the BC pipeline); leave
     it None when the likelihood already handled misclassification.
-    Refuses to summarize chains whose coefficient rhat is 1.05 or
-    worse unless ``allow_bad_chains`` explicitly waives that.
+    Refuses to summarize chains whose coefficient rhat is
+    ``bayes.RHAT_LIMIT`` or worse unless ``allow_bad_chains`` explicitly
+    waives that.
     """
     beta_idx = _beta_coordinates(draws)
     bad = [
         (draws.param_names[i], draws.rhat[i])
         for i in beta_idx
-        if not (np.isfinite(draws.rhat[i]) and draws.rhat[i] < 1.05)
+        if not (np.isfinite(draws.rhat[i]) and draws.rhat[i] < RHAT_LIMIT)
     ]
     if bad:
         detail = ", ".join(f"{n}={v:.4f}" for n, v in bad)
         if not allow_bad_chains:
-            raise DiagnosticsError(f"coefficient chains failed split rhat < 1.05: {detail}")
+            raise DiagnosticsError(f"coefficient chains failed split rhat < {RHAT_LIMIT}: {detail}")
         log.warning("summarizing despite failed rhat checks: %s", detail)
     vals = posterior_prevalence_draws(draws, X, assay=assay)
     alpha = 1.0 - conf_level

@@ -57,7 +57,7 @@ class CrudeEstimate:
 
 
 def correct_proportion(p_obs, assay):
-    """Raw (unclamped) corrected value and whether clamping is needed."""
+    """Corrected value clamped into [0, 1], and whether the clamp changed it."""
     raw = (p_obs - (1.0 - assay.specificity)) / assay.youden
     clamped = min(1.0, max(0.0, raw))
     return clamped, clamped != raw
@@ -81,7 +81,8 @@ def rogan_gladen_interval(count_pos, n, assay, conf_level=0.95):
     proportion.
 
     Bounds are truncated into [0, 1] after construction, and forced to
-    bracket the point estimate so truncation cannot invert the interval.
+    bracket the point estimate so truncation cannot invert the interval
+    (``wald_bounds``).
     """
     count_pos = int(count_pos)
     n = int(n)
@@ -92,20 +93,23 @@ def rogan_gladen_interval(count_pos, n, assay, conf_level=0.95):
 
     p_obs = count_pos / n
     p_adj, truncated = correct_proportion(p_obs, assay)
-    z = special.ndtri(0.5 + conf_level / 2.0)
     se_adj = np.sqrt(p_obs * (1.0 - p_obs) / n) / assay.youden
     raw = (p_obs - (1.0 - assay.specificity)) / assay.youden
-    lower = min(1.0, max(0.0, raw - z * se_adj))
-    upper = min(1.0, max(0.0, raw + z * se_adj))
-
-    lower = min(lower, p_adj)
-    upper = max(upper, p_adj)
+    lower, upper = wald_bounds(raw, se_adj, p_adj, conf_level)
     return CrudeEstimate(
         p_obs=p_obs,
         p_adj=p_adj,
         truncated=truncated,
         n=n,
-        lower=float(lower),
-        upper=float(upper),
+        lower=lower,
+        upper=upper,
         interval_method=IntervalMethod.WALD,
     )
+
+
+def wald_bounds(raw, se, point, conf_level=0.95):
+    """Wald bounds ``raw -/+ z se``, clamped into [0, 1] and stretched to bracket ``point``."""
+    z = special.ndtri(0.5 + conf_level / 2.0)
+    lower = min(1.0, max(0.0, raw - z * se))
+    upper = min(1.0, max(0.0, raw + z * se))
+    return float(min(lower, point)), float(max(upper, point))

@@ -21,7 +21,7 @@ import configparser
 import logging
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -46,18 +46,9 @@ log = logging.getLogger(__name__)
 
 THREADS_ENV_VAR = "MISCLASS_PREV_THREADS"
 
-DEFAULT_COTEST_ODDS_RATIO = 5.0
-
 # Cohort margins used as generator defaults: counts 6574 / 3248 / 224 /
 # 193 / 1213 out of 11,452 for the five population groups, in GROUP_ORDER.
 _GROUP_COUNTS = (6574.0, 3248.0, 224.0, 193.0, 1213.0)
-
-
-def cotest_coefficient(odds_ratio=DEFAULT_COTEST_ODDS_RATIO):
-    """Coefficient encoding a conditional odds ratio between co-test and status."""
-    if odds_ratio <= 0:
-        raise ValueError("odds ratio must be positive")
-    return math.log(odds_ratio)
 
 
 @dataclass(frozen=True)
@@ -221,11 +212,6 @@ def simulate(scenario, rng=None):
     return cohort, truth
 
 
-def brute_force_prevalence(truth):
-    """Fraction of latent positives, straight off the truth record."""
-    return float(np.mean(truth.true_status))
-
-
 def calibrate_intercept(scenario, target_prevalence, probe_n=100_000, probe_seed=7):
     """Adjust the intercept so the mean true-status probability hits a target.
 
@@ -255,17 +241,16 @@ def calibrate_intercept(scenario, target_prevalence, probe_n=100_000, probe_seed
 # ---------------------------------------------------------------------------
 
 
+# [covariates] keys of a scenario file: a weight per population group, in
+# GROUP_ORDER, and every scalar field of CovariateSpec
+_GROUP_KEYS = {f"group_{g.name.lower()}": i for i, g in enumerate(GROUP_ORDER)}
+_SCALAR_KEYS = tuple(f.name for f in fields(CovariateSpec) if f.name != "group_probs")
+
+
 def _assay_from_block(block):
-    se = float(block["se"])
-    sp = float(block["sp"])
-    if "se_prior_n" in block or "sp_prior_n" in block:
-        return AssayProfile.with_beta_priors(
-            se,
-            sp,
-            se_prior_n=float(block.get("se_prior_n", 1000.0)),
-            sp_prior_n=float(block.get("sp_prior_n", 1000.0)),
-        )
-    return AssayProfile(sensitivity=se, specificity=sp)
+    return AssayProfile.from_settings(
+        float(block["se"]), float(block["sp"]), block.get("se_prior_n"), block.get("sp_prior_n")
+    )
 
 
 def read_scenario(source):
@@ -305,28 +290,13 @@ def read_scenario(source):
     spec_kwargs = {}
     if parser.has_section("covariates"):
         block = dict(parser.items("covariates"))
-        group_keys = {
-            "group_general": 0,
-            "group_msm": 1,
-            "group_lgtbi": 2,
-            "group_other": 3,
-            "group_sex_worker": 4,
-        }
         weights = None
         for k, v in block.items():
-            if k in group_keys:
+            if k in _GROUP_KEYS:
                 if weights is None:
                     weights = list(CovariateSpec().group_probs)
-                weights[group_keys[k]] = float(v)
-            elif k in (
-                "age_mean",
-                "age_sd",
-                "age_min",
-                "age_max",
-                "male_rate",
-                "other_sti_rate",
-                "hepb_rate",
-            ):
+                weights[_GROUP_KEYS[k]] = float(v)
+            elif k in _SCALAR_KEYS:
                 spec_kwargs[k] = float(v)
             else:
                 raise SchemaError(f"unknown covariate key {k!r} in scenario")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_hessian_close, fd_gradient, fd_information, random_logit_data
-from misclass_prev import bayes
+from misclass_prev import bayes, mcmc
 from misclass_prev.bayes import (
     BecParameterBlock,
     Standardization,
@@ -26,7 +26,7 @@ from misclass_prev.bayes import (
 from misclass_prev.data_model import AssayProfile, build_design_matrix
 from misclass_prev.errors import NonConvergenceError
 from misclass_prev.likelihoods import logistic, std_loglik
-from misclass_prev.mcmc import SamplerConfig, package_draws
+from misclass_prev.mcmc import PosteriorDraws, SamplerConfig
 from misclass_prev.mle import ModelTag, fit_liu, fit_std
 from misclass_prev.simulate import CovariateSpec, SimScenario, simulate
 
@@ -246,7 +246,8 @@ class TestStandardization:
                 (rng.random(n) < 0.4).astype(float),
             ]
         )
-        Xs, tr, _ = standardize_design(X, ("intercept", "age", "sex"))
+        tr = standardize_design(X)
+        Xs = tr.apply(X)
         beta_std = np.array([-1.0, 0.8, 0.4])
         np.testing.assert_allclose(Xs @ beta_std, X @ tr.undo_beta(beta_std), atol=1e-10)
 
@@ -255,7 +256,8 @@ class TestStandardization:
         n = 60
         dummy = (rng.random(n) < 0.3).astype(float)
         X = np.column_stack([np.ones(n), dummy, rng.normal(5.0, 2.0, size=n)])
-        Xs, tr, _ = standardize_design(X, ("intercept", "msm", "age"))
+        tr = standardize_design(X)
+        Xs = tr.apply(X)
         np.testing.assert_array_equal(Xs[:, 0], X[:, 0])
         np.testing.assert_array_equal(Xs[:, 1], X[:, 1])
         assert tr.indices == (2,)
@@ -265,7 +267,8 @@ class TestStandardization:
     def test_skips_constant_columns(self):
         n = 30
         X = np.column_stack([np.ones(n), np.full(n, 7.0)])
-        Xs, tr, _ = standardize_design(X, ("intercept", "age"))
+        tr = standardize_design(X)
+        Xs = tr.apply(X)
         assert tr.indices == ()
         np.testing.assert_array_equal(Xs, X)
 
@@ -405,7 +408,7 @@ class TestConvergenceGate:
         apart = np.stack(
             [rng.standard_normal((300, 2)), rng.standard_normal((300, 2)) + 8.0]
         )
-        draws = package_draws(apart, ("beta0", "beta1"))
+        draws = PosteriorDraws(apart, ("beta0", "beta1"), accept_rate=np.full(2, np.nan))
         fit = _posterior_fit_result(ModelTag.BC, draws, 2, -10.0, ("beta0", "beta1"))
         assert not fit.converged
         assert "chains not mixed" in fit.condition_warning
@@ -413,10 +416,46 @@ class TestConvergenceGate:
     def test_mixed_chains_pass(self):
         rng = np.random.default_rng(34)
         ok = rng.standard_normal((2, 500, 2))
-        draws = package_draws(ok, ("beta0", "beta1"))
+        draws = PosteriorDraws(ok, ("beta0", "beta1"), accept_rate=np.full(2, np.nan))
         fit = _posterior_fit_result(ModelTag.BEC, draws, 2, -10.0, ("beta0", "beta1"))
         assert fit.converged
         assert fit.condition_warning is None
+
+
+class TestDiagnosticsOnce:
+    @pytest.fixture
+    def diagnostic_calls(self, monkeypatch):
+        """Arguments of every call to ``mcmc.rhat`` and ``mcmc.ess_bulk``."""
+        calls = {"rhat": [], "ess_bulk": []}
+
+        def spy(name):
+            real = getattr(mcmc, name)
+
+            def recorded(draws):
+                calls[name].append(draws)
+                return real(draws)
+
+            return recorded
+
+        for name in calls:
+            monkeypatch.setattr(mcmc, name, spy(name))
+        return calls
+
+    @pytest.mark.parametrize("model", ["bc", "bec"])
+    def test_a_fit_computes_rhat_once_on_its_reported_draws(self, model, diagnostic_calls):
+        rng = np.random.default_rng(35)
+        y, X, _ = random_logit_data(rng, 200, 3)
+        cfg = SamplerConfig(chains=2, warmup=100, samples=100, seed=4)
+        if model == "bc":
+            _, draws = fit_bc(y, X, config=cfg)
+        else:
+            assay = AssayProfile.with_beta_priors(0.9, 0.92, se_prior_n=200, sp_prior_n=200)
+            _, draws = fit_bec(y, X, assay, config=cfg)
+        assert len(diagnostic_calls["rhat"]) == 1
+        assert diagnostic_calls["rhat"][0] is draws.draws
+        assert diagnostic_calls["ess_bulk"] == []
+        draws.rhat  # read again: cached, not recomputed
+        assert len(diagnostic_calls["rhat"]) == 1
 
 
 class TestChainStart:

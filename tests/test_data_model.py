@@ -22,7 +22,7 @@ from misclass_prev import (
     save_cohort,
 )
 
-from misclass_prev.data_model import CANONICAL_FIELDS, GROUP_ORDER
+from misclass_prev.data_model import CANONICAL_FIELDS, DEFAULT_PRIOR_N, GROUP_ORDER
 from misclass_prev.simulate import calibrate_intercept, load_bundled_scenario, simulate
 
 from conftest import make_record
@@ -298,6 +298,13 @@ class TestAssayProfile:
         assert sa + sb == pytest.approx(1000.0)
         pa, pb = a.sp_prior
         assert pa + pb == pytest.approx(500.0)
+
+    def test_settings_switch_on_priors_with_either_size(self):
+        assert AssayProfile.from_settings(0.964, 0.974).mode is AssayMode.FIXED
+        a = AssayProfile.from_settings("0.964", "0.974", sp_prior_n="500")
+        assert a.mode is AssayMode.BETA_PRIOR
+        assert sum(a.se_prior) == pytest.approx(DEFAULT_PRIOR_N)
+        assert sum(a.sp_prior) == pytest.approx(500.0)
 
     def test_inconsistent_prior_mean_rejected(self):
         with pytest.raises(SchemaError):

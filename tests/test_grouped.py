@@ -25,7 +25,7 @@ from misclass_prev.likelihoods import (
     mixture_loglik,
     std_loglik,
 )
-from misclass_prev.mcmc import package_draws
+from misclass_prev.mcmc import PosteriorDraws
 from misclass_prev.mle import (
     _RATE_MAP,
     LiuVariant,
@@ -254,7 +254,7 @@ def test_posterior_prevalence_over_patterns_matches_rows():
     betas = rng.normal(scale=0.5, size=(2, 300, X.shape[1])) + np.array(
         [-5.0, 0.05] + [0.5] * (X.shape[1] - 2)
     )
-    draws = package_draws(betas, X.column_names)
+    draws = PosteriorDraws(betas, X.column_names, accept_rate=np.full(2, np.nan))
     np.testing.assert_allclose(
         posterior_prevalence_draws(draws, X),
         posterior_prevalence_draws(draws, X.matrix),

@@ -11,7 +11,6 @@ from misclass_prev.mcmc import (
     PosteriorDraws,
     SamplerConfig,
     ess_bulk,
-    package_draws,
     rhat,
     sample,
 )
@@ -44,16 +43,12 @@ class TestPosteriorDraws:
             PosteriorDraws(
                 draws=np.zeros((2, 5)),
                 param_names=("a",),
-                rhat=np.ones(1),
-                ess_bulk=np.ones(1),
                 accept_rate=np.ones(2),
             )
         with pytest.raises(ValueError):
             PosteriorDraws(
                 draws=good,
                 param_names=("a", "b"),
-                rhat=np.ones(3),
-                ess_bulk=np.ones(3),
                 accept_rate=np.ones(2),
             )
         bad = good.copy()
@@ -62,15 +57,19 @@ class TestPosteriorDraws:
             PosteriorDraws(
                 draws=bad,
                 param_names=("a", "b", "c"),
-                rhat=np.ones(3),
-                ess_bulk=np.ones(3),
                 accept_rate=np.ones(2),
             )
+
+    def test_diagnostics_are_computed_on_demand_from_the_draws(self):
+        draws = np.random.default_rng(4).standard_normal((2, 300, 3))
+        pd = PosteriorDraws(draws, ("a", "b", "c"), accept_rate=np.ones(2))
+        np.testing.assert_array_equal(pd.ess_bulk, ess_bulk(draws))
+        np.testing.assert_array_equal(pd.rhat, rhat(draws))
 
     def test_flat_and_total_count(self):
         rng = np.random.default_rng(3)
         draws = rng.standard_normal((3, 7, 2))
-        pd = package_draws(draws, ("a", "b"))
+        pd = PosteriorDraws(draws, ("a", "b"), accept_rate=np.full(3, np.nan))
         assert pd.n_total == 21
         assert pd.flat().shape == (21, 2)
         np.testing.assert_array_equal(pd.flat()[7], draws[1, 0])
@@ -78,7 +77,7 @@ class TestPosteriorDraws:
     def test_csv_round_trip_is_lossless(self, tmp_path):
         rng = np.random.default_rng(11)
         draws = rng.standard_normal((2, 4, 2))
-        pd = package_draws(draws, ("alpha", "beta"))
+        pd = PosteriorDraws(draws, ("alpha", "beta"), accept_rate=np.full(2, np.nan))
         path = tmp_path / "draws.csv"
         pd.to_csv(path)
         lines = path.read_text().splitlines()

@@ -6,7 +6,7 @@ import pytest
 from misclass_prev.data_model import AssayProfile, build_design_matrix
 from misclass_prev.errors import DiagnosticsError, NonConvergenceError
 from misclass_prev.likelihoods import logistic
-from misclass_prev.mcmc import package_draws
+from misclass_prev.mcmc import PosteriorDraws
 from misclass_prev.mle import FitResult, ModelTag, fit_liu, fit_std
 from misclass_prev.report import (
     PrevalenceEstimate,
@@ -34,10 +34,14 @@ def small_logit_fit(seed=9, n=300):
     return y, X, fit_std(y, X)
 
 
+# acceptance rates of two chains of draws made up rather than sampled
+NO_RATES = np.full(2, np.nan)
+
+
 def fake_posterior(betas, param_names=("intercept", "age"), rhat=None):
     """Wrap explicit coefficient draws (one chain per row pair) for summaries."""
     arr = np.asarray(betas, dtype=float).reshape(2, -1, len(param_names))
-    draws = package_draws(arr, param_names)
+    draws = PosteriorDraws(arr, param_names, accept_rate=NO_RATES)
     if rhat is not None:
         object.__setattr__(draws, "rhat", np.asarray(rhat, dtype=float))
     return draws
@@ -71,7 +75,7 @@ class TestPosteriorPrevalenceDraws:
         betas = np.array(
             [[[-1.0, 0.2]], [[0.5, -0.1]]]
         )  # 2 chains, 1 draw each
-        draws = package_draws(betas, ("intercept", "age"))
+        draws = PosteriorDraws(betas, ("intercept", "age"), accept_rate=NO_RATES)
         vals = posterior_prevalence_draws(draws, X)
         expect = [float(logistic(X @ b).mean()) for b in betas.reshape(-1, 2)]
         np.testing.assert_allclose(vals, expect, atol=1e-12)
@@ -79,7 +83,7 @@ class TestPosteriorPrevalenceDraws:
     def test_correction_applies_per_draw_then_clips(self):
         X = np.ones((5, 1))
         betas = np.array([[[-6.0]], [[0.0]]])  # probabilities 0.0025 and 0.5
-        draws = package_draws(betas, ("intercept",))
+        draws = PosteriorDraws(betas, ("intercept",), accept_rate=NO_RATES)
         assay = AssayProfile(sensitivity=0.9, specificity=0.95)
         vals = posterior_prevalence_draws(draws, X, assay=assay)
         raw0 = (logistic(-6.0) + 0.95 - 1.0) / 0.85  # negative, clips to zero
@@ -92,13 +96,14 @@ class TestPosteriorPrevalenceDraws:
         arr = np.zeros((2, 2, 3))
         arr[:, :, 1] = 0.9  # sensitivity draws
         arr[:, :, 2] = 0.95
-        draws = package_draws(arr, ("intercept", "sensitivity", "specificity"))
+        names = ("intercept", "sensitivity", "specificity")
+        draws = PosteriorDraws(arr, names, accept_rate=NO_RATES)
         vals = posterior_prevalence_draws(draws, X)
         np.testing.assert_allclose(vals, 0.5, atol=1e-12)
 
     def test_dimension_mismatch_is_an_error(self):
         X = np.ones((3, 2))
-        draws = package_draws(np.zeros((2, 2, 1)), ("intercept",))
+        draws = PosteriorDraws(np.zeros((2, 2, 1)), ("intercept",), accept_rate=NO_RATES)
         with pytest.raises(ValueError, match="coefficients"):
             posterior_prevalence_draws(draws, X)
 
@@ -108,7 +113,7 @@ class TestBayesSummary:
         rng = np.random.default_rng(40)
         X = np.column_stack([np.ones(50), rng.standard_normal(50)])
         arr = rng.normal(scale=0.3, size=(2, 400, 2)) + np.array([-1.0, 0.4])
-        draws = package_draws(arr, ("intercept", "age"))
+        draws = PosteriorDraws(arr, ("intercept", "age"), accept_rate=NO_RATES)
         est = marginal_prevalence_bayes(draws, X, ModelTag.BEC)
         vals = posterior_prevalence_draws(draws, X)
         assert est.point == pytest.approx(float(vals.mean()), abs=1e-12)
@@ -123,7 +128,7 @@ class TestBayesSummary:
         arr = np.stack(
             [rng.normal(-2.0, 0.1, size=(300, 1)), rng.normal(2.0, 0.1, size=(300, 1))]
         )
-        draws = package_draws(arr, ("intercept",))
+        draws = PosteriorDraws(arr, ("intercept",), accept_rate=NO_RATES)
         assert draws.rhat[0] > 1.05
         with pytest.raises(DiagnosticsError, match="split rhat"):
             marginal_prevalence_bayes(draws, X, ModelTag.BC)
@@ -139,7 +144,7 @@ class TestBayesSummary:
         arr[:, :, 0] = rng.normal(-1.0, 0.2, size=(2, 300))
         arr[0, :, 1] = 0.90
         arr[1, :, 1] = 0.96
-        draws = package_draws(arr, ("intercept", "sensitivity"))
+        draws = PosteriorDraws(arr, ("intercept", "sensitivity"), accept_rate=NO_RATES)
         est = marginal_prevalence_bayes(draws, X, ModelTag.BEC)
         assert 0.0 < est.point < 1.0
 

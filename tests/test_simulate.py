@@ -11,9 +11,7 @@ from misclass_prev.simulate import (
     CovariateSpec,
     EstimatorSpec,
     SimScenario,
-    brute_force_prevalence,
     calibrate_intercept,
-    cotest_coefficient,
     load_bundled_scenario,
     read_scenario,
     replicate_study,
@@ -51,11 +49,6 @@ class TestCovariateSpec:
     def test_rejects_bad_margins(self, kwargs):
         with pytest.raises(ValueError):
             CovariateSpec(**kwargs)
-
-    def test_cotest_coefficient_is_log_odds_ratio(self):
-        assert cotest_coefficient(5.0) == pytest.approx(np.log(5.0), abs=1e-12)
-        with pytest.raises(ValueError):
-            cotest_coefficient(0.0)
 
 
 @pytest.fixture(scope="module")
@@ -141,7 +134,6 @@ class TestMisclassification:
         sc = basic_scenario(n=5000, seed=4)
         cohort, truth = simulate(sc)
         assert truth.true_prevalence == pytest.approx(float(truth.pi.mean()), abs=1e-12)
-        assert brute_force_prevalence(truth) == float(truth.true_status.mean())
 
 
 class TestDeterminism:
@@ -209,10 +201,13 @@ class TestScenarioFiles:
         text = (
             "[scenario]\nn = 100\n\n[generating_assay]\nse = 0.9\nsp = 0.95\n\n"
             "[coefficients]\nintercept = -2.0\n\n"
-            "[covariates]\ngroup_general = 3\ngroup_msm = 1\n"
+            "[covariates]\ngroup_general = 3\ngroup_msm = 1\ngroup_lgtbi = 1\n"
+            "group_other = 1\ngroup_sex_worker = 2\n"
         )
         sc = read_scenario(io.StringIO(text))
         assert sum(sc.covariate_spec.group_probs) == pytest.approx(1.0, abs=1e-12)
+        # weights land in GROUP_ORDER: general, msm, lgtbi, other, sex worker
+        np.testing.assert_allclose(sc.covariate_spec.group_probs, np.array([3, 1, 1, 1, 2]) / 8)
 
     @pytest.mark.parametrize(
         "text",
@@ -226,6 +221,10 @@ class TestScenarioFiles:
             (
                 "[scenario]\nn = 100\n[generating_assay]\nse = 0.9\nsp = 0.95\n"
                 "[coefficients]\nintercept = -2\n[covariates]\nshoe_size = 9\n"
+            ),
+            (  # the group weights have their own keys
+                "[scenario]\nn = 100\n[generating_assay]\nse = 0.9\nsp = 0.95\n"
+                "[coefficients]\nintercept = -2\n[covariates]\ngroup_probs = 1\n"
             ),
         ],
     )
