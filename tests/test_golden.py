@@ -5,6 +5,13 @@ expected copies in ``tests/golden/``. The simulated demo cohort is too
 large to keep (about 460 kB), so only its SHA-256 digest is stored; the
 commands that read it check it downstream as well.
 
+The commands run in a child interpreter with OpenBLAS, OpenMP and MKL
+held to one thread, as ``perfbench/run.py`` runs them. A threaded BLAS
+splits long reductions (a dot product over the ~11,000 cohort rows, the
+score ``U.T @ r``) across threads, so their last bits, and with them the
+STD and LIU rows of ``prevalence.csv``, depend on the machine's core
+count; one thread makes the expected files hold on any host.
+
 A change that alters an algorithm on purpose regenerates the expected
 files with ``PYTHONPATH=src python tests/test_golden.py`` and says so in
 CHANGES.md.
@@ -12,6 +19,8 @@ CHANGES.md.
 
 import hashlib
 import logging
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,6 +29,8 @@ import pytest
 from misclass_prev.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 PRIORS = ["--se", "0.964", "--sp", "0.974", "--se-prior-n", "1000", "--sp-prior-n", "1000"]
 SHORT_CHAINS = ["--chains", "2", "--warmup", "100", "--samples", "100"]
@@ -110,13 +121,26 @@ def run_commands(out):
         "--estimators", "observed,rg,std,liu,bc,bec", *SHORT_CHAINS,
         "--format", "csv", "--out", str(out / "study.csv"),
     )
-    return hashlib.sha256(Path(cohort).read_bytes()).hexdigest()
+
+
+def produce(out):
+    """Run every golden command in a child interpreter with one BLAS thread,
+    writing its outputs into directory ``out``; return the cohort's digest."""
+    env = dict(os.environ, **ONE_BLAS_THREAD)
+    env.pop("MISCLASS_PREV_THREADS", None)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    child = subprocess.run(
+        [sys.executable, __file__, "--into", str(out)],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert child.returncode == 0, f"golden commands exited {child.returncode}:\n{child.stderr}"
+    return hashlib.sha256((Path(out) / "cohort.csv").read_bytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
 def produced(tmp_path_factory):
     out = tmp_path_factory.mktemp("golden")
-    digest = run_commands(out)
+    digest = produce(out)
     return out, digest
 
 
@@ -146,12 +170,14 @@ def test_output_is_byte_identical_to_golden(produced, name):
 def regenerate():
     """Rewrite the expected files from the current tree."""
     GOLDEN.mkdir(exist_ok=True)
-    digest = run_commands(GOLDEN)
+    digest = produce(GOLDEN)
     (GOLDEN / "cohort.csv").unlink()
     (GOLDEN / "study.ini").unlink()
     (GOLDEN / "cohort.csv.sha256").write_text(f"{digest}  cohort.csv\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO)
-    regenerate()
+    if sys.argv[1:2] == ["--into"]:
+        run_commands(sys.argv[2])
+    else:
+        regenerate()
