@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .data_model import AssayMode, AssayProfile
 from .errors import NonConvergenceError
@@ -69,7 +68,8 @@ def _normal_logpdf_sum(beta, var):
 def _beta_logpdf(x, a, b):
     if not (0.0 < x < 1.0):
         return -np.inf
-    return float((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - special.betaln(a, b))
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    return float((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - log_beta)
 
 
 def bc_log_posterior(y, X, beta):

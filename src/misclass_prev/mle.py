@@ -21,7 +21,8 @@ rates held on a bound, drops below 1e-8 or the step below 1e-10. Both
 fits are gated for separation by ``_degenerate``. Boundary pathologies
 (separation, error rates pinned at zero, singular information) are
 reported through ``converged``/``condition_warning`` on the result,
-never as crashes.
+never as crashes. The linear algebra is numpy's, so fitting imports no
+scipy; only ``simulate``'s age draw does.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy import linalg as sla
 
 from .data_model import design_patterns
 from .errors import SingularDesignError
@@ -134,16 +134,15 @@ def _resolve_design(X, column_names):
 
 
 def _check_rank(X, names):
-    """Pivoted QR rank check; names the redundant columns on failure."""
-    _, R, piv = sla.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    tol = diag[0] * max(X.shape) * np.finfo(float).eps if diag[0] > 0 else 0.0
-    rank = int(np.sum(diag > tol))
+    """Rank by SVD at ``np.linalg.matrix_rank``'s tolerance; names the collinear columns."""
+    s = np.linalg.svd(X, compute_uv=False)
+    rank = int(np.sum(s > s[0] * max(X.shape) * np.finfo(float).eps))
     if rank < X.shape[1]:
-        collinear = [names[j] for j in piv[rank:]]
+        null = np.abs(np.linalg.svd(np.linalg.qr(X, mode="r"))[2][rank:])
+        collinear = [names[j] for j in np.flatnonzero(np.max(null, axis=0) > 1e-8)]
         raise SingularDesignError(
             f"design matrix is rank deficient (rank {rank} of {X.shape[1]}); "
-            f"redundant columns: {collinear}",
+            f"collinear columns: {collinear}",
             columns=collinear,
         )
 
@@ -270,10 +269,10 @@ def fit_std(y, X, column_names=None, max_iter=100, trials=None):
     cov = None
     if converged:
         try:
-            cho = sla.cho_factor(_logistic_information(m, U, beta))
-            cov = sla.cho_solve(cho, np.eye(p))
+            l_inv = np.linalg.inv(np.linalg.cholesky(_logistic_information(m, U, beta)))
+            cov = l_inv.T @ l_inv
             beta_se = np.sqrt(np.diag(cov))
-        except (sla.LinAlgError, ValueError):
+        except np.linalg.LinAlgError:
             cov = None
             converged = False
             warning = "observed information not positive definite at the optimum"
@@ -375,17 +374,19 @@ def _liu_hessian(k, m, U, A, theta):
 
 
 def _newton_direction(neg_h, g):
-    """Solve ``neg_h d = g`` by Cholesky, with a Levenberg shift only when that fails."""
+    """Solve ``neg_h d = g``, shifting the diagonal until Cholesky finds it positive definite."""
     if not np.all(np.isfinite(neg_h)):
-        raise sla.LinAlgError("non-finite Hessian")
+        raise np.linalg.LinAlgError("non-finite Hessian")
     shift = 0.0
     floor = 1e-8 * max(1.0, float(np.max(np.abs(np.diag(neg_h)))))
     for _ in range(40):
+        shifted = neg_h + shift * np.eye(g.shape[0])
         try:
-            return sla.cho_solve(sla.cho_factor(neg_h + shift * np.eye(g.shape[0])), g)
-        except sla.LinAlgError:
+            np.linalg.cholesky(shifted)  # raises unless positive definite
+            return np.linalg.solve(shifted, g)
+        except np.linalg.LinAlgError:
             shift = max(10.0 * shift, floor)
-    raise sla.LinAlgError("no diagonal shift makes the Hessian positive definite")
+    raise np.linalg.LinAlgError("no diagonal shift makes the Hessian positive definite")
 
 
 def fit_liu(

@@ -11,7 +11,10 @@ knob, with log(5) the conventional default.
 
 Age is a truncated normal whose underlying location and scale are
 solved numerically so the truncated distribution itself matches the
-requested mean and standard deviation between the bounds.
+requested mean and standard deviation between the bounds. That age
+draw is the package's one use of scipy (normal cdf and quantile, root
+finders), imported where it is called: a numpy replacement would move
+the drawn ages, and with them every stored cohort and study output.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 
 import numpy as np
-from scipy import special
 
 from .data_model import (
     COLUMN_ORDER,
@@ -86,6 +88,7 @@ def _phi(x):
 
 
 def _truncnorm_moments(mu, sigma, lo, hi):
+    from scipy import special
     a = (lo - mu) / sigma
     b = (hi - mu) / sigma
     z = special.ndtr(b) - special.ndtr(a)
@@ -172,6 +175,7 @@ class SimTruth:
 
 def _draw_covariates(spec, n, rng):
     """Draw covariate columns in a fixed order; returns a dict of arrays."""
+    from scipy import special
     mu, sigma = _calibrated_truncnorm(spec.age_mean, spec.age_sd, spec.age_min, spec.age_max)
     lo_u = special.ndtr((spec.age_min - mu) / sigma)
     hi_u = special.ndtr((spec.age_max - mu) / sigma)

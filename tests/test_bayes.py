@@ -235,6 +235,21 @@ class TestAccuracySupport:
             bec_log_posterior(y, X, BecParameterBlock(beta=np.zeros(2)), with_priors)
 
 
+class TestBetaLogDensity:
+    @pytest.mark.parametrize("n", [100.0, 1000.0, 10000.0])
+    @pytest.mark.parametrize("value", [0.5001, 0.51, 0.964, 0.999])
+    def test_matches_scipy(self, n, value):
+        from scipy import stats
+
+        a, b = value * n, (1.0 - value) * n
+        sd = math.sqrt(value * (1.0 - value) / (n + 1.0))
+        # both sides take log B(a, b) as a difference of log-gammas near
+        # lgamma(n), whose spacing is 1.5e-11 at n = 10,000
+        tol = 1e-12 + 4 * np.spacing(math.lgamma(n))
+        for x in (value - 2.0 * sd, value - 0.5 * sd, value, min(value + 2.0 * sd, 1.0 - 1e-9)):
+            assert abs(bayes._beta_logpdf(x, a, b) - stats.beta.logpdf(x, a, b)) <= tol
+
+
 class TestStandardization:
     def test_preserves_predictions(self):
         rng = np.random.default_rng(22)

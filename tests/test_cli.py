@@ -454,19 +454,31 @@ class TestCompareCommand:
         assert read_rows(coef)[0][0] == "coefficient"
         assert read_rows(se)[0] == ["coefficient", "se_liu", "se_bec", "relative_change"]
 
-    def test_bayesian_models_leave_scipy_optimize_unimported(self, cohort_file, tmp_path):
-        # the posterior modes come from the package's own Newton loop
-        argv = ["compare", "--data", cohort_file, "--models", "bc,bec", "--se", "0.9",
-                "--sp", "0.95", "--chains", "2", "--warmup", "200", "--samples", "200",
-                "--allow-nonconverged", "--out", str(tmp_path / "cmp.csv")]  # fmt: skip
+    def test_package_and_fitting_commands_leave_scipy_unimported(self, liu_cohort_file, tmp_path):
+        # only simulate's age draw uses scipy; the fits are numpy throughout,
+        # the bootstrap refits included
+        assay = ["--se", "0.964", "--sp", "0.974", "--bootstrap", "20", "--seed", "5"]
+        compare = ["compare", "--data", liu_cohort_file, "--models", "std,liu,bc,bec", *assay,
+                   "--chains", "2", "--warmup", "200", "--samples", "200",
+                   "--allow-nonconverged", "--out", str(tmp_path / "cmp.csv")]  # fmt: skip
+        fit = ["fit", "--data", liu_cohort_file, "--model", "LIU", *assay,
+               "--out", str(tmp_path / "fit.csv")]  # fmt: skip
         code = (
             "import sys\n"
+            "def check(after):\n"
+            "    loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "    assert not loaded, f'{after} imported {loaded[:3]}'\n"
+            "import misclass_prev\n"
+            "check('import misclass_prev')\n"
             "from misclass_prev.cli import main\n"
-            f"assert main({argv!r}) == 0\n"
-            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'\n"
+            f"assert main({compare!r}) == 0\n"
+            "check('compare')\n"
+            f"assert main({fit!r}) == 0\n"
+            "check('fit --model LIU')\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "cmp.csv").exists() and (tmp_path / "fit.csv").exists()
 
 
 class TestOnePipeline:

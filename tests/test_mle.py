@@ -1,12 +1,14 @@
 """Frequentist fitters: the plain logistic MLE and the joint error-rate MLE."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from misclass_prev.data_model import AssayProfile, build_design_matrix
+from misclass_prev.data_model import GROUP_DUMMY_COLUMNS, AssayProfile, build_design_matrix
 from misclass_prev.errors import SingularDesignError
 from misclass_prev.likelihoods import ErrorRates, liu_loglik, logistic, std_loglik
 from misclass_prev.mle import (
@@ -20,7 +22,13 @@ from misclass_prev.mle import (
     fit_std,
     observed_information,
 )
-from misclass_prev.simulate import CovariateSpec, SimScenario, calibrate_intercept, simulate
+from misclass_prev.simulate import (
+    CovariateSpec,
+    SimScenario,
+    calibrate_intercept,
+    load_bundled_scenario,
+    simulate,
+)
 
 from conftest import fd_information, random_logit_data
 
@@ -110,6 +118,28 @@ class TestFitStd:
         with pytest.raises(SingularDesignError) as err:
             fit_std(y, X, column_names=("intercept", "a", "a_copy"))
         assert "a_copy" in str(err.value) or "a" in str(err.value)
+
+    def test_resample_without_the_reference_group_is_rank_deficient(self):
+        # with no general-population row the four group dummies sum to the
+        # intercept, which no separation check sees; the rank gate must
+        cohort, _ = simulate(replace(load_bundled_scenario("demo_cohort"), n=2000, seed=3))
+        X = build_design_matrix(cohort)
+        patterns = X.patterns
+        y = np.asarray(cohort.outcome, dtype=float)
+        groups = [X.column_names.index(name) for name in GROUP_DUMMY_COLUMNS]
+        drawn = patterns.rows[:, groups].sum(axis=1) == 1.0
+        assert 0 < drawn.sum() < len(drawn)
+        p = X.matrix.shape[1]
+        with pytest.raises(SingularDesignError) as err:
+            fit_std(
+                patterns.positives(y)[drawn],
+                patterns.rows[drawn],
+                column_names=X.column_names,
+                trials=patterns.trials[drawn],
+            )
+        assert f"rank {p - 1} of {p}" in str(err.value)
+        assert set(err.value.columns) & set(GROUP_DUMMY_COLUMNS)
+        assert any(name in str(err.value) for name in GROUP_DUMMY_COLUMNS)
 
     def test_loglik_matches_formula_at_optimum(self):
         rng = np.random.default_rng(21)
