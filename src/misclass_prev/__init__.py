@@ -24,7 +24,6 @@ from .data_model import (
     save_cohort,
 )
 from .errors import (
-    DiagnosticsError,
     InputError,
     NonConvergenceError,
     ParseError,
@@ -87,7 +86,6 @@ __all__ = [
     "CovariateSpec",
     "CrudeEstimate",
     "DesignMatrix",
-    "DiagnosticsError",
     "ErrorRates",
     "EstimatorSpec",
     "FitResult",

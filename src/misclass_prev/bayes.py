@@ -48,7 +48,6 @@ from .mle import (
 )
 
 RHAT_LIMIT = 1.05
-MODE_MAX_ITER = 100
 
 
 def newman_prior_variance(n_covariates):
@@ -250,13 +249,13 @@ def standardize_design(X):
     return Standardization(indices=tuple(idx), means=tuple(means), sds=tuple(sds))
 
 
-def _posterior_data(y, X, column_names):
+def _posterior_data(y, X):
     """``(positives, trials, patterns, standardized patterns, tr, names)`` of a fit.
 
     The standardization is computed on the rows, so it is the same
     whether or not the rows are grouped, and applied to the patterns.
     """
-    k, m, U, names = _fit_data(y, X, column_names, None)
+    k, m, U, names = _fit_data(y, X, None, None)
     tr = standardize_design(X)
     return k, m, U, tr.apply(U), tr, names
 
@@ -284,6 +283,11 @@ def _sampling_basis(neg_h):
 
 
 def _posterior_fit_result(tag, draws_obj, n_beta, loglik, names):
+    """The fit summary of posterior draws, and the package's one R-hat gate.
+
+    Converged only when every sampled coordinate, the accuracy ones
+    included, has a finite split R-hat below ``RHAT_LIMIT``.
+    """
     flat = draws_obj.flat()[:, :n_beta]
     beta_hat = flat.mean(axis=0)
     beta_se = flat.std(axis=0, ddof=1)
@@ -329,9 +333,7 @@ def _sample_posterior(
     def direction(theta, free, score):
         return _newton_direction(neg_hess(theta)[np.ix_(free, free)], score)
 
-    mode, _, converged, _, warning, _ = _newton_ascent(
-        loglik, direction, theta0, MODE_MAX_ITER, lo, hi
-    )
+    mode, _, converged, _, warning, _ = _newton_ascent(loglik, direction, theta0, lo, hi)
     if not converged:
         raise NonConvergenceError(f"{tag.value} posterior mode: {warning}")
     dim = mode.shape[0]
@@ -360,13 +362,13 @@ def _sample_posterior(
     return PosteriorDraws(theta_draws, names, raw.accept_rate)
 
 
-def fit_bc(y, X, config=None, column_names=None):
+def fit_bc(y, X, config=None):
     """Posterior of the plain logistic model; external correction later.
 
     Returns the fit summary and the back-transformed draws.
     """
     config = config or SamplerConfig()
-    k, m, U, Us, tr, names = _posterior_data(y, X, column_names)
+    k, m, U, Us, tr, names = _posterior_data(y, X)
     p = Us.shape[1]
     var = newman_prior_variance(p - 1)
 
@@ -388,7 +390,7 @@ def fit_bc(y, X, config=None, column_names=None):
     return fit, draws
 
 
-def fit_bec(y, X, assay, config=None, column_names=None):
+def fit_bec(y, X, assay, config=None):
     """Posterior of the internally corrected model.
 
     In fixed mode only beta is sampled; in beta-prior mode the
@@ -398,7 +400,7 @@ def fit_bec(y, X, assay, config=None, column_names=None):
     if not isinstance(assay, AssayProfile):
         raise TypeError("assay must be an AssayProfile")
     config = config or SamplerConfig()
-    k, m, U, Us, tr, names = _posterior_data(y, X, column_names)
+    k, m, U, Us, tr, names = _posterior_data(y, X)
     p = Us.shape[1]
 
     # In beta-prior mode se and sp are sampled after the coefficients;

@@ -29,6 +29,7 @@ import configparser
 import csv
 import io
 import logging
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -321,7 +322,8 @@ class AssayProfile:
 
     Sensitivity and specificity must each exceed 0.5 so the test is
     informative (positive Youden index). In BETA_PRIOR mode the prior
-    shape pairs must reproduce the stated values as their means.
+    shape pairs must be positive and finite and reproduce the stated
+    values as their means.
     """
 
     sensitivity: float
@@ -347,8 +349,8 @@ class AssayProfile:
                 if prior is None:
                     raise SchemaError(f"{name} is required in beta_prior mode")
                 a, b = float(prior[0]), float(prior[1])
-                if a <= 0 or b <= 0:
-                    raise SchemaError(f"{name} shapes must be positive, got {prior}")
+                if not (0 < a < math.inf and 0 < b < math.inf):
+                    raise SchemaError(f"{name} shapes must be positive and finite, got {prior}")
                 if abs(a / (a + b) - target) > 1e-9:
                     raise SchemaError(
                         f"{name} mean {a / (a + b):.12f} does not match the stated value {target}"

@@ -45,7 +45,3 @@ class SingularDesignError(StatisticalError):
 
 class NonConvergenceError(StatisticalError):
     """A fit did not converge and the caller demanded a converged one."""
-
-
-class DiagnosticsError(StatisticalError):
-    """Posterior draws failed convergence diagnostics."""

@@ -48,6 +48,7 @@ log = logging.getLogger(__name__)
 
 SCORE_TOL = 1e-8
 STEP_TOL = 1e-10
+MAX_ITER = 100  # Newton steps per fit or posterior mode search
 SEPARATION_BOUND = 30.0
 RCOND_MIN = 1e-12  # eigenvalue ratio below which an information counts as singular
 SEPARATION_WARNING = "separation or boundary: fitted probabilities degenerate"
@@ -194,7 +195,7 @@ def _logistic_information(m, U, beta):
     return U.T @ ((m * pi * (1.0 - pi))[:, None] * U)
 
 
-def _newton_ascent(loglik, direction, theta, max_iter, lo=-np.inf, hi=np.inf):
+def _newton_ascent(loglik, direction, theta, lo=-np.inf, hi=np.inf):
     """Damped Newton ascent of ``loglik``, projected onto the box ``[lo, hi]``.
 
     ``loglik(theta)`` returns ``(value, score)`` and ``direction(theta,
@@ -204,9 +205,9 @@ def _newton_ascent(loglik, direction, theta, max_iter, lo=-np.inf, hi=np.inf):
     Control Optim.). Each step is halved along the projection arc until
     the value drops by no more than 1e-12, which keeps it monotone when
     Newton overshoots. Converged when the score over the free coordinates
-    is below SCORE_TOL or the step below STEP_TOL. Returns ``(theta,
-    value, converged, iterations, warning, free)``, ``free`` the final
-    mask of coordinates not held on a bound.
+    is below SCORE_TOL or the step below STEP_TOL within MAX_ITER steps.
+    Returns ``(theta, value, converged, iterations, warning, free)``,
+    ``free`` the final mask of coordinates not held on a bound.
     """
 
     def free_of(theta, score):
@@ -219,7 +220,7 @@ def _newton_ascent(loglik, direction, theta, max_iter, lo=-np.inf, hi=np.inf):
     iterations = 0
     converged = np.max(np.abs(score[free])) < SCORE_TOL
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         if converged:
             break
         step = np.zeros_like(theta)
@@ -241,11 +242,11 @@ def _newton_ascent(loglik, direction, theta, max_iter, lo=-np.inf, hi=np.inf):
             converged = True
 
     if not converged and warning is None:
-        warning = f"no convergence in {max_iter} Newton iterations"
+        warning = f"no convergence in {MAX_ITER} Newton iterations"
     return theta, ll, converged, iterations, warning, free
 
 
-def fit_std(y, X, column_names=None, max_iter=100, trials=None):
+def fit_std(y, X, column_names=None, trials=None):
     """Damped Newton / IRLS fit of a plain logistic regression.
 
     ``y`` holds one 0/1 outcome per row of ``X``; given ``trials``, it
@@ -258,7 +259,6 @@ def fit_std(y, X, column_names=None, max_iter=100, trials=None):
         lambda beta: std_loglik(k, U, beta, trials=m),
         lambda beta, free, score: np.linalg.solve(_logistic_information(m, U, beta), score),
         np.zeros(p),
-        max_iter,
     )
 
     if _degenerate(k, m, U, beta):
@@ -395,7 +395,6 @@ def fit_liu(
     variant=LiuVariant.BOTH_FREE,
     init=None,
     column_names=None,
-    max_iter=100,
     trials=None,
 ):
     """Joint MLE of regression coefficients and misclassification rates.
@@ -437,7 +436,6 @@ def fit_liu(
         loglik,
         direction,
         np.concatenate([beta0, A.T @ [init.r0, init.r1] / A.sum(axis=0)]),
-        max_iter,
         lo=np.concatenate([np.full(p, -np.inf), np.zeros(n_free)]),
         hi=np.concatenate([np.full(p, np.inf), np.full(n_free, RATE_MAX)]),
     )

@@ -22,13 +22,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bayes import RHAT_LIMIT, fit_bc, fit_bec
+from .bayes import fit_bc, fit_bec
 from .data_model import design_patterns
-from .errors import DiagnosticsError, NonConvergenceError, SingularDesignError
+from .errors import NonConvergenceError, SingularDesignError
 from .likelihoods import logistic
 from .mcmc import SamplerConfig
 from .mle import LiuInit, LiuVariant, ModelTag, fit_liu, fit_std
-from .rogan_gladen import IntervalMethod, correct_proportion, wald_bounds
+from .rogan_gladen import (
+    TAIL_QUANTILES,
+    CrudeEstimate,
+    IntervalMethod,
+    correct_proportion,
+    wald_bounds,
+)
 
 log = logging.getLogger(__name__)
 
@@ -82,16 +88,18 @@ def require_converged(fit, allow=False):
     )
 
 
-def _bootstrap_bounds(vals, n_boot, conf_level, what):
-    """Equal-tail bounds of the clean refits; refuses fewer than half of ``n_boot``, or none."""
+def _bootstrap_bounds(vals, n_boot, what):
+    """95% equal-tail bounds of the clean refits.
+
+    Refuses fewer than half of ``n_boot`` clean refits, or none.
+    """
     if len(vals) < max(1, (n_boot + 1) // 2):
         raise NonConvergenceError(
             f"{what} collapsed: only {len(vals)} of {n_boot} resamples refit cleanly"
         )
     if len(vals) < n_boot:
         log.warning("prevalence bootstrap: %d of %d refits failed", n_boot - len(vals), n_boot)
-    alpha = 1.0 - conf_level
-    return np.quantile(vals, [alpha / 2.0, 1.0 - alpha / 2.0])
+    return np.quantile(vals, TAIL_QUANTILES)
 
 
 def marginal_prevalence_std(
@@ -101,7 +109,6 @@ def marginal_prevalence_std(
     assay,
     n_boot=1000,
     rng=None,
-    conf_level=0.95,
     interval=IntervalMethod.BOOTSTRAP,
 ):
     """Externally corrected marginal prevalence for the plain logistic fit.
@@ -143,14 +150,14 @@ def marginal_prevalence_std(
                 mean = float(trials @ logistic(rows @ refit.beta_hat)) / n
                 vals.append(correct_proportion(mean, assay)[0])
         failures = n_boot - len(vals)
-        lower, upper = _bootstrap_bounds(vals, n_boot, conf_level, "bootstrap")
+        lower, upper = _bootstrap_bounds(vals, n_boot, "bootstrap")
         lower, upper = float(min(lower, point)), float(max(upper, point))
     elif interval is IntervalMethod.DELTA:
         pi = logistic(patterns.rows @ fit.beta_hat)
         g = patterns.rows.T @ (patterns.trials * pi * (1.0 - pi)) / patterns.inverse.shape[0]
         se_mean = float(np.sqrt(g @ fit.covariance @ g)) / assay.youden
         raw = (patterns.mean(pi) - (1.0 - assay.specificity)) / assay.youden
-        lower, upper = wald_bounds(raw, se_mean, point, conf_level)
+        lower, upper = wald_bounds(raw, se_mean, point)
     else:
         raise ValueError(f"unsupported interval method for STD prevalence: {interval}")
 
@@ -164,9 +171,7 @@ def marginal_prevalence_std(
     )
 
 
-def marginal_prevalence_liu(
-    X, fit, n_boot=500, rng=None, conf_level=0.95, interval=IntervalMethod.BOOTSTRAP
-):
+def marginal_prevalence_liu(X, fit, n_boot=500, rng=None, interval=IntervalMethod.BOOTSTRAP):
     """Marginal prevalence from the joint error-rate fit.
 
     No external correction applies: the coefficients already describe
@@ -212,7 +217,7 @@ def marginal_prevalence_liu(
             if refit.converged:
                 vals.append(_mean_prob(patterns, refit.beta_hat))
         failures = n_boot - len(vals)
-        lower, upper = _bootstrap_bounds(vals, n_boot, conf_level, "parametric bootstrap")
+        lower, upper = _bootstrap_bounds(vals, n_boot, "parametric bootstrap")
         lower, upper = float(min(lower, point)), float(max(upper, point))
     elif interval is IntervalMethod.DELTA:
         g = np.zeros(fit.covariance.shape[0])
@@ -220,7 +225,7 @@ def marginal_prevalence_liu(
         var = float(g @ fit.covariance @ g)
         if not var >= 0.0:
             raise NonConvergenceError(f"LIU delta interval has variance {var}")
-        lower, upper = wald_bounds(point, np.sqrt(var), point, conf_level)
+        lower, upper = wald_bounds(point, np.sqrt(var), point)
     else:
         raise ValueError(f"unsupported interval method for LIU prevalence: {interval}")
 
@@ -264,31 +269,17 @@ def posterior_prevalence_draws(draws, X, assay=None):
     return out
 
 
-def marginal_prevalence_bayes(
-    draws, X, model_tag, assay=None, conf_level=0.95, allow_bad_chains=False
-):
-    """Posterior marginal prevalence with equal-tail quantile interval.
+def marginal_prevalence_bayes(draws, X, model_tag, assay=None):
+    """Posterior marginal prevalence with a 95% equal-tail quantile interval.
 
     ``assay`` switches on external correction (the BC pipeline); leave
-    it None when the likelihood already handled misclassification.
-    Refuses to summarize chains whose coefficient rhat is
-    ``bayes.RHAT_LIMIT`` or worse unless ``allow_bad_chains`` explicitly
-    waives that.
+    it None when the likelihood already handled misclassification. The
+    draws are summarized as given: chain convergence is the fit's
+    verdict (``FitResult.converged``, set by ``bayes`` over every
+    sampled coordinate), which ``estimate`` gates before it gets here.
     """
-    beta_idx = _beta_coordinates(draws)
-    bad = [
-        (draws.param_names[i], draws.rhat[i])
-        for i in beta_idx
-        if not (np.isfinite(draws.rhat[i]) and draws.rhat[i] < RHAT_LIMIT)
-    ]
-    if bad:
-        detail = ", ".join(f"{n}={v:.4f}" for n, v in bad)
-        if not allow_bad_chains:
-            raise DiagnosticsError(f"coefficient chains failed split rhat < {RHAT_LIMIT}: {detail}")
-        log.warning("summarizing despite failed rhat checks: %s", detail)
     vals = posterior_prevalence_draws(draws, X, assay=assay)
-    alpha = 1.0 - conf_level
-    lower, upper = np.quantile(vals, [alpha / 2.0, 1.0 - alpha / 2.0])
+    lower, upper = np.quantile(vals, TAIL_QUANTILES)
     point = float(np.mean(vals))
     lower, upper = min(float(lower), point), max(float(upper), point)
     return PrevalenceEstimate(
@@ -310,14 +301,16 @@ def estimate(
     variant=LiuVariant.BOTH_FREE,
     n_boot=None,
     interval=IntervalMethod.BOOTSTRAP,
-    conf_level=0.95,
     allow_nonconverged=False,
 ):
     """Fit one of the four models and summarize its marginal prevalence.
 
-    Returns ``(fit, prevalence, draws)``. ``prevalence`` is None for an
-    STD or LIU fit let through unconverged by ``allow_nonconverged``,
-    and ``draws`` is None for those two likelihood fits. ``assay`` is
+    Returns ``(fit, prevalence, draws)``; every interval is a 95% one.
+    ``prevalence`` is None for an STD or LIU fit let through unconverged
+    by ``allow_nonconverged``; a BC or BEC fit let through that way is
+    summarized over its unmixed draws, after the one warning of
+    ``require_converged``. ``draws`` is None for the two likelihood
+    fits. ``assay`` is
     the external correction for STD and BC (its point values) and the
     likelihood's accuracy for BEC; LIU ignores it. ``seed`` seeds the
     sampler and the bootstrap streams, ``[seed, 1]`` for STD and
@@ -346,21 +339,17 @@ def estimate(
             X,
             tag,
             assay=assay.point_profile() if tag is ModelTag.BC else None,
-            conf_level=conf_level,
-            allow_bad_chains=allow_nonconverged,
         )
     elif not fit.converged:
         prev = None
     elif tag is ModelTag.STD:
         rng = np.random.default_rng([seed, 1])
         prev = marginal_prevalence_std(
-            y, X, fit, assay.point_profile(), rng=rng, conf_level=conf_level, interval=interval, **boot
+            y, X, fit, assay.point_profile(), rng=rng, interval=interval, **boot
         )
     else:
         rng = np.random.default_rng([seed, 2])
-        prev = marginal_prevalence_liu(
-            X, fit, rng=rng, conf_level=conf_level, interval=interval, **boot
-        )
+        prev = marginal_prevalence_liu(X, fit, rng=rng, interval=interval, **boot)
     return fit, prev, draws
 
 
@@ -599,12 +588,12 @@ def write_csv(rows, path):
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
-def _text_table(rows, sigfigs=6):
+def _text_table(rows):
     def show(v):
         if v is None or v == "":
             return "."
         if isinstance(v, float):
-            return f"{v:.{sigfigs}g}"
+            return f"{v:.6g}"
         return str(v)
 
     cells = [[show(v) for v in row] for row in rows]

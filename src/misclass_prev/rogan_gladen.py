@@ -9,19 +9,25 @@ proportion falls outside [1 - sp, se], the range a test with that
 accuracy can actually produce. The numerator is written as a shift by
 the false-positive rate rather than the algebraically equal
 p_obs + sp - 1 so that a perfect test returns p_obs bit for bit.
+
+Every interval in the package is a 95% one, the only level the paper
+reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from statistics import NormalDist
 
 import numpy as np
 
 # The 0.975 normal quantile as scipy's ndtri gives it, one ulp above the
-# correctly rounded value: the default 0.95 bounds keep their last bits.
+# correctly rounded value: the Wald and delta bounds keep their last bits.
 Z_95 = 1.959963984540054
+# Equal-tail quantile levels of the bootstrap and posterior intervals.
+# The lower one is (1 - 0.95) / 2 as computed in floating point,
+# 0.025000000000000022, not the literal 0.025: the bounds depend on it.
+TAIL_QUANTILES = ((1.0 - 0.95) / 2.0, 1.0 - (1.0 - 0.95) / 2.0)
 
 
 class IntervalMethod(Enum):
@@ -76,8 +82,8 @@ def rogan_gladen(p_obs, assay):
     return CrudeEstimate(p_obs=p_obs, p_adj=p_adj, truncated=truncated)
 
 
-def rogan_gladen_interval(count_pos, n, assay, conf_level=0.95):
-    """Corrected prevalence with a Wald confidence interval.
+def rogan_gladen_interval(count_pos, n, assay):
+    """Corrected prevalence with a 95% Wald confidence interval.
 
     The binomial standard error is propagated through the correction:
     se(p_adj) = sqrt(p_obs (1 - p_obs) / n) / (se + sp - 1). Under a
@@ -92,14 +98,12 @@ def rogan_gladen_interval(count_pos, n, assay, conf_level=0.95):
     n = int(n)
     if n <= 0 or not (0 <= count_pos <= n):
         raise ValueError(f"need 0 <= count_pos <= n with n > 0, got {count_pos}/{n}")
-    if not (0.0 < conf_level < 1.0):
-        raise ValueError(f"conf_level must lie in (0, 1), got {conf_level}")
 
     p_obs = count_pos / n
     p_adj, truncated = correct_proportion(p_obs, assay)
     se_adj = np.sqrt(p_obs * (1.0 - p_obs) / n) / assay.youden
     raw = (p_obs - (1.0 - assay.specificity)) / assay.youden
-    lower, upper = wald_bounds(raw, se_adj, p_adj, conf_level)
+    lower, upper = wald_bounds(raw, se_adj, p_adj)
     return CrudeEstimate(
         p_obs=p_obs,
         p_adj=p_adj,
@@ -111,9 +115,8 @@ def rogan_gladen_interval(count_pos, n, assay, conf_level=0.95):
     )
 
 
-def wald_bounds(raw, se, point, conf_level=0.95):
-    """Wald bounds ``raw -/+ z se``, clamped into [0, 1] and stretched to bracket ``point``."""
-    z = Z_95 if conf_level == 0.95 else NormalDist().inv_cdf(0.5 + conf_level / 2.0)
-    lower = min(1.0, max(0.0, raw - z * se))
-    upper = min(1.0, max(0.0, raw + z * se))
+def wald_bounds(raw, se, point):
+    """95% Wald bounds ``raw -/+ Z_95 se``, clamped into [0, 1], stretched to bracket ``point``."""
+    lower = min(1.0, max(0.0, raw - Z_95 * se))
+    upper = min(1.0, max(0.0, raw + Z_95 * se))
     return float(min(lower, point)), float(max(upper, point))

@@ -40,13 +40,10 @@ from .data_model import (
 from .errors import InputError, SchemaError, StatisticalError
 from .likelihoods import logistic
 from .mcmc import SamplerConfig
-from .mle import LiuVariant
 from .rogan_gladen import IntervalMethod, rogan_gladen_interval
 from .report import estimate
 
 log = logging.getLogger(__name__)
-
-THREADS_ENV_VAR = "MISCLASS_PREV_THREADS"
 
 # Cohort margins used as generator defaults: counts 6574 / 3248 / 224 /
 # 193 / 1213 out of 11,452 for the five population groups, in GROUP_ORDER.
@@ -76,11 +73,12 @@ class CovariateSpec:
         probs = tuple(float(p) for p in self.group_probs)
         if len(probs) != len(GROUP_ORDER):
             raise ValueError(f"group_probs needs {len(GROUP_ORDER)} entries")
-        if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
+        if any(p < 0 for p in probs) or not abs(sum(probs) - 1.0) <= 1e-12:
             raise ValueError("group probabilities must be non-negative and sum to 1")
         object.__setattr__(self, "group_probs", probs)
-        if not (self.age_min < self.age_max and self.age_sd > 0):
-            raise ValueError("age bounds must be ordered and age_sd positive")
+        ages = (self.age_mean, self.age_sd, self.age_min, self.age_max)
+        if not (all(map(math.isfinite, ages)) and self.age_min < self.age_max and self.age_sd > 0):
+            raise ValueError("age moments must be finite, the bounds ordered and age_sd positive")
 
 
 def _phi(x):
@@ -119,7 +117,7 @@ def _calibrated_truncnorm(mean, sd, lo, hi):
     sol = optimize.root(residual, [mean, math.log(sd)], method="hybr")
     mu, sigma = float(sol.x[0]), float(math.exp(sol.x[1]))
     m, s = _truncnorm_moments(mu, sigma, lo, hi)
-    if not sol.success or abs(m - mean) > 1e-6 or abs(s - sd) > 1e-6:
+    if not (sol.success and abs(m - mean) <= 1e-6 and abs(s - sd) <= 1e-6):
         raise InputError(
             f"cannot match age moments mean={mean}, sd={sd} inside [{lo}, {hi}]"
         )
@@ -149,6 +147,8 @@ class SimScenario:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         covs = tuple(self.covariates)
         bad = [c for c in covs if c not in COLUMN_ORDER[1:]]
         if bad:
@@ -216,7 +216,7 @@ def simulate(scenario, rng=None):
     return cohort, truth
 
 
-def calibrate_intercept(scenario, target_prevalence, probe_n=100_000, probe_seed=7):
+def calibrate_intercept(scenario, target_prevalence, probe_n=100_000):
     """Adjust the intercept so the mean true-status probability hits a target.
 
     Solves on one large probe draw of covariates, so the result is
@@ -225,7 +225,7 @@ def calibrate_intercept(scenario, target_prevalence, probe_n=100_000, probe_seed
     """
     if not (0.0 < target_prevalence < 1.0):
         raise ValueError("target prevalence must lie in (0, 1)")
-    rng = np.random.default_rng([int(probe_seed), 0xCA11])
+    rng = np.random.default_rng([7, 0xCA11])
     cols = _draw_covariates(scenario.covariate_spec, probe_n, rng)
     X = design_from_columns(cols, scenario.covariates).matrix
     beta = np.asarray(scenario.beta_true)
@@ -258,7 +258,7 @@ def _assay_from_block(block):
 
 
 def read_scenario(source):
-    """Parse a scenario definition from a key = value file."""
+    """Parse a scenario definition from a key = value file; any fault in it is a SchemaError."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         if hasattr(source, "read"):
@@ -268,7 +268,13 @@ def read_scenario(source):
                 parser.read_file(fh)
     except (OSError, configparser.Error) as exc:
         raise SchemaError(f"could not read scenario {source}: {exc}") from exc
+    try:
+        return _scenario_from(parser)
+    except (KeyError, ValueError) as exc:
+        raise SchemaError(f"bad scenario value: {exc}") from exc
 
+
+def _scenario_from(parser):
     try:
         base = parser["scenario"]
         n = int(base["n"])
@@ -306,6 +312,8 @@ def read_scenario(source):
                 raise SchemaError(f"unknown covariate key {k!r} in scenario")
         if weights is not None:
             total = sum(weights)
+            if not total > 0:
+                raise ValueError(f"group weights must have a positive sum, got {total}")
             spec_kwargs["group_probs"] = tuple(w / total for w in weights)
 
     return SimScenario(
@@ -341,9 +349,7 @@ class EstimatorSpec:
 
     name: str
     assay: AssayProfile = None  # analysis assay; defaults to the scenario's
-    variant: LiuVariant = LiuVariant.BOTH_FREE
     sampler: SamplerConfig = SamplerConfig(chains=2, warmup=800, samples=800)
-    conf_level: float = 0.95
 
     def __post_init__(self):
         if self.name not in ESTIMATOR_NAMES:
@@ -368,13 +374,13 @@ def _run_estimator(spec, y, X, scenario, seed):
     """Returns (point, lower, upper); raises StatisticalError on statistical failure.
 
     ``observed`` is the crude Wald interval, the Rogan-Gladen one under a
-    perfect assay; STD and LIU take delta intervals; every model uses the
-    assay's point values.
+    perfect assay; STD and LIU (both rates free) take delta intervals;
+    every model uses the assay's point values. All intervals are 95%.
     """
     assay = (spec.assay or scenario.analysis_assay or scenario.assay_true).point_profile()
     if spec.name in ("observed", "rg"):
         crude = _PERFECT_ASSAY if spec.name == "observed" else assay
-        est = rogan_gladen_interval(int(y.sum()), y.shape[0], crude, conf_level=spec.conf_level)
+        est = rogan_gladen_interval(int(y.sum()), y.shape[0], crude)
         return est.p_adj, est.lower, est.upper
 
     _, est, _ = estimate(
@@ -384,9 +390,7 @@ def _run_estimator(spec, y, X, scenario, seed):
         assay,
         seed,
         sampler=spec.sampler,
-        variant=spec.variant,
         interval=IntervalMethod.DELTA,
-        conf_level=spec.conf_level,
     )
     return est.point, est.lower, est.upper
 
@@ -415,23 +419,12 @@ def _worker(payload):
     return _run_replicate(scenario, specs, rep_index)
 
 
-def resolve_workers(requested=None, reps=None):
-    """Worker count for a study: the request, or serial by default, capped by
-    MISCLASS_PREV_THREADS and, given ``reps``, by ``min(reps, os.cpu_count())``."""
+def resolve_workers(requested, reps):
+    """Worker count for a study of ``reps`` replicates: the request, or 1
+    (serial) when None, capped by ``reps`` and ``os.cpu_count()``."""
     if requested is not None and requested < 1:
         raise InputError(f"workers must be at least 1, got {requested}")
-    cap = os.environ.get(THREADS_ENV_VAR)
-    if cap is not None:
-        try:
-            cap = max(1, int(cap))
-        except ValueError:
-            raise InputError(f"{THREADS_ENV_VAR} must be an integer, got {cap!r}") from None
-    wanted = requested if requested is not None else (cap or 1)
-    if cap is not None:
-        wanted = min(wanted, cap)
-    if reps is not None:
-        wanted = min(wanted, reps, os.cpu_count() or 1)
-    return max(1, int(wanted))
+    return min(requested or 1, reps, os.cpu_count() or 1)
 
 
 def replicate_study(scenario, estimators, reps, workers=None):

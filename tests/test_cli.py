@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, artifact layout, determinism."""
 
+import contextlib
 import csv
 import io
 import subprocess
@@ -7,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from misclass_prev.cli import main
 from misclass_prev.data_model import (
@@ -539,6 +542,12 @@ class TestFlagErrors:
             ["simulate", "--scenario", "SCENARIO", "--out", "OUT", "--chains", "2"],
             ["simulate", "--scenario", "SCENARIO", "--out", "OUT", "--warmup", "800"],
             ["simulate", "--scenario", "SCENARIO", "--out", "OUT", "--samples", "800"],
+            ["fit", "--data", "DATA", "--model", "STD", *ASSAY, "--seed", "-1"],
+            ["compare", "--data", "DATA", "--models", "std", *ASSAY, "--seed", "-3"],
+            ["simulate", "--scenario", "SCENARIO", "--out", "OUT", "--seed", "-1"],
+            ["simulate", "--scenario", "NEG_SEED_SCENARIO", "--out", "OUT"],
+            ["fit", "--data", "DATA", "--model", "BEC", *ASSAY, "--se-prior-n", "nan"],
+            ["fit", "--data", "DATA", "--model", "BEC", *ASSAY, "--sp-prior-n", "inf"],
         ],
         ids=[
             "chains",
@@ -559,12 +568,25 @@ class TestFlagErrors:
             "cohort-chains",
             "cohort-warmup",
             "cohort-samples",
+            "fit-negative-seed",
+            "compare-negative-seed",
+            "simulate-negative-seed",
+            "scenario-negative-seed",
+            "se-prior-n-nan",
+            "sp-prior-n-inf",
         ],
     )
     def test_bad_value_is_a_one_line_input_error(
         self, argv, cohort_file, scenario_file, tmp_path, capsys
     ):
-        paths = {"DATA": cohort_file, "SCENARIO": scenario_file, "OUT": str(tmp_path / "x.csv")}
+        neg_seed = tmp_path / "neg_seed.ini"
+        neg_seed.write_text(SCENARIO_INI.replace("seed = 21", "seed = -1"))
+        paths = {
+            "DATA": cohort_file,
+            "SCENARIO": scenario_file,
+            "NEG_SEED_SCENARIO": str(neg_seed),
+            "OUT": str(tmp_path / "x.csv"),
+        }
         assert main([paths.get(a, a) for a in argv]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
@@ -682,3 +704,113 @@ class TestConfigFile:
         point = float(next(r[1] for r in rows[1:] if r[0] == "marginal_prevalence"))
         # corrected with youden 0.85, not the config's 0.2
         assert 0.0 < point < 0.5
+
+
+# Flag values for the property test below: each flag's valid values, and
+# values each flag must refuse as an input error.
+NAN, INF = float("nan"), float("inf")
+BAD_RATES = (NAN, INF, -INF, 0.0, -0.9, 0.5, 1.5)
+VALID_FIT_FLAGS = {
+    "--seed": st.integers(0, 2**70),
+    # 1.0 is valid too, but not with a prior: its Beta shape would be 0
+    "--se": st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+    "--sp": st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+    "--se-prior-n": st.none() | st.floats(1e-3, 1e7),
+    "--sp-prior-n": st.none() | st.floats(1e-3, 1e7),
+    "--bootstrap": st.integers(1, 20),
+    "--chains": st.integers(2, 4),
+    "--warmup": st.integers(100, 250),
+    "--samples": st.integers(100, 250),
+}
+BAD_FIT_FLAGS = {
+    "--seed": st.integers(-(2**70), -1),
+    "--se": st.sampled_from(BAD_RATES),
+    "--sp": st.sampled_from(BAD_RATES),
+    "--se-prior-n": st.sampled_from((NAN, INF, -INF, 0.0, -10.0)),
+    "--sp-prior-n": st.sampled_from((NAN, INF, -INF, 0.0, -10.0)),
+    "--bootstrap": st.integers(-5, 0),
+    "--chains": st.integers(-2, 1),
+    "--warmup": st.integers(-5, 99),
+    "--samples": st.integers(-5, 99),
+}
+STUDY_FLAGS = ("--seed", "--se", "--sp")
+VALID_STUDY_FLAGS = {
+    **{flag: VALID_FIT_FLAGS[flag] for flag in STUDY_FLAGS},
+    "--reps": st.integers(1, 3),
+    "--workers": st.none() | st.integers(1, 3),
+}
+BAD_STUDY_FLAGS = {
+    **{flag: BAD_FIT_FLAGS[flag] for flag in STUDY_FLAGS},
+    "--reps": st.integers(-3, 0),
+    "--workers": st.integers(-3, 0),
+}
+
+
+@st.composite
+def flag_values(draw, valid, bad):
+    """Valid values for every flag, then up to two of them made invalid;
+    returns the values and whether any is invalid."""
+    values = {flag: draw(strategy) for flag, strategy in valid.items()}
+    broken = draw(st.lists(st.sampled_from(sorted(bad)), max_size=2, unique=True))
+    for flag in broken:
+        values[flag] = draw(bad[flag])
+    return values, bool(broken)
+
+
+def run_flags(argv, values):
+    """Exit code and stderr of ``main`` in process; ``flag=value`` keeps '-inf' a value."""
+    argv = argv + [f"{flag}={value}" for flag, value in values.items() if value is not None]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own refusals
+            code = exc.code
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """A 300-row cohort whose fits mostly succeed, and a 300-row study scenario."""
+    root = tmp_path_factory.mktemp("fuzz")
+    spec = CovariateSpec(group_probs=(0.2,) * 5, other_sti_rate=0.2, hepb_rate=0.2)
+    sc = SimScenario(
+        n=300,
+        beta_true=(-3.0, 0.05, 1.5),
+        assay_true=AssayProfile(sensitivity=0.9, specificity=0.95),
+        covariates=("age", "sex"),
+        covariate_spec=spec,
+        seed=1,
+    )
+    cohort, _ = simulate(sc)
+    save_cohort(cohort, root / "cohort.csv")
+    groups = "".join(f"group_{g.name.lower()} = 1\n" for g in PopulationGroup)
+    scenario = SCENARIO_INI.replace("n = 400", "n = 300")
+    covariates = f"hepb_rate = 0.2\nother_sti_rate = 0.2\n{groups}"
+    scenario = scenario.replace("hepb_rate = 0.05\n", covariates)
+    (root / "study.ini").write_text(scenario)
+    return str(root / "cohort.csv"), str(root / "study.ini")
+
+
+class TestFlagDomains:
+    """An invalid flag value exits 2; valid ones exit 0 or 3; none end in a traceback."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        model=st.sampled_from(("STD", "LIU", "BC", "BEC")),
+        drawn=flag_values(VALID_FIT_FLAGS, BAD_FIT_FLAGS),
+    )
+    def test_fit(self, fuzz_files, model, drawn):
+        values, broken = drawn
+        code, err = run_flags(["fit", "--data", fuzz_files[0], "--model", model], values)
+        assert "Traceback" not in err
+        assert code == 2 if broken else code in (0, 3), err
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(drawn=flag_values(VALID_STUDY_FLAGS, BAD_STUDY_FLAGS))
+    def test_study(self, fuzz_files, drawn):
+        values, broken = drawn
+        argv = ["simulate", "--scenario", fuzz_files[1], "--estimators", "rg,std,liu"]
+        code, err = run_flags(argv, values)
+        assert "Traceback" not in err
+        assert code == 2 if broken else code in (0, 3), err

@@ -306,6 +306,14 @@ class TestAssayProfile:
         assert sum(a.se_prior) == pytest.approx(DEFAULT_PRIOR_N)
         assert sum(a.sp_prior) == pytest.approx(500.0)
 
+    @pytest.mark.parametrize("n", [float("nan"), float("inf"), 0.0, -5.0])
+    def test_prior_size_must_be_positive_and_finite(self, n):
+        # nan slipped through: every comparison with it is False
+        with pytest.raises(SchemaError, match="positive and finite"):
+            AssayProfile.with_beta_priors(0.964, 0.974, se_prior_n=n)
+        with pytest.raises(SchemaError, match="positive and finite"):
+            AssayProfile.from_settings(0.964, 0.974, sp_prior_n=n)
+
     def test_inconsistent_prior_mean_rejected(self):
         with pytest.raises(SchemaError):
             AssayProfile(

@@ -127,7 +127,6 @@ def produce(out):
     """Run every golden command in a child interpreter with one BLAS thread,
     writing its outputs into directory ``out``; return the cohort's digest."""
     env = dict(os.environ, **ONE_BLAS_THREAD)
-    env.pop("MISCLASS_PREV_THREADS", None)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     child = subprocess.run(
         [sys.executable, __file__, "--into", str(out)],

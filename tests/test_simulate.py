@@ -226,6 +226,36 @@ class TestScenarioFiles:
                 "[scenario]\nn = 100\n[generating_assay]\nse = 0.9\nsp = 0.95\n"
                 "[coefficients]\nintercept = -2\n[covariates]\ngroup_probs = 1\n"
             ),
+            # values out of range for SimScenario and CovariateSpec
+            "[scenario]\nn = 0\n[generating_assay]\nse = 0.9\nsp = 0.95\n"
+            "[coefficients]\nintercept = -2\n",
+            (
+                "[scenario]\nn = 100\n[generating_assay]\nse = 0.9\nsp = 0.95\n"
+                "[coefficients]\nintercept = -2\n[covariates]\nmale_rate = 1.5\n"
+            ),
+            (
+                "[scenario]\nn = 100\n[generating_assay]\nse = 0.9\nsp = 0.95\n"
+                "[coefficients]\nintercept = -2\n[covariates]\nage_sd = -1\n"
+            ),
+            (
+                "[scenario]\nn = 100\n[generating_assay]\nse = 0.9\nsp = 0.95\n"
+                "[coefficients]\nintercept = -2\n[covariates]\nage_sd = inf\n"
+            ),
+            (
+                "[scenario]\nn = 100\n[generating_assay]\nse = 0.9\nsp = 0.95\n"
+                "[coefficients]\nintercept = -2\n[covariates]\ngroup_general = inf\n"
+            ),
+            "[scenario]\nn = 100\nseed = -1\n[generating_assay]\nse = 0.9\nsp = 0.95\n"
+            "[coefficients]\nintercept = -2\n",
+            (  # not a number, and weights that cannot be normalized
+                "[scenario]\nn = 100\n[generating_assay]\nse = 0.9\nsp = 0.95\n"
+                "[coefficients]\nintercept = -2\n[covariates]\nhepb_rate = often\n"
+            ),
+            (
+                "[scenario]\nn = 100\n[generating_assay]\nse = 0.9\nsp = 0.95\n"
+                "[coefficients]\nintercept = -2\n[covariates]\ngroup_general = 0\n"
+                "group_msm = 0\ngroup_lgtbi = 0\ngroup_other = 0\ngroup_sex_worker = 0\n"
+            ),
         ],
     )
     def test_bad_files_are_schema_errors(self, text):
@@ -309,19 +339,12 @@ class TestReplicationStudy:
 
 
 class TestWorkerResolution:
-    def test_env_cap_limits_requests(self, monkeypatch):
-        monkeypatch.setenv("MISCLASS_PREV_THREADS", "2")
-        assert resolve_workers(8) == 2
-        assert resolve_workers(1) == 1
-        assert resolve_workers(None) == 2
-
     def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("MISCLASS_PREV_THREADS", raising=False)
-        assert resolve_workers(None) == 1
-        assert resolve_workers(4) == 4
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        assert resolve_workers(None, reps=100) == 1
+        assert resolve_workers(4, reps=100) == 4
 
     def test_capped_by_reps_and_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("MISCLASS_PREV_THREADS", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: 3)
         assert resolve_workers(8, reps=100) == 3
         assert resolve_workers(8, reps=2) == 2
@@ -331,8 +354,3 @@ class TestWorkerResolution:
     def test_fewer_than_one_worker_is_input_error(self, requested):
         with pytest.raises(InputError, match="at least 1"):
             resolve_workers(requested, reps=4)
-
-    def test_bad_env_value_is_input_error(self, monkeypatch):
-        monkeypatch.setenv("MISCLASS_PREV_THREADS", "many")
-        with pytest.raises(InputError):
-            resolve_workers(2)
