@@ -17,6 +17,15 @@ posterior. Sampling itself runs in the Laplace basis of
 ``_sampling_basis``, centered at the mode and whitened by that Hessian
 there, where the posterior is roughly N(0, I) and the sampler's fixed
 independence proposal fits it.
+
+The density the sampler scores is built once per fit. Its prior
+constants are computed up front, and the basis is carried to the
+patterns as the matrix ``U A``, so that a proposal ``phi`` costs one
+product of that matrix with ``phi`` for its linear predictor and one
+elementwise pass of a value kernel of ``likelihoods``. The mode search
+scores its points through ``bc_log_posterior_grad`` and
+``bec_log_posterior_grad``; ``bc_log_posterior`` and
+``bec_log_posterior`` are the reference values of the same posteriors.
 """
 
 from __future__ import annotations
@@ -64,11 +73,35 @@ def _normal_logpdf_sum(beta, var):
     return float(-0.5 * (k * np.log(2.0 * math.pi * var) + np.sum(beta**2) / var))
 
 
+def _log_beta_function(a, b):
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
 def _beta_logpdf(x, a, b):
     if not (0.0 < x < 1.0):
         return -np.inf
-    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    return float((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - log_beta)
+    return float((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - _log_beta_function(a, b))
+
+
+def _in_accuracy_support(se, sp):
+    return 0.0 < se < 1.0 and 0.0 < sp < 1.0 and se + sp > 1.0
+
+
+def _normal_log_prior(p):
+    """``theta -> `` the shared normal log prior of the ``p`` leading coefficients.
+
+    The same value as ``_normal_logpdf_sum``, with its constants computed
+    once, for the sampler's inner loop.
+    """
+    var = newman_prior_variance(p - 1)
+    log_norm = -0.5 * p * math.log(2.0 * math.pi * var)
+    half_precision = 0.5 / var
+
+    def log_prior(theta):
+        beta = theta[:p]
+        return log_norm - half_precision * float(beta @ beta)
+
+    return log_prior
 
 
 def bc_log_posterior(y, X, beta):
@@ -118,21 +151,6 @@ def _bec_parts(block, assay):
     return assay.sensitivity, assay.specificity, False
 
 
-def _bec_log_density(k, m, U, beta, se, sp, assay):
-    """``bec_log_posterior`` at accuracy (se, sp), over validated pattern counts."""
-    sampled = assay.mode is AssayMode.BETA_PRIOR
-    if sampled:
-        if not (0.0 < se < 1.0 and 0.0 < sp < 1.0 and se + sp > 1.0):
-            return -np.inf
-    var = newman_prior_variance(U.shape[1] - 1)
-    value = mixture_loglik_value(k, m, U, beta, 1.0 - sp, se + sp - 1.0)
-    value += _normal_logpdf_sum(beta, var)
-    if sampled:
-        value += _beta_logpdf(se, *assay.se_prior)
-        value += _beta_logpdf(sp, *assay.sp_prior)
-    return value
-
-
 def bec_log_posterior(y, X, block, assay):
     """Log posterior of the internally corrected model.
 
@@ -140,11 +158,10 @@ def bec_log_posterior(y, X, block, assay):
     returning -inf, which the Metropolis kernel treats as an automatic
     rejection; there is no smooth penalty.
     """
-    Xm = X.matrix if hasattr(X, "matrix") else np.asarray(X, dtype=float)
-    beta = np.asarray(block.beta, dtype=float)
-    se, sp, _ = _bec_parts(block, assay)
-    k, m = binomial_counts(y)
-    return _bec_log_density(k, m, Xm, beta, se, sp, assay)
+    se, sp, sampled = _bec_parts(block, assay)
+    if sampled and not _in_accuracy_support(se, sp):
+        return -np.inf
+    return bec_log_posterior_grad(y, X, block, assay)[0]
 
 
 def bec_log_posterior_grad(y, X, block, assay, trials=None):
@@ -155,7 +172,7 @@ def bec_log_posterior_grad(y, X, block, assay, trials=None):
     Xm = X.matrix if hasattr(X, "matrix") else np.asarray(X, dtype=float)
     beta = np.asarray(block.beta, dtype=float)
     se, sp, sampled = _bec_parts(block, assay)
-    if sampled and not (0.0 < se < 1.0 and 0.0 < sp < 1.0 and se + sp > 1.0):
+    if sampled and not _in_accuracy_support(se, sp):
         raise ValueError("gradient requested outside the support")
     var = newman_prior_variance(Xm.shape[1] - 1)
     k, m = binomial_counts(y, trials)
@@ -173,8 +190,58 @@ def bec_log_posterior_grad(y, X, block, assay, trials=None):
     return value, np.concatenate([g_beta, [g_se, g_sp]])
 
 
+def _bc_log_density(k, m, p):
+    """The BC log posterior as the sampler scores it, ``(beta, eta) -> value``.
+
+    ``eta`` is the linear predictor ``U beta`` over the patterns with
+    ``k`` positives among ``m`` trials.
+    """
+    log_prior = _normal_log_prior(p)
+
+    def log_density(beta, eta):
+        return std_loglik_value(k, m, eta) + log_prior(beta)
+
+    return log_density
+
+
+def _bec_log_density(k, m, p, assay):
+    """The BEC log posterior as the sampler scores it, ``(theta, eta) -> value``.
+
+    ``theta`` is (beta[, se, sp]) and ``eta`` the linear predictor of
+    its ``p`` coefficients over the patterns. In beta-prior mode a
+    proposal outside the accuracy support is -inf before any likelihood
+    work.
+    """
+    normal = _normal_log_prior(p)
+    if assay.mode is AssayMode.FIXED:
+        offset, slope = 1.0 - assay.specificity, assay.sensitivity + assay.specificity - 1.0
+
+        def log_density(theta, eta):
+            return mixture_loglik_value(k, m, eta, offset, slope) + normal(theta)
+
+        return log_density
+
+    (a_se, b_se), (a_sp, b_sp) = assay.se_prior, assay.sp_prior
+    log_norm = _log_beta_function(a_se, b_se) + _log_beta_function(a_sp, b_sp)
+
+    def log_density(theta, eta):
+        se, sp = theta[p], theta[p + 1]
+        if not _in_accuracy_support(se, sp):
+            return -np.inf
+        accuracy = (
+            (a_se - 1.0) * math.log(se)
+            + (b_se - 1.0) * math.log1p(-se)
+            + (a_sp - 1.0) * math.log(sp)
+            + (b_sp - 1.0) * math.log1p(-sp)
+        )
+        value = mixture_loglik_value(k, m, eta, 1.0 - sp, se + sp - 1.0) + normal(theta)
+        return value + (accuracy - log_norm)
+
+    return log_density
+
+
 def _bec_neg_hessian(k, m, U, beta, se, sp, assay):
-    """Negative Hessian of ``_bec_log_density`` over (beta[, se, sp]).
+    """Negative Hessian of ``bec_log_posterior`` over (beta[, se, sp]).
 
     ``-J' H J`` from ``mixture_hessian`` over (beta, p0, p1), with J the
     Jacobian of the linear map to ``(beta, p0 = 1 - sp, p1 = se)``; plus
@@ -312,8 +379,27 @@ def _posterior_fit_result(tag, draws_obj, n_beta, loglik, names):
     )
 
 
+def _basis_log_post(log_density, Us, mode, A):
+    """``log_density`` in the sampler's coordinates: ``phi -> log_density(theta, eta)``.
+
+    ``theta = mode + A phi``, and the linear predictor of its leading
+    ``Us.shape[1]`` coefficients over the patterns ``Us`` is updated as
+    ``eta = Us mode + (Us A) phi``, with both terms computed here, once.
+    ``Us A`` is kept column-major, the faster layout for a product with
+    a vector.
+    """
+    p = Us.shape[1]
+    UA = np.asfortranarray(Us @ A[:p])
+    eta_mode = Us @ mode[:p]
+
+    def log_post(phi):
+        return log_density(mode + A @ phi, eta_mode + UA @ phi)
+
+    return log_post
+
+
 def _sample_posterior(
-    tag, loglik, neg_hess, log_density, theta0, config, tr, names, lo=-np.inf, hi=np.inf
+    tag, Us, loglik, neg_hess, log_density, theta0, config, tr, names, lo=-np.inf, hi=np.inf
 ):
     """Draws of a posterior over (beta[, se, sp]), on the input scale.
 
@@ -323,8 +409,9 @@ def _sample_posterior(
     gradient, ``neg_hess`` its exact negative Hessian, and ``[lo, hi]``
     boxes the coordinates. A search that ends unconverged is a
     NonConvergenceError naming the model ``tag``. Samples
-    ``log_density`` in the mode-centered coordinates of
-    ``_sampling_basis`` at ``neg_hess(mode)``, from seed-derived
+    ``log_density(theta, eta)``, with ``eta`` the linear predictor over
+    the standardized patterns ``Us``, in the mode-centered coordinates
+    of ``_sampling_basis`` at ``neg_hess(mode)``, from seed-derived
     overdispersed starts, and undoes the standardization on every draw.
     The returned draws carry the sampler's acceptance rates; their
     R-hat and ESS are computed when first read, on the input scale.
@@ -338,9 +425,7 @@ def _sample_posterior(
         raise NonConvergenceError(f"{tag.value} posterior mode: {warning}")
     dim = mode.shape[0]
     A = _sampling_basis(neg_hess(mode))
-
-    def log_post(phi):
-        return log_density(mode + A @ phi)
+    log_post = _basis_log_post(log_density, Us, mode, A)
 
     # Overdispersed starts, two posterior sds around the mode in each
     # whitened coordinate. They can land outside the accuracy support;
@@ -370,7 +455,6 @@ def fit_bc(y, X, config=None):
     config = config or SamplerConfig()
     k, m, U, Us, tr, names = _posterior_data(y, X)
     p = Us.shape[1]
-    var = newman_prior_variance(p - 1)
 
     def loglik(beta):
         return bc_log_posterior_grad(k, Us, beta, trials=m)
@@ -378,14 +462,12 @@ def fit_bc(y, X, config=None):
     def neg_hess(beta):
         return _bc_neg_hessian(m, Us, beta)
 
-    def log_density(beta):
-        return std_loglik_value(k, m, Us, beta) + _normal_logpdf_sum(beta, var)
-
+    log_density = _bc_log_density(k, m, p)
     draws = _sample_posterior(
-        ModelTag.BC, loglik, neg_hess, log_density, np.zeros(p), config, tr, names
+        ModelTag.BC, Us, loglik, neg_hess, log_density, np.zeros(p), config, tr, names
     )
     beta_hat = draws.flat().mean(axis=0)
-    ll_hat = std_loglik_value(k, m, U, beta_hat)
+    ll_hat = std_loglik_value(k, m, U @ beta_hat)
     fit = _posterior_fit_result(ModelTag.BC, draws, p, ll_hat, names)
     return fit, draws
 
@@ -417,8 +499,7 @@ def fit_bec(y, X, assay, config=None):
     def neg_hess(theta):
         return _bec_neg_hessian(k, m, Us, theta[:p], *accuracy(theta), assay)
 
-    def log_density(theta):
-        return _bec_log_density(k, m, Us, theta[:p], *accuracy(theta), assay)
+    log_density = _bec_log_density(k, m, p, assay)
 
     theta0, lo, hi, out_names = np.zeros(p), -np.inf, np.inf, tuple(names)
     if assay.mode is AssayMode.BETA_PRIOR:
@@ -427,12 +508,12 @@ def fit_bec(y, X, assay, config=None):
         hi = np.concatenate([np.full(p, np.inf), [1.0 - 1e-9, 1.0 - 1e-9]])
         out_names += ("sensitivity", "specificity")
     draws = _sample_posterior(
-        ModelTag.BEC, loglik, neg_hess, log_density, theta0, config, tr, out_names, lo, hi
+        ModelTag.BEC, Us, loglik, neg_hess, log_density, theta0, config, tr, out_names, lo, hi
     )
 
     flat = draws.flat()
     beta_hat = flat[:, :p].mean(axis=0)
     se_hat, sp_hat = accuracy([float(flat[:, j].mean()) for j in range(flat.shape[1])])
-    ll_hat = mixture_loglik_value(k, m, U, beta_hat, 1.0 - sp_hat, se_hat + sp_hat - 1.0)
+    ll_hat = mixture_loglik_value(k, m, U @ beta_hat, 1.0 - sp_hat, se_hat + sp_hat - 1.0)
     fit = _posterior_fit_result(ModelTag.BEC, draws, p, ll_hat, names)
     return fit, draws

@@ -259,6 +259,25 @@ def _estimate_options(args):
     )
 
 
+def _name_list(flag, text, valid, noun):
+    """The names a comma-separated flag lists, in lower case and in order.
+
+    Names compare case-insensitively and empty entries are skipped; an
+    unknown name, a name given twice or a list with no name is an input
+    error.
+    """
+    names = [w.strip().lower() for w in text.split(",") if w.strip()]
+    bad = [w for w in names if w not in valid]
+    if bad:
+        raise InputError(f"unknown {noun}s {bad}; valid: {list(valid)}")
+    repeated = sorted({w for w in names if names.count(w) > 1})
+    if repeated:
+        raise InputError(f"{flag} names {', '.join(repeated)} more than once")
+    if not names:
+        raise InputError(f"{flag} {text!r} names no {noun}")
+    return names
+
+
 def _csv_text(rows):
     return "\n".join(",".join(_fmt(v) for v in r) for r in rows) + "\n"
 
@@ -337,12 +356,8 @@ def _run_fit(args):
 def _run_compare(args):
     config = _load_config(args)
     assay = _resolve_assay(args, config, args.outcome, required=True)
-    wanted = [w.strip().upper() for w in args.models.split(",") if w.strip()]
-    bad = [w for w in wanted if w not in tuple(t.value for t in ModelTag)]
-    if bad:
-        raise InputError(f"unknown models {bad}; valid: {[t.value.lower() for t in ModelTag]}")
-    if not wanted:
-        raise InputError(f"--models {args.models!r} names no model")
+    valid = [t.value.lower() for t in ModelTag]
+    wanted = [w.upper() for w in _name_list("--models", args.models, valid, "model")]
     options = _estimate_options(args)
     _echo(args, f"models = {','.join(wanted)}; {_assay_echo(assay)}")
 
@@ -404,12 +419,7 @@ def _run_simulate(args):
     if args.reps is not None:
         if args.reps < 1:
             raise InputError(f"--reps must be at least 1, got {args.reps}")
-        wanted = [w.strip().lower() for w in args.estimators.split(",") if w.strip()]
-        bad = [w for w in wanted if w not in ESTIMATOR_NAMES]
-        if bad:
-            raise InputError(f"unknown estimators {bad}; valid: {list(ESTIMATOR_NAMES)}")
-        if not wanted:
-            raise InputError(f"--estimators {args.estimators!r} names no estimator")
+        wanted = _name_list("--estimators", args.estimators, ESTIMATOR_NAMES, "estimator")
         if (args.se is None) != (args.sp is None):
             raise InputError("--se and --sp override the study assay together; pass both or neither")
         override = None

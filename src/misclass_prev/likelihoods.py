@@ -25,6 +25,12 @@ the joint fit's Newton steps use. The plain logistic likelihood, offset
 0 and slope 1, keeps its softplus form ``k eta - m log(1 + e^eta)``,
 which stays finite where ``log(sigmoid(eta))`` would underflow.
 
+The two value kernels, ``std_loglik_value`` and ``mixture_loglik_value``,
+take the linear predictor ``eta = U beta`` rather than the design and
+the coefficients, so that a sampler moving along fixed directions can
+update ``eta`` by a precomputed map instead of a product over the
+patterns; each is one elementwise pass over ``eta`` and one pairwise sum.
+
 All gradients are analytic; probability arguments to ``log`` are
 clamped at 1e-300 to keep extreme tails finite.
 """
@@ -49,10 +55,12 @@ def logistic(eta):
     with no masked copies. Non-finite input is a domain error.
     """
     arr = np.asarray(eta, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("logistic: eta must be finite")
     e = np.exp(-np.abs(arr))
-    out = np.where(arr >= 0, 1.0, e) / (1.0 + e)
+    out = np.where(arr >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     if np.ndim(eta) == 0:
         return float(out)
     return out
@@ -114,13 +122,6 @@ def binomial_counts(y, trials=None):
     return k, m
 
 
-# Values are np.sum over per-pattern terms, as the row form always was:
-# with one trial per pattern each term is the row term, and pairwise
-# summation keeps rounding at the row form's level.
-def _softplus_loglik(k, m, eta):
-    return float(np.sum(k * eta - m * np.logaddexp(0.0, eta)))
-
-
 def std_loglik(y, X, beta, trials=None):
     """Logistic log-likelihood and its score, per row or per covariate pattern.
 
@@ -132,12 +133,31 @@ def std_loglik(y, X, beta, trials=None):
     k, m = binomial_counts(y, trials)
     U, beta = _design_and_beta(X, beta)
     eta = U @ beta
-    return _softplus_loglik(k, m, eta), U.T @ (k - m * logistic(eta))
+    ll = float(np.sum(k * eta - m * np.logaddexp(0.0, eta)))
+    return ll, U.T @ (k - m * logistic(eta))
 
 
-def std_loglik_value(k, m, U, beta):
-    """``std_loglik``'s value alone, on counts already validated."""
-    return _softplus_loglik(k, m, U @ beta)
+# The value kernels add per-pattern terms by numpy's pairwise summation
+# (``ndarray.sum``, the reduction ``np.sum`` runs), as the row form
+# always did: with one trial per pattern each term is the row term, and
+# pairwise summation keeps rounding at the row form's level. No BLAS dot
+# runs over the patterns, whose result would depend on the thread count.
+# They take counts already validated: these are the sampler's inner loop.
+def std_loglik_value(k, m, eta):
+    """``std_loglik``'s value at linear predictor ``eta``.
+
+    Softplus as ``max(eta, 0) + log1p(exp(-|eta|))``, the branch
+    ``np.logaddexp`` takes, in one vectorized pass.
+    """
+    sp = np.abs(eta)
+    np.negative(sp, out=sp)
+    np.exp(sp, out=sp)
+    np.log1p(sp, out=sp)
+    sp += np.maximum(eta, 0.0)
+    sp *= m
+    terms = k * eta
+    terms -= sp
+    return float(terms.sum())
 
 
 def _mixture_terms(k, m, U, beta, offset, slope):
@@ -169,9 +189,34 @@ def mixture_loglik(k, m, U, beta, offset, slope):
     return ll, grad_beta, float(np.sum(w * (1.0 - pi))), float(np.sum(w * pi))
 
 
-def mixture_loglik_value(k, m, U, beta, offset, slope):
-    """``mixture_loglik``'s value alone, for samplers that need no score."""
-    return _mixture_terms(k, m, U, beta, offset, slope)[0]
+def mixture_loglik_value(k, m, eta, offset, slope):
+    """``mixture_loglik``'s value at linear predictor ``eta``, for samplers that need no score.
+
+    The same terms as ``mixture_loglik``, worked out in place on one
+    array that starts as ``slope / (1 + exp(-eta))``. ``-eta`` is capped
+    at 700 so that ``exp`` cannot overflow. The cap moves ``slope *
+    sigmoid`` only where both values are below ``e^-700`` (``slope`` is
+    at most 1): under the 1e-300 clamp when ``offset`` is 0, and lost in
+    rounding against any positive ``offset``, so it changes no term.
+    Non-finite ``eta`` is a domain error, as in ``logistic``.
+    """
+    if not np.isfinite(eta).all():
+        raise ValueError("mixture_loglik_value: eta must be finite")
+    p = np.negative(eta)
+    np.minimum(p, 700.0, out=p)
+    np.exp(p, out=p)
+    p += 1.0
+    np.divide(slope, p, out=p)
+    p += offset
+    q = np.subtract(1.0, p)
+    np.maximum(p, _LOG_CLAMP, out=p)
+    np.log(p, out=p)
+    p *= k
+    np.maximum(q, _LOG_CLAMP, out=q)
+    np.log(q, out=q)
+    q *= m - k
+    p += q
+    return float(p.sum())
 
 
 def _count_over_square(count, prob):

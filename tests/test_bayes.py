@@ -10,8 +10,12 @@ from misclass_prev import bayes, mcmc
 from misclass_prev.bayes import (
     BecParameterBlock,
     Standardization,
+    _basis_log_post,
+    _bc_log_density,
     _bc_neg_hessian,
+    _bec_log_density,
     _bec_neg_hessian,
+    _posterior_data,
     _posterior_fit_result,
     _sample_posterior,
     bc_log_posterior,
@@ -23,7 +27,7 @@ from misclass_prev.bayes import (
     newman_prior_variance,
     standardize_design,
 )
-from misclass_prev.data_model import AssayProfile, build_design_matrix
+from misclass_prev.data_model import AssayProfile, DesignMatrix, build_design_matrix
 from misclass_prev.errors import NonConvergenceError
 from misclass_prev.likelihoods import logistic, std_loglik
 from misclass_prev.mcmc import PosteriorDraws, SamplerConfig
@@ -200,7 +204,15 @@ class TestModeSearch:
         tr = Standardization(indices=(), means=(), sds=())
         with pytest.raises(NonConvergenceError, match="^BEC posterior mode: singular Hessian"):
             _sample_posterior(
-                ModelTag.BEC, loglik, neg_hess, lambda t: 0.0, np.ones(2), QUICK, tr, ("a", "b")
+                ModelTag.BEC,
+                np.eye(2),
+                loglik,
+                neg_hess,
+                lambda theta, eta: 0.0,
+                np.ones(2),
+                QUICK,
+                tr,
+                ("a", "b"),
             )
 
 
@@ -478,13 +490,14 @@ class TestChainStart:
         def loglik(theta):
             return -0.5 * float(theta @ theta), -theta
 
-        def log_density(theta):
+        def log_density(theta, eta):
             return 0.0 if not np.any(theta) else -np.inf
 
         tr = Standardization(indices=(), means=(), sds=())
         with pytest.raises(NonConvergenceError, match="^chain 0 start: "):
             _sample_posterior(
                 ModelTag.BC,
+                np.eye(2),
                 loglik,
                 lambda theta: np.eye(2),
                 log_density,
@@ -493,3 +506,139 @@ class TestChainStart:
                 tr,
                 ("a", "b"),
             )
+
+
+def pattern_data(rng, n, grouped):
+    """0/1 outcomes and a design of intercept, a 0/1 column and a third
+    column: standard normal, so every row is its own pattern, or whole
+    numbers 0-4, so rows repeat and patterns hold several trials."""
+    third = rng.integers(0, 5, n).astype(float) if grouped else rng.standard_normal(n)
+    X = np.column_stack([np.ones(n), rng.integers(0, 2, n).astype(float), third])
+    return (rng.random(n) < 0.3).astype(float), DesignMatrix(X, ("intercept", "sex", "x"))
+
+
+# (density builder, reference log posterior) for each sampled model;
+# the reference scores theta on the standardized rows
+def _bc_pair(y, Xs, k, m, p):
+    return _bc_log_density(k, m, p), lambda theta: bc_log_posterior(y, Xs, theta)
+
+
+def _bec_pair(assay):
+    def pair(y, Xs, k, m, p):
+        def reference(theta):
+            return bec_log_posterior(y, Xs, BecParameterBlock(theta[:p], *theta[p:]), assay)
+
+        return _bec_log_density(k, m, p, assay), reference
+
+    return pair
+
+
+BETA_PRIORS = AssayProfile.with_beta_priors(0.9, 0.92, se_prior_n=200, sp_prior_n=200)
+DENSITIES = {
+    "bc": _bc_pair,
+    "bec-fixed": _bec_pair(AssayProfile(sensitivity=0.9, specificity=0.95)),
+    # se = sp = 1: offset 0 and slope 1, so 1 - p rounds to 0 at eta = 40
+    # and the 1e-300 clamp acts
+    "bec-perfect": _bec_pair(AssayProfile(sensitivity=1.0, specificity=1.0)),
+    "bec-beta-prior": _bec_pair(BETA_PRIORS),
+}
+
+
+class TestSamplerDensity:
+    """The density the sampler scores, ``phi -> log_density(mode + A phi, eta)``
+    with eta updated through the precomputed ``U A``, against the reference
+    log posteriors evaluated from theta on the rows."""
+
+    @staticmethod
+    def setup(model, grouped, seed):
+        rng = np.random.default_rng(seed)
+        y, X = pattern_data(rng, 300, grouped)
+        k, m, _, Us, tr, _ = _posterior_data(y, X)
+        assert (m.max() > 1.0) == grouped
+        p = Us.shape[1]
+        log_density, reference = DENSITIES[model](y, tr.apply(X.matrix), k, m, p)
+        dim = p + 2 * (model == "bec-beta-prior")
+        return rng, Us, p, dim, log_density, reference
+
+    @pytest.mark.parametrize("grouped", [False, True], ids=["rows", "grouped"])
+    @pytest.mark.parametrize("model", sorted(DENSITIES))
+    @pytest.mark.parametrize("eta_level", [0.0, -40.0, 40.0])
+    def test_differences_match_the_reference(self, model, grouped, eta_level):
+        rng, Us, p, dim, log_density, reference = self.setup(model, grouped, 41)
+        for _ in range(10):
+            mode = np.concatenate([[eta_level], rng.normal(scale=0.5, size=dim - 1)])
+            A = np.tril(rng.normal(scale=0.2, size=(dim, dim)))
+            if dim > p:  # se and sp well inside their support
+                mode[p:] = rng.uniform(0.85, 0.95, size=2)
+                A[p:] *= 0.01
+            log_post = _basis_log_post(log_density, Us, mode, A)
+            phi0, phi1 = rng.standard_normal((2, dim))
+            got = log_post(phi1) - log_post(phi0)
+            want = reference(mode + A @ phi1) - reference(mode + A @ phi0)
+            assert np.isfinite(want)
+            assert abs(got - want) <= 1e-9
+
+    @pytest.mark.parametrize("grouped", [False, True], ids=["rows", "grouped"])
+    def test_minus_inf_outside_the_accuracy_support(self, grouped):
+        _, Us, p, dim, log_density, reference = self.setup("bec-beta-prior", grouped, 42)
+        mode = np.concatenate([np.zeros(p), [0.9, 0.92]])
+        log_post = _basis_log_post(log_density, Us, mode, np.eye(dim))
+        for se, sp in [(1.2, 0.9), (0.9, -0.1), (0.3, 0.6), (0.55, 0.44), (1.0, 0.9)]:
+            phi = np.concatenate([np.zeros(p), [se - 0.9, sp - 0.92]])
+            assert log_post(phi) == -np.inf
+            assert reference(mode + phi) == -np.inf
+
+
+class TestSamplerCalls:
+    @pytest.mark.parametrize("model", ["bc", "bec"])
+    def test_one_density_call_per_proposal_and_reference_draws(self, model, monkeypatch):
+        """A fit scores each start point and proposal once, and its draws are
+        those the reference log posterior gives on the fit's own basis."""
+        rng = np.random.default_rng(43)
+        y, X = pattern_data(rng, 200, grouped=True)
+        cfg = SamplerConfig(chains=3, warmup=100, samples=150, seed=8)
+        seen = {}
+        real_ascent, real_basis, real_sample = bayes._newton_ascent, bayes._sampling_basis, bayes.sample
+
+        def ascent(*args):
+            out = real_ascent(*args)
+            seen["mode"] = out[0]
+            return out
+
+        def basis(neg_h):
+            seen["A"] = real_basis(neg_h)
+            return seen["A"]
+
+        def counted_sample(log_post, dim, config, init=None):
+            calls = []
+
+            def counted(phi):
+                calls.append(1)
+                return log_post(phi)
+
+            seen["raw"] = real_sample(counted, dim, config, init=init)
+            seen["calls"], seen["init"] = len(calls), init
+            return seen["raw"]
+
+        monkeypatch.setattr(bayes, "_newton_ascent", ascent)
+        monkeypatch.setattr(bayes, "_sampling_basis", basis)
+        monkeypatch.setattr(bayes, "sample", counted_sample)
+        Xs = _posterior_data(y, X)[4].apply(X.matrix)
+        if model == "bc":
+            fit_bc(y, X, config=cfg)
+
+            def reference(theta):
+                return bc_log_posterior(y, Xs, theta)
+
+        else:
+            fit_bec(y, X, BETA_PRIORS, config=cfg)
+
+            def reference(theta):
+                block = BecParameterBlock(theta[:3], *theta[3:])
+                return bec_log_posterior(y, Xs, block, BETA_PRIORS)
+
+        assert seen["calls"] == cfg.chains * (cfg.warmup + cfg.samples) + cfg.chains
+        mode, A = seen["mode"], seen["A"]
+        ref = real_sample(lambda phi: reference(mode + A @ phi), A.shape[0], cfg, init=seen["init"])
+        np.testing.assert_array_equal(seen["raw"].draws, ref.draws)
+        np.testing.assert_array_equal(seen["raw"].accept_rate, ref.accept_rate)

@@ -535,6 +535,8 @@ class TestFlagErrors:
             ["simulate", "--scenario", "SCENARIO", "--reps", "2", "--se", "0.8"],
             ["compare", "--data", "DATA", "--models", ",", *ASSAY],
             ["simulate", "--scenario", "SCENARIO", "--reps", "2", "--estimators", ","],
+            ["compare", "--data", "DATA", "--models", "std,bc,STD", *ASSAY],
+            ["simulate", "--scenario", "SCENARIO", "--reps", "2", "--estimators", "rg,rg"],
             ["simulate", "--scenario", "SCENARIO", "--out", "OUT", "--estimators", "std"],
             ["simulate", "--scenario", "SCENARIO", "--out", "OUT", "--workers", "1"],
             ["simulate", "--scenario", "SCENARIO", "--out", "OUT", "--se", "0.8"],
@@ -561,6 +563,8 @@ class TestFlagErrors:
             "study-se-alone",
             "compare-no-models",
             "study-no-estimators",
+            "compare-repeated-model",
+            "study-repeated-estimator",
             "cohort-estimators",
             "cohort-workers",
             "cohort-se",
@@ -746,6 +750,35 @@ BAD_STUDY_FLAGS = {
 }
 
 
+MODEL_NAMES = ("std", "liu", "bc", "bec")
+UNKNOWN_MODELS = ("xyz", "rg", "observed", "st d", "bc2", "-")
+VARIANTS = ("both", "fp", "fn", "equal")
+BAD_VARIANTS = ("BOTH", "Fp", "none", "", "both,fp")
+
+
+@st.composite
+def model_lists(draw):
+    """A ``--models`` value, and whether it is broken.
+
+    Distinct model names in any case, then at most one fault: an empty
+    entry (harmless), an unknown name, a name repeated in another case,
+    or no name at all.
+    """
+    names = draw(st.lists(st.sampled_from(MODEL_NAMES), min_size=1, max_size=4, unique=True))
+    spellings = [draw(st.sampled_from((n, n.upper(), n.capitalize(), f" {n} "))) for n in names]
+    fault = draw(st.sampled_from((None, None, None, "empty", "unknown", "repeat", "none")))
+    extra = {
+        "empty": st.sampled_from(("", " ")),
+        "unknown": st.sampled_from(UNKNOWN_MODELS),
+        "repeat": st.sampled_from(names).map(str.upper),
+    }.get(fault)
+    if extra is not None:
+        spellings.insert(draw(st.integers(0, len(spellings))), draw(extra))
+    if fault == "none":
+        spellings = draw(st.lists(st.sampled_from(("", " ")), max_size=3))
+    return ",".join(spellings), fault in ("unknown", "repeat", "none")
+
+
 @st.composite
 def flag_values(draw, valid, bad):
     """Valid values for every flag, then up to two of them made invalid;
@@ -814,3 +847,13 @@ class TestFlagDomains:
         code, err = run_flags(argv, values)
         assert "Traceback" not in err
         assert code == 2 if broken else code in (0, 3), err
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(models=model_lists(), variant=st.sampled_from(VARIANTS * 2 + BAD_VARIANTS))
+    def test_compare_model_list_and_variant(self, fuzz_files, models, variant):
+        text, broken = models
+        argv = ["compare", "--data", fuzz_files[0], "--se", "0.9", "--sp", "0.95"]
+        argv += ["--bootstrap", "5", "--chains", "2", "--warmup", "100", "--samples", "100"]
+        code, err = run_flags(argv, {"--models": text, "--variant": variant})
+        assert "Traceback" not in err
+        assert code == 2 if broken or variant in BAD_VARIANTS else code in (0, 3), err

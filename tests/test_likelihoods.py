@@ -126,7 +126,7 @@ class TestMixtureHessian:
         U = np.array([[1.0, 0.0], [1.0, 1.0]])
         k, m = np.array([0.0, 3.0]), np.array([5.0, 5.0])
         beta = np.array([-800.0, 800.0])
-        assert np.isfinite(mixture_loglik_value(k, m, U, beta, 0.0, 1.0))
+        assert np.isfinite(mixture_loglik_value(k, m, U @ beta, 0.0, 1.0))
         with np.errstate(divide="raise", invalid="raise"):
             H = mixture_hessian(k, m, U, beta, 0.0, 1.0)
         # the p0 entry: 5 negatives at p = 0 and 3 of 5 positives at p = 1/2
