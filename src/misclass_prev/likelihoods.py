@@ -55,12 +55,10 @@ def logistic(eta):
     with no masked copies. Non-finite input is a domain error.
     """
     arr = np.asarray(eta, dtype=float)
-    if not np.isfinite(arr).all():
+    if not np.all(np.isfinite(arr)):
         raise ValueError("logistic: eta must be finite")
     e = np.exp(-np.abs(arr))
-    out = np.where(arr >= 0, 1.0, e)
-    e += 1.0
-    out /= e
+    out = np.where(arr >= 0, 1.0, e) / (1.0 + e)
     if np.ndim(eta) == 0:
         return float(out)
     return out

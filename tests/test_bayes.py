@@ -550,7 +550,7 @@ class TestSamplerDensity:
     log posteriors evaluated from theta on the rows."""
 
     @staticmethod
-    def setup(model, grouped, seed):
+    def densities(model, grouped, seed):
         rng = np.random.default_rng(seed)
         y, X = pattern_data(rng, 300, grouped)
         k, m, _, Us, tr, _ = _posterior_data(y, X)
@@ -564,7 +564,7 @@ class TestSamplerDensity:
     @pytest.mark.parametrize("model", sorted(DENSITIES))
     @pytest.mark.parametrize("eta_level", [0.0, -40.0, 40.0])
     def test_differences_match_the_reference(self, model, grouped, eta_level):
-        rng, Us, p, dim, log_density, reference = self.setup(model, grouped, 41)
+        rng, Us, p, dim, log_density, reference = self.densities(model, grouped, 41)
         for _ in range(10):
             mode = np.concatenate([[eta_level], rng.normal(scale=0.5, size=dim - 1)])
             A = np.tril(rng.normal(scale=0.2, size=(dim, dim)))
@@ -580,7 +580,7 @@ class TestSamplerDensity:
 
     @pytest.mark.parametrize("grouped", [False, True], ids=["rows", "grouped"])
     def test_minus_inf_outside_the_accuracy_support(self, grouped):
-        _, Us, p, dim, log_density, reference = self.setup("bec-beta-prior", grouped, 42)
+        _, Us, p, dim, log_density, reference = self.densities("bec-beta-prior", grouped, 42)
         mode = np.concatenate([np.zeros(p), [0.9, 0.92]])
         log_post = _basis_log_post(log_density, Us, mode, np.eye(dim))
         for se, sp in [(1.2, 0.9), (0.9, -0.1), (0.3, 0.6), (0.55, 0.44), (1.0, 0.9)]:
@@ -634,7 +634,8 @@ class TestSamplerCalls:
             fit_bec(y, X, BETA_PRIORS, config=cfg)
 
             def reference(theta):
-                block = BecParameterBlock(theta[:3], *theta[3:])
+                p = Xs.shape[1]
+                block = BecParameterBlock(theta[:p], *theta[p:])
                 return bec_log_posterior(y, Xs, block, BETA_PRIORS)
 
         assert seen["calls"] == cfg.chains * (cfg.warmup + cfg.samples) + cfg.chains
