@@ -1,5 +1,8 @@
 """Golden outputs: what the CLI writes at fixed seeds, compared byte for byte.
 
+Both renderings are held: the csv files that scripts parse and the
+aligned text tables that people read.
+
 Each command below runs in process and its files are held against the
 expected copies in ``tests/golden/``. The simulated demo cohort is too
 large to keep (about 460 kB), so only its SHA-256 digest is stored; the
@@ -61,7 +64,10 @@ other_sti = 0.7
 
 # At seed 7, 100 draws per chain leave BEC's intercept at split R-hat
 # 1.0684, so the Bayesian runs pass --allow-nonconverged and the warnings
-# that report the R-hat are kept as a golden file too.
+# that report the R-hat are kept as a golden file too. The text files pin
+# the aligned renderings: every compare block, the missing-models line,
+# LIU's note, error-rate and prevalence lines, BEC's accuracy rows, a
+# saved csv read back, and the study table.
 OUTPUTS = (
     "prevalence.csv",
     "coefficients.csv",
@@ -70,6 +76,12 @@ OUTPUTS = (
     "fit_bec.csv",
     "draws_bec.csv",
     "study.csv",
+    "compare.txt",
+    "compare_std_bc.txt",
+    "fit_liu.txt",
+    "fit_bec.txt",
+    "report_coefficients.txt",
+    "study.txt",
 )
 
 
@@ -114,13 +126,29 @@ def run_commands(out):
         "--save-draws", str(out / "draws_bec.csv"), "--out", str(out / "fit_bec.csv"),
     )
 
+    compare_text = ("compare", "--data", cohort, "--bootstrap", "20", *SHORT_CHAINS, *PRIORS,
+                    "--seed", "7", "--allow-nonconverged")
+    _run(*compare_text, "--out", str(out / "compare.txt"))
+    _run(*compare_text, "--models", "std,bc", "--out", str(out / "compare_std_bc.txt"))
+    _run(
+        "fit", "--data", cohort, "--model", "LIU", "--bootstrap", "20", "--seed", "7",
+        "--out", str(out / "fit_liu.txt"),
+    )
+    _run(
+        "fit", "--data", cohort, "--model", "BEC", *SHORT_CHAINS, *PRIORS,
+        "--seed", "7", "--allow-nonconverged", "--out", str(out / "fit_bec.txt"),
+    )
+    _run(
+        "report", "--in", str(out / "coefficients.csv"),
+        "--out", str(out / "report_coefficients.txt"),
+    )
+
     ini = out / "study.ini"
     ini.write_text(STUDY_INI, encoding="utf-8")
-    _run(
-        "simulate", "--scenario", str(ini), "--reps", "2", "--workers", "1",
-        "--estimators", "observed,rg,std,liu,bc,bec", *SHORT_CHAINS,
-        "--format", "csv", "--out", str(out / "study.csv"),
-    )
+    study = ("simulate", "--scenario", str(ini), "--reps", "2", "--workers", "1",
+             "--estimators", "observed,rg,std,liu,bc,bec", *SHORT_CHAINS)
+    _run(*study, "--format", "csv", "--out", str(out / "study.csv"))
+    _run(*study, "--out", str(out / "study.txt"))
 
 
 def produce(out):
