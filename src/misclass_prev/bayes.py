@@ -57,6 +57,9 @@ from .mle import (
 )
 
 RHAT_LIMIT = 1.05
+# Names of the accuracy coordinates BEC samples under beta priors, after
+# the coefficients.
+ACCURACY_NAMES = ("sensitivity", "specificity")
 
 
 def newman_prior_variance(n_covariates):
@@ -506,7 +509,7 @@ def fit_bec(y, X, assay, config=None):
         theta0 = np.concatenate([theta0, [assay.sensitivity, assay.specificity]])
         lo = np.concatenate([np.full(p, -np.inf), [0.501, 0.501]])
         hi = np.concatenate([np.full(p, np.inf), [1.0 - 1e-9, 1.0 - 1e-9]])
-        out_names += ("sensitivity", "specificity")
+        out_names += ACCURACY_NAMES
     draws = _sample_posterior(
         ModelTag.BEC, Us, loglik, neg_hess, log_density, theta0, config, tr, out_names, lo, hi
     )

@@ -8,7 +8,9 @@ as an aligned text table.
 
 ``fit``, ``compare`` and study mode all run a model through
 ``report.estimate``, so a model gives the same fit and prevalence at
-the same seed whichever command runs it.
+the same seed whichever command runs it. Each command builds its tables
+as rows of raw values and writes them through ``report.csv_text`` or
+``report.text_table``; ``--truth-out`` goes through the same writer.
 
 Results go to stdout or ``--out``; logs, the resolved seed, and the
 effective configuration echo go to stderr. Exit codes: 0 on success,
@@ -30,6 +32,7 @@ import logging
 import sys
 from dataclasses import replace
 
+from .bayes import ACCURACY_NAMES
 from .data_model import (
     AnalysisConfig,
     AssayProfile,
@@ -42,23 +45,24 @@ from .errors import InputError, StatisticalError
 from .mcmc import SamplerConfig
 from .mle import LiuVariant, ModelTag
 from .report import (
-    _fmt,
-    _reparse,
-    _text_table,
     build_comparison_report,
     coefficient_csv_rows,
+    csv_text,
     estimate,
     prevalence_csv_rows,
+    record_rows,
     render_csv_text,
     render_text,
     require_converged as _gate_convergence,  # perfbench's tests call the gate by this name
     se_csv_rows,
+    text_table,
     write_csv,
 )
 from .rogan_gladen import IntervalMethod, rogan_gladen_interval
 from .simulate import (
     ESTIMATOR_NAMES,
     EstimatorSpec,
+    ReplicationSummary,
     load_bundled_scenario,
     read_scenario,
     replicate_study,
@@ -135,7 +139,9 @@ def build_parser():
 
     fit = sub.add_parser("fit", help="fit one model on a cohort file")
     _add_data_flags(fit)
-    fit.add_argument("--model", required=True, choices=tuple(t.value for t in ModelTag))
+    fit.add_argument(
+        "--model", required=True, type=str.upper, choices=tuple(t.value for t in ModelTag)
+    )
     _add_assay_flags(fit)
     fit.add_argument("--variant", choices=tuple(VARIANT_NAMES), default="both", help=VARIANT_HELP)
     _add_sampler_flags(fit)
@@ -278,10 +284,6 @@ def _name_list(flag, text, valid, noun):
     return names
 
 
-def _csv_text(rows):
-    return "\n".join(",".join(_fmt(v) for v in r) for r in rows) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
@@ -301,7 +303,7 @@ def _fit_rows(fit, prev, draws):
         # accuracy coordinates sampled by BEC with beta priors
         flat = draws.flat()
         for j, name in enumerate(draws.param_names):
-            if name in ("sensitivity", "specificity"):
+            if name in ACCURACY_NAMES:
                 rows.append([name, float(flat[:, j].mean()), float(flat[:, j].std(ddof=1))])
     if prev is not None:
         rows.append(["marginal_prevalence", prev.point, None])
@@ -330,7 +332,7 @@ def _run_fit(args):
     rows = _fit_rows(fit, prev, draws)
 
     if args.format == "csv":
-        out = _csv_text(rows)
+        out = csv_text(rows)
     else:
         head = (
             f"model: {fit.model_tag.value}  loglik: {fit.loglik:.6f}  "
@@ -338,7 +340,7 @@ def _run_fit(args):
         )
         if fit.condition_warning:
             head += f"note: {fit.condition_warning}\n"
-        out = head + "\n" + _text_table(_reparse(rows)) + "\n"
+        out = head + "\n" + text_table(rows) + "\n"
         if prev is not None:
             out += (
                 f"\nmarginal prevalence: {prev.point:.6g} "
@@ -376,15 +378,13 @@ def _run_compare(args):
 
     report = build_comparison_report(crude, fits=fits, prevalences=prevalences)
 
-    if args.coef_out:
-        write_csv(coefficient_csv_rows(report), args.coef_out)
-        log.info("wrote %s", args.coef_out)
-    if args.se_out:
-        write_csv(se_csv_rows(report), args.se_out)
-        log.info("wrote %s", args.se_out)
+    for path, table in ((args.coef_out, coefficient_csv_rows), (args.se_out, se_csv_rows)):
+        if path:
+            write_csv(table(report), path)
+            log.info("wrote %s", path)
 
     if args.format == "csv":
-        out = _csv_text(prevalence_csv_rows(report))
+        out = csv_text(prevalence_csv_rows(report))
     else:
         out = render_text(report)
     _emit(out, args.out)
@@ -428,15 +428,11 @@ def _run_simulate(args):
         sampler = _sampler(args)
         specs = [EstimatorSpec(name=w, assay=override, sampler=sampler) for w in wanted]
         summaries = replicate_study(scenario, specs, reps=args.reps, workers=args.workers)
-        rows = [["estimator", "reps", "failures", "failure_rate", "mean_bias", "coverage", "mean_width"]]
-        for s in summaries:
-            rows.append(
-                [s.estimator, s.reps, s.failures, s.failure_rate, s.mean_bias, s.coverage, s.mean_width]
-            )
+        rows = record_rows(summaries, ReplicationSummary)
         if args.format == "csv":
-            out = _csv_text(rows)
+            out = csv_text(rows)
         else:
-            out = _text_table(rows) + "\n"
+            out = text_table(rows) + "\n"
         _emit(out, args.out)
         return 0
 
@@ -446,10 +442,8 @@ def _run_simulate(args):
     save_cohort(cohort, args.out)
     log.info("wrote %d records to %s", len(cohort), args.out)
     if args.truth_out:
-        with open(args.truth_out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("pi,true_status\n")
-            for p, t in zip(truth.pi, truth.true_status):
-                fh.write(f"{float(p)!r},{int(t)}\n")
+        rows = [[float(p), int(t)] for p, t in zip(truth.pi, truth.true_status)]
+        write_csv([["pi", "true_status"], *rows], args.truth_out)
         log.info("wrote truth to %s", args.truth_out)
     print(
         f"misclass-prev simulate: true prevalence = {truth.true_prevalence!r}; "

@@ -12,17 +12,25 @@ posterior summaries rather than being applied once at the end.
 ``estimate`` turns a model name into a fit and its prevalence summary.
 The ``fit`` and ``compare`` commands and the replication studies all go
 through it, so one model gives one answer at one seed wherever it runs.
+
+Every output table is a header row followed by rows of raw cells: str,
+float, int or None. ``csv_text`` is the one csv writer (floats by
+``repr``, so they read back exactly) and ``text_table`` the one aligned
+rendering. A table of records takes its header from the record's fields
+(``record_rows``). Only ``render_csv_text``, which reads a saved csv back,
+parses cells into numbers.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .bayes import fit_bc, fit_bec
+from .bayes import ACCURACY_NAMES, fit_bc, fit_bec
 from .data_model import design_patterns
 from .errors import NonConvergenceError, SingularDesignError
 from .likelihoods import logistic
@@ -38,7 +46,6 @@ from .rogan_gladen import (
 
 log = logging.getLogger(__name__)
 
-_ACCURACY_COORDS = ("sensitivity", "specificity")
 # Fitted probabilities per block in posterior_prevalence_draws: 2^13, so a
 # temporary is 64 KiB, under the 128 KiB above which the C allocator may
 # hand out fresh pages for every block. On a 2-vCPU x86 VM, blocks of 512
@@ -240,7 +247,7 @@ def marginal_prevalence_liu(X, fit, n_boot=500, rng=None, interval=IntervalMetho
 
 
 def _beta_coordinates(draws):
-    return [i for i, name in enumerate(draws.param_names) if name not in _ACCURACY_COORDS]
+    return [i for i, name in enumerate(draws.param_names) if name not in ACCURACY_NAMES]
 
 
 def posterior_prevalence_draws(draws, X, assay=None):
@@ -360,7 +367,7 @@ def estimate(
 
 @dataclass(frozen=True)
 class CoefficientRow:
-    name: str
+    coefficient: str
     std: float = None
     std_se: float = None
     liu: float = None
@@ -376,7 +383,7 @@ class CoefficientRow:
 
 @dataclass(frozen=True)
 class SeComparisonRow:
-    name: str
+    coefficient: str
     se_liu: float = None
     se_bec: float = None
     relative_change: float = None  # se_liu / se_bec - 1
@@ -389,6 +396,16 @@ class ComparisonReport:
     coefficients: tuple
     se_comparison: tuple
     gaps: tuple = ()
+
+
+# The models of the coefficient block in column order, each with the
+# models its coefficients are compared against.
+_COEFFICIENT_CHANGES = (
+    (ModelTag.STD, ()),
+    (ModelTag.LIU, (ModelTag.STD,)),
+    (ModelTag.BC, ()),
+    (ModelTag.BEC, (ModelTag.STD, ModelTag.BC)),
+)
 
 
 def _pct_change(value, reference):
@@ -408,66 +425,37 @@ def build_comparison_report(crude, fits=None, prevalences=None):
     prevalences = dict(prevalences or {})
     gaps = [tag.value for tag in ModelTag if tag not in fits]
 
-    prev_rows = []
     std_prev = prevalences.get(ModelTag.STD)
-    for tag in (ModelTag.STD, ModelTag.LIU, ModelTag.BC, ModelTag.BEC):
+    std_point = None if std_prev is None else std_prev.point
+    prev_rows = []
+    for tag in ModelTag:
         est = prevalences.get(tag)
-        if est is None:
-            continue
-        est = replace(
-            est,
-            change_vs_crude_pct=_pct_change(est.point, crude.p_obs),
-            change_vs_std_pct=(
-                None if tag is ModelTag.STD else _pct_change(est.point, std_prev.point)
-            )
-            if std_prev is not None
-            else None,
-        )
-        prev_rows.append(est)
+        if est is not None:
+            vs_std = None if tag is ModelTag.STD else _pct_change(est.point, std_point)
+            vs_crude = _pct_change(est.point, crude.p_obs)
+            prev_rows.append(replace(est, change_vs_crude_pct=vs_crude, change_vs_std_pct=vs_std))
 
-    def fit_of(tag):
-        return fits.get(tag)
-
-    names = ()
-    for tag in (ModelTag.STD, ModelTag.LIU, ModelTag.BC, ModelTag.BEC):
-        if fit_of(tag) is not None:
-            names = fit_of(tag).column_names
-            break
-
-    def coef(tag, j):
-        f = fit_of(tag)
-        if f is None or j >= len(f.beta_hat):
-            return None, None
-        se = None if f.beta_se is None else float(f.beta_se[j])
-        return float(f.beta_hat[j]), se
-
+    names = next((f.column_names for f in map(fits.get, ModelTag) if f is not None), ())
     coef_rows = []
     se_rows = []
     for j, name in enumerate(names):
-        std_v, std_se = coef(ModelTag.STD, j)
-        liu_v, liu_se = coef(ModelTag.LIU, j)
-        bc_v, bc_se = coef(ModelTag.BC, j)
-        bec_v, bec_se = coef(ModelTag.BEC, j)
-        coef_rows.append(
-            CoefficientRow(
-                name=name,
-                std=std_v,
-                std_se=std_se,
-                liu=liu_v,
-                liu_se=liu_se,
-                liu_change_vs_std_pct=_pct_change(liu_v, std_v),
-                bc=bc_v,
-                bc_se=bc_se,
-                bec=bec_v,
-                bec_se=bec_se,
-                bec_change_vs_std_pct=_pct_change(bec_v, std_v),
-                bec_change_vs_bc_pct=_pct_change(bec_v, bc_v),
-            )
-        )
+        cells = {}
+        for tag, references in _COEFFICIENT_CHANGES:
+            col, fit = tag.value.lower(), fits.get(tag)
+            if fit is not None and j < len(fit.beta_hat):
+                cells[col] = float(fit.beta_hat[j])
+                cells[f"{col}_se"] = None if fit.beta_se is None else float(fit.beta_se[j])
+            for ref in references:
+                ref_col = ref.value.lower()
+                cells[f"{col}_change_vs_{ref_col}_pct"] = _pct_change(
+                    cells.get(col), cells.get(ref_col)
+                )
+        coef_rows.append(CoefficientRow(coefficient=name, **cells))
+        liu_se, bec_se = cells.get("liu_se"), cells.get("bec_se")
         rel = None
         if liu_se is not None and bec_se is not None and bec_se > 0:
             rel = liu_se / bec_se - 1.0
-        se_rows.append(SeComparisonRow(name=name, se_liu=liu_se, se_bec=bec_se, relative_change=rel))
+        se_rows.append(SeComparisonRow(name, se_liu=liu_se, se_bec=bec_se, relative_change=rel))
 
     return ComparisonReport(
         prevalence=tuple(prev_rows),
@@ -504,91 +492,48 @@ PREVALENCE_HEADER = (
 
 
 def prevalence_csv_rows(report):
-    rows = [list(PREVALENCE_HEADER)]
     c = report.crude
-    rows.append(["CRUDE", _fmt(c.p_obs), "", "", "", "", "", ""])
-    rows.append(
-        [
-            "CRUDE_CORRECTED",
-            _fmt(c.p_adj),
-            _fmt(c.lower),
-            _fmt(c.upper),
-            _fmt(c.width),
-            "",
-            "",
-            c.interval_method.value if c.interval_method else "",
-        ]
-    )
+    method = c.interval_method.value if c.interval_method else None
+    rows = [
+        list(PREVALENCE_HEADER),
+        ["CRUDE", c.p_obs, None, None, None, None, None, None],
+        ["CRUDE_CORRECTED", c.p_adj, c.lower, c.upper, c.width, None, None, method],
+    ]
     for est in report.prevalence:
-        rows.append(
-            [
-                est.model_tag.value,
-                _fmt(est.point),
-                _fmt(est.lower),
-                _fmt(est.upper),
-                _fmt(est.ci_width),
-                _fmt(est.change_vs_crude_pct),
-                _fmt(est.change_vs_std_pct),
-                est.interval_method.value,
-            ]
-        )
+        values = [getattr(est, name) for name in PREVALENCE_HEADER[1:-1]]
+        rows.append([est.model_tag.value, *values, est.interval_method.value])
     return rows
 
 
-COEFFICIENT_HEADER = (
-    "coefficient",
-    "std",
-    "std_se",
-    "liu",
-    "liu_se",
-    "liu_change_vs_std_pct",
-    "bc",
-    "bc_se",
-    "bec",
-    "bec_se",
-    "bec_change_vs_std_pct",
-    "bec_change_vs_bc_pct",
-)
+def record_rows(records, cls):
+    """A table of dataclass records: ``cls``'s field names, then each record's values."""
+    names = [f.name for f in fields(cls)]
+    return [names] + [[getattr(r, name) for name in names] for r in records]
 
 
 def coefficient_csv_rows(report):
-    rows = [list(COEFFICIENT_HEADER)]
-    for r in report.coefficients:
-        rows.append(
-            [
-                r.name,
-                _fmt(r.std),
-                _fmt(r.std_se),
-                _fmt(r.liu),
-                _fmt(r.liu_se),
-                _fmt(r.liu_change_vs_std_pct),
-                _fmt(r.bc),
-                _fmt(r.bc_se),
-                _fmt(r.bec),
-                _fmt(r.bec_se),
-                _fmt(r.bec_change_vs_std_pct),
-                _fmt(r.bec_change_vs_bc_pct),
-            ]
-        )
-    return rows
-
-
-SE_HEADER = ("coefficient", "se_liu", "se_bec", "relative_change")
+    return record_rows(report.coefficients, CoefficientRow)
 
 
 def se_csv_rows(report):
-    rows = [list(SE_HEADER)]
-    for r in report.se_comparison:
-        rows.append([r.name, _fmt(r.se_liu), _fmt(r.se_bec), _fmt(r.relative_change)])
-    return rows
+    return record_rows(report.se_comparison, SeComparisonRow)
+
+
+def csv_text(rows):
+    """A table as csv text, floats written by ``repr`` so they read back exactly."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([_fmt(v) for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def write_csv(rows, path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+        fh.write(csv_text(rows))
 
 
-def _text_table(rows):
+def text_table(rows):
+    """A table aligned for reading: floats to six significant digits, gaps as '.'."""
+
     def show(v):
         if v is None or v == "":
             return "."
@@ -598,49 +543,44 @@ def _text_table(rows):
 
     cells = [[show(v) for v in row] for row in rows]
     widths = [max(len(r[j]) for r in cells) for j in range(len(cells[0]))]
-    lines = []
-    for i, row in enumerate(cells):
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
+    lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells]
+    lines.insert(1, "  ".join("-" * w for w in widths))
     return "\n".join(lines)
 
 
-def _reparse(rows):
-    """Turn repr'd floats back into floats so the text table can round them."""
-
-    def cell(v):
-        if isinstance(v, str) and v:
-            try:
-                return float(v)
-            except ValueError:
-                return v
-        return v
-
-    return [rows[0]] + [[cell(v) for v in row] for row in rows[1:]]
+def _reparse(cell):
+    """A cell of a csv read back from a file, as a float where it parses as one."""
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
 
 
 def render_csv_text(path):
-    """Re-render any saved comparison csv as an aligned text table."""
+    """Re-render any saved comparison csv as an aligned text table.
+
+    Every row must have as many cells as the header.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ValueError(f"{path} is empty")
-    return _text_table(_reparse(rows)) + "\n"
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) != len(rows[0]):
+            raise ValueError(
+                f"{path}: row {i} has {len(row)} cells, but the header has {len(rows[0])}"
+            )
+    return text_table([rows[0]] + [[_reparse(v) for v in row] for row in rows[1:]]) + "\n"
 
 
 def render_text(report):
     """Aligned plain-text rendering of all three blocks."""
-    parts = []
-    parts.append("Marginal prevalence")
-    parts.append(_text_table(_reparse(prevalence_csv_rows(report))))
-    parts.append("")
-    parts.append("Coefficients")
-    parts.append(_text_table(_reparse(coefficient_csv_rows(report))))
-    parts.append("")
-    parts.append("Standard errors (joint error-rate model vs internal correction)")
-    parts.append(_text_table(_reparse(se_csv_rows(report))))
+    blocks = [
+        ("Marginal prevalence", prevalence_csv_rows(report)),
+        ("Coefficients", coefficient_csv_rows(report)),
+        ("Standard errors (joint error-rate model vs internal correction)", se_csv_rows(report)),
+    ]
+    parts = [f"{title}\n{text_table(rows)}" for title, rows in blocks]
     if report.gaps:
-        parts.append("")
         parts.append(f"missing models: {', '.join(report.gaps)}")
-    return "\n".join(parts) + "\n"
+    return "\n\n".join(parts) + "\n"

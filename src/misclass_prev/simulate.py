@@ -358,16 +358,18 @@ class EstimatorSpec:
 
 @dataclass(frozen=True)
 class ReplicationSummary:
+    """One estimator's study results; its fields in order are the study table's columns."""
+
     estimator: str
     reps: int
     failures: int
+    failure_rate: float = field(init=False)
     mean_bias: float
     coverage: float
     mean_width: float
 
-    @property
-    def failure_rate(self):
-        return self.failures / self.reps
+    def __post_init__(self):
+        object.__setattr__(self, "failure_rate", self.failures / self.reps)
 
 
 def _run_estimator(spec, y, X, scenario, seed):

@@ -505,14 +505,15 @@ class TestOnePipeline:
         "csv",
     ]
 
-    @pytest.mark.parametrize("model", ["STD", "LIU", "BC", "BEC"])
+    # fit --model takes any case, as compare --models does
+    @pytest.mark.parametrize("model", ["STD", "LIU", "BC", "BEC", "std", "Bec"])
     def test_fit_prevalence_equals_the_compare_row(self, model, liu_cohort_file, tmp_path):
         fit_out, cmp_out = tmp_path / "fit.csv", tmp_path / "cmp.csv"
         argv = ["--data", liu_cohort_file] + self.ARGS
         assert main(["fit", "--model", model] + argv + ["--out", str(fit_out)]) == 0
         assert main(["compare", "--models", model.lower()] + argv + ["--out", str(cmp_out)]) == 0
         fit_rows = {r[0]: r[1] for r in read_rows(fit_out)[1:]}
-        cmp_row = next(r for r in read_rows(cmp_out) if r[0] == model)
+        cmp_row = next(r for r in read_rows(cmp_out) if r[0] == model.upper())
         names = ("marginal_prevalence", "prevalence_lower", "prevalence_upper")
         assert [fit_rows[n] for n in names] == cmp_row[1:4]
 
@@ -550,6 +551,8 @@ class TestFlagErrors:
             ["simulate", "--scenario", "NEG_SEED_SCENARIO", "--out", "OUT"],
             ["fit", "--data", "DATA", "--model", "BEC", *ASSAY, "--se-prior-n", "nan"],
             ["fit", "--data", "DATA", "--model", "BEC", *ASSAY, "--sp-prior-n", "inf"],
+            ["report", "--in", "SHORT_ROW"],
+            ["report", "--in", "LONG_ROW"],
         ],
         ids=[
             "chains",
@@ -578,6 +581,8 @@ class TestFlagErrors:
             "scenario-negative-seed",
             "se-prior-n-nan",
             "sp-prior-n-inf",
+            "report-short-row",
+            "report-long-row",
         ],
     )
     def test_bad_value_is_a_one_line_input_error(
@@ -585,11 +590,15 @@ class TestFlagErrors:
     ):
         neg_seed = tmp_path / "neg_seed.ini"
         neg_seed.write_text(SCENARIO_INI.replace("seed = 21", "seed = -1"))
+        (tmp_path / "short.csv").write_text("a,b,c\n1,2\n")
+        (tmp_path / "long.csv").write_text("a,b\n1,2\n3,4,5\n")
         paths = {
             "DATA": cohort_file,
             "SCENARIO": scenario_file,
             "NEG_SEED_SCENARIO": str(neg_seed),
             "OUT": str(tmp_path / "x.csv"),
+            "SHORT_ROW": str(tmp_path / "short.csv"),
+            "LONG_ROW": str(tmp_path / "long.csv"),
         }
         assert main([paths.get(a, a) for a in argv]) == 2
         err = capsys.readouterr().err
