@@ -21,8 +21,8 @@ rates held on a bound, drops below 1e-8 or the step below 1e-10. Both
 fits are gated for separation by ``_degenerate``. Boundary pathologies
 (separation, error rates pinned at zero, singular information) are
 reported through ``converged``/``condition_warning`` on the result,
-never as crashes. The linear algebra is numpy's, so fitting imports no
-scipy; only ``simulate``'s age draw does.
+never as crashes. The linear algebra is numpy's; the package imports
+no scipy.
 """
 
 from __future__ import annotations

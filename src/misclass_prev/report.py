@@ -562,7 +562,10 @@ def render_csv_text(path):
     Every row must have as many cells as the header.
     """
     with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise ValueError(f"{path}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path} is empty")
     for i, row in enumerate(rows[1:], start=2):

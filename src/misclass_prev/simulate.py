@@ -10,11 +10,11 @@ their coefficient; exp(beta) for the co-test column is the dependence
 knob, with log(5) the conventional default.
 
 Age is a truncated normal whose underlying location and scale are
-solved numerically so the truncated distribution itself matches the
-requested mean and standard deviation between the bounds. That age
-draw is the package's one use of scipy (normal cdf and quantile, root
-finders), imported where it is called: a numpy replacement would move
-the drawn ages, and with them every stored cohort and study output.
+solved by Levenberg-Marquardt steps with the analytic Jacobian, so the
+truncated distribution itself matches the requested mean and standard
+deviation between the bounds; ages are drawn by inverting the normal
+cdf. The normal cdf is ``math.erfc`` and the quantile
+``statistics.NormalDist().inv_cdf``, so the package needs no scipy.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import configparser
 import logging
 import math
 import os
+import sys
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 
@@ -85,39 +86,120 @@ def _phi(x):
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
+def _ndtr(x):
+    """Standard normal cdf of a scalar."""
+    return 0.5 * math.erfc(-x * math.sqrt(0.5))
+
+
+def _mass(a, b):
+    """Standard normal probability of [a, b], from the tail that keeps its digits."""
+    return _ndtr(b) - _ndtr(a) if a <= 0.0 else _ndtr(-a) - _ndtr(-b)
+
+
+def _ndtri(p):
+    """Standard normal quantiles of an array of probabilities: -inf at 0 and inf at 1."""
+    from statistics import NormalDist  # here, not at the top: it loads decimal, which only draws use
+
+    inv = NormalDist().inv_cdf
+    return np.array([inv(q) if 0.0 < q < 1.0 else math.copysign(math.inf, q - 0.5) for q in p.tolist()])
+
+
 def _truncnorm_moments(mu, sigma, lo, hi):
-    from scipy import special
+    """Mean and sd of the normal(mu, sigma) truncated to [lo, hi], and their
+    Jacobian by (mu, log sigma); nan and None where the variance is lost
+    to cancellation or the interval's probability is below the smallest
+    normal float, where it keeps too few digits for the moments or the
+    draw.
+
+    The derivatives are covariances of powers of the truncated variable
+    with the scores of mu and log sigma, from the raw moments of the
+    standardized truncation to [a, b] with probability Z:
+    E z^k = (k - 1) E z^(k-2) + (a^(k-1) phi(a) - b^(k-1) phi(b)) / Z.
+    """
     a = (lo - mu) / sigma
     b = (hi - mu) / sigma
-    z = special.ndtr(b) - special.ndtr(a)
-    if z <= 0:
-        return math.nan, math.nan
-    pa, pb = _phi(a), _phi(b)
-    mean = mu + sigma * (pa - pb) / z
-    var = sigma * sigma * (1.0 + (a * pa - b * pb) / z - ((pa - pb) / z) ** 2)
-    return mean, math.sqrt(var)
+    z = _mass(a, b)
+    if not z >= sys.float_info.min:
+        return math.nan, math.nan, None
+    pa, pb = _phi(a) / z, _phi(b) / z
+    a, b = max(a, -40.0), min(b, 40.0)  # phi is 0 beyond; keeps a^3 * 0 from being nan
+    e1 = pa - pb
+    e2 = 1.0 + a * pa - b * pb
+    var = e2 - e1 * e1
+    if not var > 0:
+        return math.nan, math.nan, None
+    e3 = 2.0 * e1 + a * a * pa - b * b * pb
+    e4 = 3.0 * e2 + a * a * a * pa - b * b * b * pb
+    mu3 = e3 - 3.0 * e1 * e2 + 2.0 * e1**3
+    mu4 = e4 - 4.0 * e1 * e3 + 6.0 * e1 * e1 * e2 - 3.0 * e1**4
+    sd = math.sqrt(var)
+    jac = np.array(
+        [
+            [var, sigma * (e3 - e1 * e2)],
+            [mu3 / (2.0 * sd), sigma * (mu4 - var * var + 2.0 * e1 * mu3) / (2.0 * sd)],
+        ]
+    )
+    return mu + sigma * e1, sigma * sd, jac
 
 
 _TRUNCNORM_CACHE = {}
 
 
 def _calibrated_truncnorm(mean, sd, lo, hi):
-    """Underlying (mu, sigma) whose truncation to [lo, hi] has the target moments."""
-    key = (mean, sd, lo, hi)
+    """Underlying (mu, sigma) whose truncation to [lo, hi] has the target moments.
+
+    Levenberg-Marquardt on the moments' residual over (r, log c), the
+    coefficients of the log density -r u - c u^2 in u = x - e, where e
+    is the bound nearer the mean, from the start mu = mean, sigma = sd.
+    A target near the truncated exponential lies at c -> 0, down a
+    valley that is straight in these coordinates but curved in
+    (mu, log sigma); where the moments are lost before it is reached,
+    the least-squares point near that edge can still pass the gate.
+    """
+    key = mean, sd, lo, hi = tuple(map(float, (mean, sd, lo, hi)))
     if key in _TRUNCNORM_CACHE:
         return _TRUNCNORM_CACHE[key]
 
-    def residual(theta):
-        m, s = _truncnorm_moments(theta[0], math.exp(theta[1]), lo, hi)
-        if not (math.isfinite(m) and math.isfinite(s)):
-            return [1e6, 1e6]
-        return [m - mean, s - sd]
+    edge = lo if mean - lo <= hi - mean else hi
 
-    from scipy import optimize  # here, not at the top: a fifth of a second to import
-    sol = optimize.root(residual, [mean, math.log(sd)], method="hybr")
-    mu, sigma = float(sol.x[0]), float(math.exp(sol.x[1]))
-    m, s = _truncnorm_moments(mu, sigma, lo, hi)
-    if not (sol.success and abs(m - mean) <= 1e-6 and abs(s - sd) <= 1e-6):
+    def to_mu_sigma(r, log_c):
+        sigma = math.exp(-0.5 * log_c) * math.sqrt(0.5)
+        return edge - r * sigma * sigma, sigma
+
+    def misfit(theta):
+        """The moments' residual at theta = (r, log c), its Jacobian and its norm (nan where lost)."""
+        r, log_c = map(float, theta)
+        if abs(log_c) > 1400.0:  # sigma would leave the floats
+            return None, None, math.nan
+        mu, sigma = to_mu_sigma(r, log_c)
+        m, s, jac = _truncnorm_moments(mu, sigma, lo, hi)
+        if jac is None:
+            return None, None, math.nan
+        # chain rule: mu = e - r sigma^2 and log sigma = -log(2 c) / 2
+        jac = jac @ np.array([[-sigma * sigma, r * sigma * sigma], [0.0, -0.5]])
+        return np.array([m - mean, s - sd]), jac, math.hypot(m - mean, s - sd)
+
+    theta = np.array([(edge - mean) / (sd * sd), math.log(0.5 / (sd * sd))])
+    res, jac, norm = misfit(theta)
+    damping = 0.0
+    for _ in range(2000):
+        if not (0.0 < norm < math.inf and damping < 1e20):
+            break
+        grad, gram = jac.T @ res, jac.T @ jac
+        try:
+            step = np.linalg.solve(gram + damping * np.diag(np.diag(gram)), grad)
+        except np.linalg.LinAlgError:
+            step = np.full(2, math.nan)
+        cand = theta - step
+        cand_res, cand_jac, cand_norm = misfit(cand)
+        if cand_norm < norm:
+            theta, res, jac, norm = cand, cand_res, cand_jac, cand_norm
+            damping = damping / 10.0 if damping > 1e-12 else 0.0
+        else:
+            damping = max(10.0 * damping, 1e-9)
+    mu, sigma = to_mu_sigma(*map(float, theta))
+    m, s, _ = _truncnorm_moments(mu, sigma, lo, hi)
+    if not (abs(m - mean) <= 1e-6 and abs(s - sd) <= 1e-6):
         raise InputError(
             f"cannot match age moments mean={mean}, sd={sd} inside [{lo}, {hi}]"
         )
@@ -161,6 +243,8 @@ class SimScenario:
                 f"beta_true has {len(beta)} entries; need {len(ordered) + 1} "
                 f"(intercept + {list(ordered)})"
             )
+        if not all(map(math.isfinite, beta)):
+            raise ValueError(f"beta_true must be finite, got {beta}")
         object.__setattr__(self, "beta_true", beta)
 
 
@@ -173,15 +257,25 @@ class SimTruth:
     true_prevalence: float
 
 
+def _truncnorm_draw(spec, u):
+    """Ages for uniforms u on [0, 1], by inverting the calibrated truncated normal's cdf.
+
+    When the interval lies above mu, the draw is mirrored, so the
+    probabilities come from the lower tail, where they keep their digits.
+    A probability that rounds onto 0 or 1 has an infinite quantile, which
+    the clip puts on ``age_min`` or ``age_max``.
+    """
+    mu, sigma = _calibrated_truncnorm(spec.age_mean, spec.age_sd, spec.age_min, spec.age_max)
+    a, b = (spec.age_min - mu) / sigma, (spec.age_max - mu) / sigma
+    sign = -1.0 if a > 0.0 else 1.0
+    lo_u, hi_u = _ndtr(sign * a), _ndtr(sign * b)
+    age = mu + sign * sigma * _ndtri(lo_u + (hi_u - lo_u) * u)
+    return np.clip(age, spec.age_min, spec.age_max)
+
+
 def _draw_covariates(spec, n, rng):
     """Draw covariate columns in a fixed order; returns a dict of arrays."""
-    from scipy import special
-    mu, sigma = _calibrated_truncnorm(spec.age_mean, spec.age_sd, spec.age_min, spec.age_max)
-    lo_u = special.ndtr((spec.age_min - mu) / sigma)
-    hi_u = special.ndtr((spec.age_max - mu) / sigma)
-    u = lo_u + (hi_u - lo_u) * rng.random(n)
-    age = mu + sigma * special.ndtri(u)
-    age = np.clip(age, spec.age_min, spec.age_max)
+    age = _truncnorm_draw(spec, rng.random(n))
 
     sex = (rng.random(n) < spec.male_rate).astype(int)
     cum = np.cumsum(spec.group_probs)
@@ -216,6 +310,9 @@ def simulate(scenario, rng=None):
     return cohort, truth
 
 
+_INTERCEPT_XTOL = 1e-12
+
+
 def calibrate_intercept(scenario, target_prevalence, probe_n=100_000):
     """Adjust the intercept so the mean true-status probability hits a target.
 
@@ -231,12 +328,29 @@ def calibrate_intercept(scenario, target_prevalence, probe_n=100_000):
     beta = np.asarray(scenario.beta_true)
 
     def gap(intercept):
+        """The mean probability's distance from the target, and its slope."""
         b = beta.copy()
         b[0] = intercept
-        return float(np.mean(logistic(X @ b))) - target_prevalence
+        pi = logistic(X @ b)
+        return float(np.mean(pi)) - target_prevalence, float(np.mean(pi * (1.0 - pi)))
 
-    from scipy import optimize
-    b0 = optimize.brentq(gap, -30.0, 10.0, xtol=1e-10)
+    # Newton inside a bracket that shrinks around the root; a step that
+    # would leave it bisects instead
+    lo, hi = -30.0, 10.0
+    if gap(lo)[0] > 0.0 or gap(hi)[0] < 0.0:
+        raise ValueError(f"no intercept in [{lo}, {hi}] gives prevalence {target_prevalence}")
+    b0 = 0.5 * (lo + hi)
+    while hi - lo > _INTERCEPT_XTOL:
+        g, slope = gap(b0)
+        if g == 0.0:
+            break
+        lo, hi = (b0, hi) if g < 0.0 else (lo, b0)
+        nxt = b0 - g / slope if slope > 0.0 else math.nan
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        b0, moved = nxt, abs(nxt - b0)
+        if moved <= _INTERCEPT_XTOL:
+            break
     return replace(scenario, beta_true=(float(b0),) + scenario.beta_true[1:])
 
 

@@ -457,15 +457,22 @@ class TestCompareCommand:
         assert read_rows(coef)[0][0] == "coefficient"
         assert read_rows(se)[0] == ["coefficient", "se_liu", "se_bec", "relative_change"]
 
-    def test_package_and_fitting_commands_leave_scipy_unimported(self, liu_cohort_file, tmp_path):
-        # only simulate's age draw uses scipy; the fits are numpy throughout,
-        # the bootstrap refits included
+    def test_package_and_fitting_commands_leave_scipy_unimported(
+        self, liu_cohort_file, scenario_file, tmp_path
+    ):
+        # the fits are numpy throughout, the bootstrap refits included, and
+        # the cohort draw is math, statistics and numpy
         assay = ["--se", "0.964", "--sp", "0.974", "--bootstrap", "20", "--seed", "5"]
+        chains = ["--chains", "2", "--warmup", "200", "--samples", "200"]
         compare = ["compare", "--data", liu_cohort_file, "--models", "std,liu,bc,bec", *assay,
-                   "--chains", "2", "--warmup", "200", "--samples", "200",
-                   "--allow-nonconverged", "--out", str(tmp_path / "cmp.csv")]  # fmt: skip
+                   *chains, "--allow-nonconverged", "--out", str(tmp_path / "cmp.csv")]  # fmt: skip
         fit = ["fit", "--data", liu_cohort_file, "--model", "LIU", *assay,
                "--out", str(tmp_path / "fit.csv")]  # fmt: skip
+        cohort = ["simulate", "--scenario", scenario_file, "--out", str(tmp_path / "sim.csv")]
+        study = ["simulate", "--scenario", scenario_file, "--reps", "2", "--workers", "1",
+                 "--estimators", "observed,rg,std,liu,bc,bec", *chains, "--format", "csv",
+                 "--out", str(tmp_path / "study.csv")]  # fmt: skip
+        report = ["report", "--in", str(tmp_path / "study.csv"), "--out", str(tmp_path / "study.txt")]
         code = (
             "import sys\n"
             "def check(after):\n"
@@ -478,10 +485,17 @@ class TestCompareCommand:
             "check('compare')\n"
             f"assert main({fit!r}) == 0\n"
             "check('fit --model LIU')\n"
+            f"assert main({cohort!r}) == 0\n"
+            "check('simulate')\n"
+            f"assert main({study!r}) == 0\n"
+            "check('simulate --reps')\n"
+            f"assert main({report!r}) == 0\n"
+            "check('report')\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "cmp.csv").exists() and (tmp_path / "fit.csv").exists()
+        for name in ("cmp.csv", "fit.csv", "sim.csv", "study.csv", "study.txt"):
+            assert (tmp_path / name).exists()
 
 
 class TestOnePipeline:
@@ -553,6 +567,7 @@ class TestFlagErrors:
             ["fit", "--data", "DATA", "--model", "BEC", *ASSAY, "--sp-prior-n", "inf"],
             ["report", "--in", "SHORT_ROW"],
             ["report", "--in", "LONG_ROW"],
+            ["report", "--in", "HUGE_FIELD"],
         ],
         ids=[
             "chains",
@@ -583,6 +598,7 @@ class TestFlagErrors:
             "sp-prior-n-inf",
             "report-short-row",
             "report-long-row",
+            "report-huge-field",
         ],
     )
     def test_bad_value_is_a_one_line_input_error(
@@ -592,6 +608,8 @@ class TestFlagErrors:
         neg_seed.write_text(SCENARIO_INI.replace("seed = 21", "seed = -1"))
         (tmp_path / "short.csv").write_text("a,b,c\n1,2\n")
         (tmp_path / "long.csv").write_text("a,b\n1,2\n3,4,5\n")
+        # one quoted cell past the csv module's 131,072-character field limit
+        (tmp_path / "huge.csv").write_text(f'a,b\n1,"{"x" * 200_000}"\n')
         paths = {
             "DATA": cohort_file,
             "SCENARIO": scenario_file,
@@ -599,6 +617,7 @@ class TestFlagErrors:
             "OUT": str(tmp_path / "x.csv"),
             "SHORT_ROW": str(tmp_path / "short.csv"),
             "LONG_ROW": str(tmp_path / "long.csv"),
+            "HUGE_FIELD": str(tmp_path / "huge.csv"),
         }
         assert main([paths.get(a, a) for a in argv]) == 2
         err = capsys.readouterr().err
@@ -866,3 +885,88 @@ class TestFlagDomains:
         code, err = run_flags(argv, {"--models": text, "--variant": variant})
         assert "Traceback" not in err
         assert code == 2 if broken or variant in BAD_VARIANTS else code in (0, 3), err
+
+
+# Keys of a scenario file for the property test below, by section: each
+# key's valid values, and values the reader must refuse. The age keys
+# are drawn together (see scenario_files).
+PROB = st.floats(0.0, 1.0)
+BAD_PROBS = ("nan", "inf", "-0.1", "1.5", "x")
+SCENARIO_KEYS = {
+    "scenario": {
+        "n": (st.integers(1, 40), ("0", "-3", "2.5", "x", "")),
+        "seed": (st.integers(0, 2**63), ("-1", "x")),
+    },
+    "generating_assay": {
+        "se": (st.floats(0.5, 1.0, exclude_min=True), BAD_PROBS),
+        "sp": (st.floats(0.5, 1.0, exclude_min=True), BAD_PROBS),
+    },
+    "coefficients": {
+        "intercept": (st.floats(-6.0, 2.0), ("nan", "inf", "x")),
+        "age": (st.none() | st.floats(-0.2, 0.2), ("nan", "-inf")),
+        "sex": (st.none() | st.floats(-3.0, 3.0), ("nan",)),
+        "other_sti": (st.none() | st.floats(-3.0, 3.0), ("inf",)),
+    },
+    "covariates": {
+        "age_mean": (st.none(), ("nan", "x")),
+        "age_sd": (st.none(), ("0", "-2", "inf")),
+        "age_min": (st.none(), ("nan", "-5")),
+        "age_max": (st.none(), ("-inf",)),
+        "male_rate": (st.none() | PROB, BAD_PROBS),
+        "other_sti_rate": (st.none() | PROB, BAD_PROBS),
+        "hepb_rate": (st.none() | PROB, BAD_PROBS),
+        "group_msm": (st.none() | st.floats(0.0, 5.0), ("-1", "nan")),
+        "group_sex_worker": (st.none() | st.floats(0.0, 5.0), ("-1",)),
+    },
+}
+
+
+@st.composite
+def scenario_files(draw):
+    """The text of a scenario file, and whether a value in it is invalid.
+
+    Every key gets a valid value or is left out (where it may be); then
+    up to two values are made invalid. The age moments are set inside
+    their bounds, at up to half the bounds' width for the sd, so some
+    ask for what no truncated normal has and take the age solver's
+    failure path.
+    """
+    values = {
+        (section, key): draw(valid)
+        for section, keys in SCENARIO_KEYS.items()
+        for key, (valid, _) in keys.items()
+    }
+    ages = st.tuples(st.floats(0.0, 40.0), st.floats(1.0, 100.0), st.floats(0.0, 1.0), st.floats(1e-3, 0.5))
+    drawn_ages = draw(st.none() | ages)
+    if drawn_ages is not None:
+        lo, width, at, spread = drawn_ages
+        moments = {"age_min": lo, "age_max": lo + width, "age_mean": lo + at * width, "age_sd": spread * width}
+        values.update({("covariates", k): v for k, v in moments.items()})
+    slots = sorted(values)
+    broken = draw(st.lists(st.sampled_from(slots), max_size=2, unique=True))
+    for section, key in broken:
+        values[section, key] = draw(st.sampled_from(SCENARIO_KEYS[section][key][1]))
+    lines = []
+    for section in SCENARIO_KEYS:
+        lines.append(f"[{section}]")
+        lines += [f"{k} = {v}" for (s, k), v in values.items() if s == section and v is not None]
+    return "\n".join(lines) + "\n", bool(broken)
+
+
+class TestScenarioFileDomains:
+    """A scenario file drawn whole: simulate exits 0, or 2 or 3 with one line, never a traceback."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(drawn=scenario_files())
+    def test_simulate(self, tmp_path_factory, drawn):
+        text, broken = drawn
+        root = tmp_path_factory.mktemp("scenario")
+        (root / "s.ini").write_text(text)
+        argv = ["simulate", "--scenario", str(root / "s.ini"), "--out", str(root / "c.csv")]
+        code, err = run_flags(argv, {})
+        assert "Traceback" not in err
+        reasons = [line for line in err.splitlines() if line.startswith(("input error:", "statistical error:"))]
+        if broken:
+            assert code == 2, text
+        assert code in (0, 2, 3), err
+        assert len(reasons) == (code != 0), err

@@ -1,16 +1,27 @@
 """Cohort generator: marginals, misclassification mechanics, studies, scenario files."""
 
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import optimize, special
 
-from misclass_prev.data_model import AssayProfile, save_cohort
+from misclass_prev.data_model import AssayProfile, design_from_columns, save_cohort
 from misclass_prev.errors import InputError, SchemaError
+from misclass_prev.likelihoods import logistic
 from misclass_prev.simulate import (
     CovariateSpec,
     EstimatorSpec,
     SimScenario,
+    _calibrated_truncnorm,
+    _draw_covariates,
+    _ndtr,
+    _ndtri,
+    _truncnorm_draw,
+    _truncnorm_moments,
     calibrate_intercept,
     load_bundled_scenario,
     read_scenario,
@@ -173,6 +184,100 @@ class TestCalibration:
         sc = basic_scenario()
         with pytest.raises(ValueError):
             calibrate_intercept(sc, 0.0)
+
+
+class TestScipyReplacements:
+    """The normal functions and root solves of the age draw, held against scipy's."""
+
+    def test_cdf_matches_ndtr_into_both_tails(self):
+        x = np.concatenate([np.linspace(-37.5, 9.0, 931), [-1e-300, 0.0, 1e-300]])
+        got = np.array([_ndtr(v) for v in x])
+        np.testing.assert_allclose(got, special.ndtr(x), rtol=1e-13, atol=0.0)
+
+    def test_quantile_matches_ndtri_into_both_tails(self):
+        p = np.concatenate(
+            [np.logspace(-300, -1, 300), np.linspace(0.01, 0.99, 99), 1.0 - np.logspace(-16, -1, 100)]
+        )
+        np.testing.assert_allclose(_ndtri(p), special.ndtri(p), rtol=1e-13, atol=0.0)
+        assert _ndtri(np.array([0.0, 1.0])).tolist() == [-math.inf, math.inf]
+
+    @staticmethod
+    def hybr(mean, sd, lo, hi):
+        """scipy's hybr on the same residual from the same start, or None where it misses the gate."""
+
+        def moments(theta):
+            if abs(theta[1]) > 700.0:  # sigma would leave the floats
+                return math.nan, math.nan
+            return _truncnorm_moments(theta[0], math.exp(theta[1]), lo, hi)[:2]
+
+        def residual(theta):
+            m, s = moments(theta)
+            if not (math.isfinite(m) and math.isfinite(s)):
+                return [1e6, 1e6]
+            return [m - mean, s - sd]
+
+        sol = optimize.root(residual, [mean, math.log(sd)], method="hybr")
+        m, s = moments(sol.x)
+        if sol.success and abs(m - mean) <= 1e-6 and abs(s - sd) <= 1e-6:
+            return float(sol.x[0]), math.exp(sol.x[1])
+        return None
+
+    def test_solver_matches_hybr_on_the_default_moments(self):
+        spec = CovariateSpec()
+        args = (spec.age_mean, spec.age_sd, spec.age_min, spec.age_max)
+        np.testing.assert_allclose(_calibrated_truncnorm(*args), self.hybr(*args), rtol=1e-12)
+
+    # moment sets on either side of what a truncated normal can reach,
+    # the far-tail ones (mu far below the lower bound) included
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        lo=st.floats(-100.0, 100.0),
+        width=st.floats(0.5, 200.0),
+        at=st.floats(0.0, 1.0),
+        spread=st.floats(0.005, 0.45),
+    )
+    def test_solver_succeeds_wherever_hybr_does(self, lo, width, at, spread):
+        hi, mean, sd = lo + width, lo + at * width, spread * width
+        try:
+            mu, sigma = _calibrated_truncnorm(mean, sd, lo, hi)
+        except InputError:
+            assert self.hybr(mean, sd, lo, hi) is None
+            return
+        m, s, _ = _truncnorm_moments(mu, sigma, lo, hi)
+        assert abs(m - mean) <= 1e-6 and abs(s - sd) <= 1e-6
+
+    @pytest.mark.parametrize("target", [0.001, 0.05, 0.5, 0.97])
+    @pytest.mark.parametrize("scenario", ["basic", "demo_cohort"])
+    def test_intercept_matches_brentq(self, scenario, target):
+        sc = basic_scenario() if scenario == "basic" else load_bundled_scenario(scenario)
+        probe_n = 20_000
+        got = calibrate_intercept(sc, target, probe_n=probe_n).beta_true[0]
+        cols = _draw_covariates(sc.covariate_spec, probe_n, np.random.default_rng([7, 0xCA11]))
+        X = design_from_columns(cols, sc.covariates).matrix
+        rest = np.asarray(sc.beta_true[1:])
+
+        def gap(b0):
+            return float(np.mean(logistic(X @ np.r_[b0, rest]))) - target
+
+        assert abs(got - optimize.brentq(gap, -30.0, 10.0, xtol=1e-10)) <= 1e-9
+
+    def test_intercept_out_of_reach_is_a_value_error(self):
+        with pytest.raises(ValueError, match="no intercept"):
+            calibrate_intercept(basic_scenario(), 1e-15, probe_n=1000)
+
+    @pytest.mark.parametrize(
+        "spec,uniforms,ages",
+        [
+            # cdf 0 at age_min and 1 at age_max, so both ends have infinite quantiles
+            (CovariateSpec(age_mean=50.0, age_sd=5.0, age_min=-1000.0, age_max=1000.0),
+             [0.0, 1.0], [-1000.0, 1000.0]),
+            # mu below age_min, so the draw is mirrored; cdf 0 at age_max there
+            (CovariateSpec(age_mean=16.0, age_sd=0.8, age_min=15.0, age_max=1000.0),
+             [0.0, 1.0], [15.0, 1000.0]),
+        ],
+    )  # fmt: skip
+    def test_uniform_of_zero_or_one_gives_the_bounds(self, spec, uniforms, ages):
+        assert _truncnorm_draw(spec, np.array(uniforms)).tolist() == ages
 
 
 class TestScenarioFiles:
