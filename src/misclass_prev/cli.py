@@ -13,9 +13,10 @@ as rows of raw values and writes them through ``report.csv_text`` or
 ``report.text_table``; ``--truth-out`` goes through the same writer.
 
 Results go to stdout or ``--out``; logs, the resolved seed, and the
-effective configuration echo go to stderr. Exit codes: 0 on success,
-2 for input problems (bad files, bad flags), 3 for statistical
-failures (non-convergence, failed chain diagnostics).
+effective configuration echo go to stderr. Every input file goes through
+``data_model``'s one reader. Exit codes: 0 on success, 2 for input
+problems (bad files, bad flags), 3 for statistical failures
+(non-convergence, failed chain diagnostics), each with a one-line reason.
 
 A fixed ``--seed`` reproduces results bit for bit only at a fixed BLAS
 thread count. OpenBLAS splits long dot products and matrix-vector
@@ -34,6 +35,7 @@ from dataclasses import replace
 
 from .bayes import ACCURACY_NAMES
 from .data_model import (
+    ASSAY_KEYS,
     AnalysisConfig,
     AssayProfile,
     build_design_matrix,
@@ -61,6 +63,7 @@ from .report import (
 from .rogan_gladen import IntervalMethod, rogan_gladen_interval
 from .simulate import (
     ESTIMATOR_NAMES,
+    STUDY_SAMPLER,
     EstimatorSpec,
     ReplicationSummary,
     load_bundled_scenario,
@@ -84,9 +87,9 @@ STUDY_DEFAULTS = {
     "workers": None,
     "se": None,
     "sp": None,
-    "chains": 2,
-    "warmup": 800,
-    "samples": 800,
+    "chains": STUDY_SAMPLER.chains,
+    "warmup": STUDY_SAMPLER.warmup,
+    "samples": STUDY_SAMPLER.samples,
 }
 SEED_HELP = (
     "non-negative; a fixed seed repeats results bit for bit only at a fixed "
@@ -214,35 +217,27 @@ def _echo(args, extra=""):
     print(line, file=sys.stderr)
 
 
-def _load_config(args):
-    if getattr(args, "config", None):
-        return read_analysis_config(args.config)
-    return AnalysisConfig()
-
-
-def _resolve_assay(args, config, outcome_label, required):
-    """Merge assay settings from flags over the config file blocks."""
-    block = config.assays.get(outcome_label.lower()) or config.assays.get("") or {}
-    se = args.se if args.se is not None else block.get("se")
-    sp = args.sp if args.sp is not None else block.get("sp")
+def _config_and_assay(args, required):
+    """The ``--config`` column map, and the ``--outcome`` assay block with the flags over it."""
+    config = read_analysis_config(args.config) if args.config else AnalysisConfig()
+    outcome = args.outcome.lower()
+    block = config.assays.get(outcome) or config.assays.get("") or {}
+    flags = {k: getattr(args, k) for k in ASSAY_KEYS}  # --se, --sp, --se-prior-n, --sp-prior-n
+    se, sp, se_n, sp_n = (block.get(k) if v is None else v for k, v in flags.items())
     if se is None or sp is None:
         if required:
             raise InputError(
                 "assay accuracy is required here; pass --se/--sp or provide an "
-                f"[assay] or [assay.{outcome_label.lower()}] config block"
+                f"[assay] or [assay.{outcome}] config block"
             )
-        return None
-    se_n = args.se_prior_n if args.se_prior_n is not None else block.get("se_prior_n")
-    sp_n = args.sp_prior_n if args.sp_prior_n is not None else block.get("sp_prior_n")
-    return AssayProfile.from_settings(se, sp, se_n, sp_n)
+        return config.column_map, None
+    return config.column_map, AssayProfile(se, sp, se_n, sp_n)
 
 
 def _assay_echo(assay):
     if assay is None:
         return "no assay"
-    return (
-        f"assay Se = {assay.sensitivity} Sp = {assay.specificity} ({assay.mode.value})"
-    )
+    return f"assay Se = {assay.sensitivity} Sp = {assay.specificity} ({assay.mode.value})"
 
 
 def _sampler(args):
@@ -313,13 +308,12 @@ def _fit_rows(fit, prev, draws):
 
 
 def _run_fit(args):
-    config = _load_config(args)
     model = ModelTag(args.model)
-    assay = _resolve_assay(args, config, args.outcome, required=model is not ModelTag.LIU)
+    column_map, assay = _config_and_assay(args, required=model is not ModelTag.LIU)
     options = _estimate_options(args)
     _echo(args, f"model = {args.model}; {_assay_echo(assay)}")
 
-    cohort = load_cohort(args.data, column_map=config.column_map, outcome_label=args.outcome)
+    cohort = load_cohort(args.data, column_map=column_map, outcome_label=args.outcome)
     X = build_design_matrix(cohort)
     y = cohort.outcomes()
 
@@ -356,14 +350,13 @@ def _run_fit(args):
 
 
 def _run_compare(args):
-    config = _load_config(args)
-    assay = _resolve_assay(args, config, args.outcome, required=True)
+    column_map, assay = _config_and_assay(args, required=True)
     valid = [t.value.lower() for t in ModelTag]
     wanted = [w.upper() for w in _name_list("--models", args.models, valid, "model")]
     options = _estimate_options(args)
     _echo(args, f"models = {','.join(wanted)}; {_assay_echo(assay)}")
 
-    cohort = load_cohort(args.data, column_map=config.column_map, outcome_label=args.outcome)
+    cohort = load_cohort(args.data, column_map=column_map, outcome_label=args.outcome)
     X = build_design_matrix(cohort)
     y = cohort.outcomes()
 
@@ -454,11 +447,7 @@ def _run_simulate(args):
 
 
 def _run_report(args):
-    try:
-        text = render_csv_text(args.infile)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    _emit(text, args.out)
+    _emit(render_csv_text(args.infile), args.out)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Cohorts, design matrices, assay profiles, and file ingestion.
+"""Cohorts, design matrices, assay profiles, and the input-file reader.
 
 A ``Cohort`` holds one read-only numpy column per field: ``outcome``,
 ``sex``, ``other_sti`` and ``hepb`` as 0/1, ``age`` as non-negative
@@ -21,6 +21,11 @@ so a five-level group contributes four columns.
 A design matrix groups its rows into covariate patterns (distinct rows,
 with how many cohort rows share each) on first use and keeps them: the
 likelihoods, fits and prevalence summaries all run over the patterns.
+
+Every input file is read here, as UTF-8 with any byte-order mark
+skipped (``read_text``): csv files as rectangular rows (``read_csv_rows``)
+and key = value files against the caller's sections and keys
+(``read_ini``). A file that cannot be read is a one-line SchemaError.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -321,16 +325,15 @@ class AssayProfile:
     """Diagnostic test accuracy: known values, optionally with Beta priors.
 
     Sensitivity and specificity must each exceed 0.5 so the test is
-    informative (positive Youden index). In BETA_PRIOR mode the prior
-    shape pairs must be positive and finite and reproduce the stated
-    values as their means.
+    informative (positive Youden index). A prior effective sample size n
+    for either switches on BETA_PRIOR mode (the other n is then
+    ``DEFAULT_PRIOR_N``), with Beta shapes (value n, (1 - value) n).
     """
 
     sensitivity: float
     specificity: float
-    mode: AssayMode = AssayMode.FIXED
-    se_prior: tuple = None
-    sp_prior: tuple = None
+    se_prior_n: float = None
+    sp_prior_n: float = None
 
     def __post_init__(self):
         se, sp = float(self.sensitivity), float(self.specificity)
@@ -341,55 +344,40 @@ class AssayProfile:
             raise SchemaError("sensitivity + specificity must exceed 1")
         object.__setattr__(self, "sensitivity", se)
         object.__setattr__(self, "specificity", sp)
-        if self.mode is AssayMode.BETA_PRIOR:
-            for name, prior, target in (
-                ("se_prior", self.se_prior, se),
-                ("sp_prior", self.sp_prior, sp),
-            ):
-                if prior is None:
-                    raise SchemaError(f"{name} is required in beta_prior mode")
-                a, b = float(prior[0]), float(prior[1])
-                if not (0 < a < math.inf and 0 < b < math.inf):
-                    raise SchemaError(f"{name} shapes must be positive and finite, got {prior}")
-                if abs(a / (a + b) - target) > 1e-9:
-                    raise SchemaError(
-                        f"{name} mean {a / (a + b):.12f} does not match the stated value {target}"
-                    )
-                object.__setattr__(self, name, (a, b))
-        else:
-            if self.se_prior is not None or self.sp_prior is not None:
-                raise SchemaError("priors are only meaningful in beta_prior mode")
+        if self.se_prior_n is None and self.sp_prior_n is None:
+            return
+        for name in ("se_prior", "sp_prior"):
+            n = getattr(self, f"{name}_n")
+            object.__setattr__(self, f"{name}_n", DEFAULT_PRIOR_N if n is None else float(n))
+            a, b = getattr(self, name)
+            if not (0 < a < math.inf and 0 < b < math.inf):
+                raise SchemaError(f"{name} shapes must be positive and finite, got {(a, b)}")
 
     @classmethod
     def with_beta_priors(cls, sensitivity, specificity, se_prior_n=None, sp_prior_n=None):
-        """Build a BETA_PRIOR profile from prior effective sample sizes.
+        """A BETA_PRIOR profile even when neither prior size is given."""
+        se_n = DEFAULT_PRIOR_N if se_prior_n is None else se_prior_n
+        return cls(sensitivity, specificity, se_n, sp_prior_n)
 
-        The Beta shapes are (value * n, (1 - value) * n), so the prior
-        mean equals the stated value and alpha + beta equals n; a size
-        left out is ``DEFAULT_PRIOR_N``.
-        """
-        se, sp = float(sensitivity), float(specificity)
-        se_n, sp_n = (DEFAULT_PRIOR_N if n is None else float(n) for n in (se_prior_n, sp_prior_n))
-        return cls(
-            sensitivity=se,
-            specificity=sp,
-            mode=AssayMode.BETA_PRIOR,
-            se_prior=(se * se_n, (1.0 - se) * se_n),
-            sp_prior=(sp * sp_n, (1.0 - sp) * sp_n),
-        )
+    @property
+    def mode(self):
+        return AssayMode.FIXED if self.se_prior_n is None else AssayMode.BETA_PRIOR
 
-    @classmethod
-    def from_settings(cls, sensitivity, specificity, se_prior_n=None, sp_prior_n=None):
-        """The profile that assay settings describe: fixed unless a prior size is given."""
-        if se_prior_n is None and sp_prior_n is None:
-            return cls(sensitivity=float(sensitivity), specificity=float(specificity))
-        return cls.with_beta_priors(sensitivity, specificity, se_prior_n, sp_prior_n)
+    @property
+    def se_prior(self):
+        """Beta shapes of the sensitivity prior; None in FIXED mode."""
+        n = self.se_prior_n
+        return None if n is None else (self.sensitivity * n, (1.0 - self.sensitivity) * n)
+
+    @property
+    def sp_prior(self):
+        """Beta shapes of the specificity prior; None in FIXED mode."""
+        n = self.sp_prior_n
+        return None if n is None else (self.specificity * n, (1.0 - self.specificity) * n)
 
     def point_profile(self):
         """The fixed (se, sp) view of this profile, for external corrections."""
-        if self.mode is AssayMode.FIXED:
-            return self
-        return AssayProfile(sensitivity=self.sensitivity, specificity=self.specificity)
+        return AssayProfile(self.sensitivity, self.specificity)
 
     @property
     def youden(self):
@@ -397,15 +385,92 @@ class AssayProfile:
 
 
 # ---------------------------------------------------------------------------
-# CSV ingestion and serialization
+# Input files: one reader for text, csv and ini
 # ---------------------------------------------------------------------------
+
+
+def read_text(source, what):
+    """The text of an input file, a path or an open text file: UTF-8, any BOM skipped.
+
+    A file that cannot be read or decoded is a one-line SchemaError
+    naming ``what`` and the file.
+    """
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            with open(source, encoding="utf-8", newline="") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        name, reason = getattr(source, "name", source), getattr(exc, "strerror", None) or exc
+        raise SchemaError(f"could not read {what} {name}: {reason}") from None
+    return text.removeprefix("\ufeff")
+
+
+def read_csv_rows(source, what):
+    """The rows of a csv input file as lists of strings, header first.
+
+    Rows are yielded as read, not kept, and blank lines are skipped. A
+    file the csv module refuses (a field over its size limit, say), a
+    file with no rows, and a row whose cell count differs from the
+    header's are one-line SchemaErrors.
+    """
+    reader = csv.reader(io.StringIO(read_text(source, what), newline=""))
+    header = None
+    try:
+        for row in filter(None, reader):
+            if header is None:
+                header = row
+            elif len(row) != len(header):
+                raise SchemaError(f"{what} line {reader.line_num}: {len(row)} cells, not {len(header)}")
+            yield row
+    except csv.Error as exc:
+        raise SchemaError(f"{what} line {reader.line_num}: {exc}") from None
+    if header is None:
+        raise SchemaError(f"{what} file is empty")
+
+
+def read_ini(source, what, keys):
+    """A key = value input file as a ConfigParser, its sections and keys checked against ``keys``.
+
+    ``keys`` maps each section name to the keys it may hold; a name
+    ``"assay.*"`` covers ``[assay]`` and every ``[assay.<name>]``. Values
+    are taken as written, without interpolation.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    try:
+        parser.read_string(read_text(source, what), source=str(getattr(source, "name", source)))
+    except configparser.Error as exc:  # configparser's reasons span lines
+        raise SchemaError(f"could not read {what}: {' '.join(str(exc).split())}") from None
+    for name in parser.sections():
+        allowed = keys.get(name, keys.get(name.partition(".")[0] + ".*"))
+        if allowed is None:
+            raise SchemaError(f"unknown section [{name}] in {what}; valid: {sorted(keys)}")
+        unknown = [k for k in parser[name] if k not in allowed]
+        if unknown:
+            raise SchemaError(f"unknown keys {unknown} in [{name}] of {what}; valid: {allowed}")
+    return parser
+
+
+# The keys of an assay block, in AssayProfile's field order.
+ASSAY_KEYS = ("se", "sp", "se_prior_n", "sp_prior_n")
+
+
+def assay_settings(section):
+    """An assay block's numbers by ASSAY_KEYS: se and sp required, a prior size left out None."""
+    missing = [k for k in ASSAY_KEYS[:2] if k not in section]
+    if missing:
+        raise SchemaError(f"[{section.name}] needs {' and '.join(missing)}")
+    try:
+        return {k: float(section[k]) if k in section else None for k in ASSAY_KEYS}
+    except ValueError as exc:
+        raise SchemaError(f"bad value in [{section.name}]: {exc}") from None
+
 
 def _parse_binary_cell(token, row, column):
     t = token.strip()
-    if t == "0":
-        return 0
-    if t == "1":
-        return 1
+    if t in ("0", "1"):
+        return int(t)
     raise ParseError(f"expected 0 or 1, got {token!r}", row=row, column=column)
 
 
@@ -427,7 +492,7 @@ def _parse_group_cell(token, row, column):
 
 
 def load_cohort(source, column_map=None, outcome_label="outcome"):
-    """Read a cohort from a delimiter-separated file.
+    """Read a cohort from a csv file, a path or an open text file, through ``read_csv_rows``.
 
     ``column_map`` maps canonical field names (``outcome``, ``age``,
     ``sex``, ``other_sti``, ``hepb``, ``group``) to the column names
@@ -441,29 +506,26 @@ def load_cohort(source, column_map=None, outcome_label="outcome"):
         raise SchemaError(f"unknown canonical fields in column map: {unknown}")
     resolved = {f: colmap.get(f, f) for f in CANONICAL_FIELDS}
 
-    if hasattr(source, "read"):
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-    else:
-        text = Path(source).read_text(encoding="utf-8")
-
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
-        raise SchemaError("input file is empty: no header row")
-    missing = [src for src in resolved.values() if src not in reader.fieldnames]
+    rows = read_csv_rows(source, "cohort")
+    header = next(rows)
+    missing = [src for src in resolved.values() if src not in header]
     if missing:
-        raise SchemaError(f"missing required columns: {missing}; found {reader.fieldnames}")
+        raise SchemaError(f"missing required columns: {missing}; found {header}")
+    repeated = sorted({src for src in resolved.values() if header.count(src) > 1})
+    if repeated:
+        raise SchemaError(f"columns {repeated} appear more than once in the header")
 
     parsers = dict.fromkeys(_BINARY_FIELDS, _parse_binary_cell)
     parsers.update(age=_parse_age_cell, group=_parse_group_cell)
-    columns = {name: [] for name in parsers}
-    for i, row in enumerate(reader, start=1):
-        for name, parse in parsers.items():
-            columns[name].append(parse(row[resolved[name]] or "", i, resolved[name]))
-    if not columns["outcome"]:
+    cells = [(parse, header.index(resolved[name]), resolved[name]) for name, parse in parsers.items()]
+    columns = [[] for _ in cells]
+    for i, row in enumerate(rows, start=1):
+        for (parse, j, column), values in zip(cells, columns):
+            values.append(parse(row[j], i, column))
+    if not columns[0]:
         raise SchemaError("input file has a header but no data rows")
-    log.info("loaded %d records (outcome label %r)", len(columns["outcome"]), outcome_label)
-    return Cohort.from_columns(**columns, outcome_label=outcome_label)
+    log.info("loaded %d records (outcome label %r)", len(columns[0]), outcome_label)
+    return Cohort.from_columns(**dict(zip(parsers, columns)), outcome_label=outcome_label)
 
 
 def save_cohort(cohort, path):
@@ -492,6 +554,9 @@ class AnalysisConfig:
     assays: dict = field(default_factory=dict)  # keyed by lower-case outcome name
 
 
+CONFIG_KEYS = {"columns": CANONICAL_FIELDS, "assay.*": ASSAY_KEYS}
+
+
 def read_analysis_config(path):
     """Parse a key = value config file with column mapping and assay blocks.
 
@@ -507,39 +572,15 @@ def read_analysis_config(path):
         se_prior_n = 1000       ; optional, enables beta-prior mode
         sp_prior_n = 1000
 
-    A bare ``[assay]`` section acts as the default for any outcome.
+    A bare ``[assay]`` section acts as the default for any outcome. Every
+    assay block must be a valid ``AssayProfile``, whichever outcome it is for.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except (OSError, configparser.Error) as exc:
-        raise SchemaError(f"could not read config {path}: {exc}") from exc
-
-    column_map = {}
-    if parser.has_section("columns"):
-        for k, v in parser.items("columns"):
-            if k not in CANONICAL_FIELDS:
-                raise SchemaError(f"unknown canonical field {k!r} in [columns]")
-            column_map[k] = v.strip()
-
+    ini = read_ini(path, "config", CONFIG_KEYS)
+    column_map = dict(ini["columns"]) if ini.has_section("columns") else {}
     assays = {}
-    for section in parser.sections():
-        if section == "assay":
-            key = ""
-        elif section.startswith("assay."):
-            key = section.split(".", 1)[1].strip().lower()
-        else:
-            continue
-        block = dict(parser.items(section))
-        try:
-            spec = {
-                "se": float(block["se"]),
-                "sp": float(block["sp"]),
-                "se_prior_n": float(block["se_prior_n"]) if "se_prior_n" in block else None,
-                "sp_prior_n": float(block["sp_prior_n"]) if "sp_prior_n" in block else None,
-            }
-        except (KeyError, ValueError) as exc:
-            raise SchemaError(f"bad assay block [{section}]: {exc}") from exc
-        assays[key] = spec
+    for name in ini.sections():
+        if name != "columns":
+            settings = assay_settings(ini[name])
+            AssayProfile(*settings.values())  # a broken block fails even if no outcome uses it
+            assays[name.partition(".")[2].strip().lower()] = settings
     return AnalysisConfig(column_map=column_map, assays=assays)

@@ -238,17 +238,21 @@ def mixture_hessian(k, m, U, beta, offset, slope):
     ``len(beta) + 2``.
     """
     _, pi, pc, qc = _mixture_terms(k, m, U, beta, offset, slope)
-    w = k / pc - (m - k) / qc
-    v = -_count_over_square(k, pc) - _count_over_square(m - k, qc)
-    d = pi * (1.0 - pi)  # d sigmoid / d eta
     p = U.shape[1]
     H = np.empty((p + 2, p + 2))
-    H[:p, :p] = U.T @ ((v * (slope * d) ** 2 + w * slope * d * (1.0 - 2.0 * pi))[:, None] * U)
-    H[:p, p] = U.T @ (v * slope * d * (1.0 - pi) - w * d)
-    H[:p, p + 1] = U.T @ (v * slope * d * pi + w * d)
-    H[p, p] = np.sum(v * (1.0 - pi) ** 2)
-    H[p, p + 1] = np.sum(v * pi * (1.0 - pi))
-    H[p + 1, p + 1] = np.sum(v * pi**2)
+    # Outcomes at a clamped probability give an infinite v (its square
+    # underflows) and, times a zero sigmoid slope, nan. The Newton step and
+    # the information check already fail on a non-finite Hessian.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = k / pc - (m - k) / qc
+        v = -_count_over_square(k, pc) - _count_over_square(m - k, qc)
+        d = pi * (1.0 - pi)  # d sigmoid / d eta
+        H[:p, :p] = U.T @ ((v * (slope * d) ** 2 + w * slope * d * (1.0 - 2.0 * pi))[:, None] * U)
+        H[:p, p] = U.T @ (v * slope * d * (1.0 - pi) - w * d)
+        H[:p, p + 1] = U.T @ (v * slope * d * pi + w * d)
+        H[p, p] = np.sum(v * (1.0 - pi) ** 2)
+        H[p, p + 1] = np.sum(v * pi * (1.0 - pi))
+        H[p + 1, p + 1] = np.sum(v * pi**2)
     H[p:, :p] = H[:p, p:].T
     H[p + 1, p] = H[p, p + 1]
     return H

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .bayes import ACCURACY_NAMES, fit_bc, fit_bec
-from .data_model import design_patterns
+from .data_model import design_patterns, read_csv_rows
 from .errors import NonConvergenceError, SingularDesignError
 from .likelihoods import logistic
 from .mcmc import SamplerConfig
@@ -557,23 +557,9 @@ def _reparse(cell):
 
 
 def render_csv_text(path):
-    """Re-render any saved comparison csv as an aligned text table.
-
-    Every row must have as many cells as the header.
-    """
-    with open(path, encoding="utf-8", newline="") as fh:
-        try:
-            rows = list(csv.reader(fh))
-        except csv.Error as exc:  # e.g. a field over the csv module's size limit
-            raise ValueError(f"{path}: {exc}") from exc
-    if not rows:
-        raise ValueError(f"{path} is empty")
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(rows[0]):
-            raise ValueError(
-                f"{path}: row {i} has {len(row)} cells, but the header has {len(rows[0])}"
-            )
-    return text_table([rows[0]] + [[_reparse(v) for v in row] for row in rows[1:]]) + "\n"
+    """Re-render any saved comparison csv, read by ``data_model.read_csv_rows``, as aligned text."""
+    header, *rows = read_csv_rows(path, "report input")
+    return text_table([header] + [[_reparse(v) for v in row] for row in rows]) + "\n"
 
 
 def render_text(report):

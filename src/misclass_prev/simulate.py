@@ -15,12 +15,12 @@ truncated distribution itself matches the requested mean and standard
 deviation between the bounds; ages are drawn by inverting the normal
 cdf. The normal cdf is ``math.erfc`` and the quantile
 ``statistics.NormalDist().inv_cdf``, so the package needs no scipy.
+Scenario files are read by ``data_model.read_ini`` against ``SCENARIO_KEYS``.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import configparser
 import logging
 import math
 import os
@@ -31,12 +31,15 @@ from importlib import resources
 import numpy as np
 
 from .data_model import (
+    ASSAY_KEYS,
     COLUMN_ORDER,
     GROUP_ORDER,
     AssayProfile,
     Cohort,
+    assay_settings,
     build_design_matrix,
     design_from_columns,
+    read_ini,
 )
 from .errors import InputError, SchemaError, StatisticalError
 from .likelihoods import logistic
@@ -361,84 +364,58 @@ def calibrate_intercept(scenario, target_prevalence, probe_n=100_000):
 
 # [covariates] keys of a scenario file: a weight per population group, in
 # GROUP_ORDER, and every scalar field of CovariateSpec
-_GROUP_KEYS = {f"group_{g.name.lower()}": i for i, g in enumerate(GROUP_ORDER)}
+_GROUP_KEYS = tuple(f"group_{g.name.lower()}" for g in GROUP_ORDER)
 _SCALAR_KEYS = tuple(f.name for f in fields(CovariateSpec) if f.name != "group_probs")
 
-
-def _assay_from_block(block):
-    return AssayProfile.from_settings(
-        float(block["se"]), float(block["sp"]), block.get("se_prior_n"), block.get("sp_prior_n")
-    )
+SCENARIO_KEYS = {
+    "scenario": ("n", "seed", "outcome_label"),
+    "generating_assay": ASSAY_KEYS,
+    "analysis_assay": ASSAY_KEYS,
+    "coefficients": COLUMN_ORDER,
+    "covariates": (*_GROUP_KEYS, *_SCALAR_KEYS),
+}
 
 
 def read_scenario(source):
     """Parse a scenario definition from a key = value file; any fault in it is a SchemaError."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    ini = read_ini(source, "scenario", SCENARIO_KEYS)
     try:
-        if hasattr(source, "read"):
-            parser.read_file(source)
-        else:
-            with open(source, encoding="utf-8") as fh:
-                parser.read_file(fh)
-    except (OSError, configparser.Error) as exc:
-        raise SchemaError(f"could not read scenario {source}: {exc}") from exc
-    try:
-        return _scenario_from(parser)
-    except (KeyError, ValueError) as exc:
+        return _scenario_from(ini)
+    except KeyError as exc:  # a required section, or n or the intercept
+        raise SchemaError(f"scenario file lacks {exc}") from None
+    except ValueError as exc:
         raise SchemaError(f"bad scenario value: {exc}") from exc
 
 
-def _scenario_from(parser):
-    try:
-        base = parser["scenario"]
-        n = int(base["n"])
-        seed = int(base.get("seed", "0"))
-        label = base.get("outcome_label", "SIM").strip()
-        gen = _assay_from_block(parser["generating_assay"])
-    except (KeyError, ValueError) as exc:
-        raise SchemaError(f"scenario file is missing required keys: {exc}") from exc
-
+def _scenario_from(ini):
+    base = ini["scenario"]
+    gen = AssayProfile(*assay_settings(ini["generating_assay"]).values())
     analysis = None
-    if parser.has_section("analysis_assay"):
-        analysis = _assay_from_block(parser["analysis_assay"])
+    if ini.has_section("analysis_assay"):
+        analysis = AssayProfile(*assay_settings(ini["analysis_assay"]).values())
 
-    if not parser.has_section("coefficients") or "intercept" not in parser["coefficients"]:
-        raise SchemaError("scenario needs a [coefficients] section with an intercept")
-    coef = {k: float(v) for k, v in parser.items("coefficients")}
-    unknown = [k for k in coef if k != "intercept" and k not in COLUMN_ORDER[1:]]
-    if unknown:
-        raise SchemaError(f"unknown coefficient names {unknown}")
+    coef = {k: float(v) for k, v in ini["coefficients"].items()}
     covariates = tuple(c for c in COLUMN_ORDER[1:] if c in coef)
     beta = (coef["intercept"],) + tuple(coef[c] for c in covariates)
 
-    spec_kwargs = {}
-    if parser.has_section("covariates"):
-        block = dict(parser.items("covariates"))
-        weights = None
-        for k, v in block.items():
-            if k in _GROUP_KEYS:
-                if weights is None:
-                    weights = list(CovariateSpec().group_probs)
-                weights[_GROUP_KEYS[k]] = float(v)
-            elif k in _SCALAR_KEYS:
-                spec_kwargs[k] = float(v)
-            else:
-                raise SchemaError(f"unknown covariate key {k!r} in scenario")
-        if weights is not None:
-            total = sum(weights)
-            if not total > 0:
-                raise ValueError(f"group weights must have a positive sum, got {total}")
-            spec_kwargs["group_probs"] = tuple(w / total for w in weights)
+    block = {k: float(v) for k, v in (ini["covariates"].items() if "covariates" in ini else ())}
+    spec_kwargs = {k: v for k, v in block.items() if k in _SCALAR_KEYS}
+    if any(k in _GROUP_KEYS for k in block):  # weights not given keep their default share
+        weights = [block.get(k, p) for k, p in zip(_GROUP_KEYS, CovariateSpec().group_probs)]
+        total = sum(weights)
+        if not total > 0:
+            raise ValueError(f"group weights must have a positive sum, got {total}")
+        spec_kwargs["group_probs"] = tuple(w / total for w in weights)
 
     return SimScenario(
-        n=n,
+        n=int(base["n"]),
         beta_true=beta,
         assay_true=gen,
         covariates=covariates,
         covariate_spec=CovariateSpec(**spec_kwargs),
         analysis_assay=analysis,
-        seed=seed,
-        outcome_label=label,
+        seed=int(base.get("seed", "0")),
+        outcome_label=base.get("outcome_label", "SIM"),
     )
 
 
@@ -455,6 +432,8 @@ def load_bundled_scenario(name="demo_cohort"):
 
 ESTIMATOR_NAMES = ("observed", "rg", "std", "liu", "bc", "bec")
 _PERFECT_ASSAY = AssayProfile(sensitivity=1.0, specificity=1.0)
+# The sampler of a study's Bayesian estimators, unless the caller sets one.
+STUDY_SAMPLER = SamplerConfig(chains=2, warmup=800, samples=800)
 
 
 @dataclass(frozen=True)
@@ -463,7 +442,7 @@ class EstimatorSpec:
 
     name: str
     assay: AssayProfile = None  # analysis assay; defaults to the scenario's
-    sampler: SamplerConfig = SamplerConfig(chains=2, warmup=800, samples=800)
+    sampler: SamplerConfig = STUDY_SAMPLER
 
     def __post_init__(self):
         if self.name not in ESTIMATOR_NAMES:

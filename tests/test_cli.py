@@ -5,6 +5,7 @@ import csv
 import io
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -568,6 +569,16 @@ class TestFlagErrors:
             ["report", "--in", "SHORT_ROW"],
             ["report", "--in", "LONG_ROW"],
             ["report", "--in", "HUGE_FIELD"],
+            ["fit", "--data", "DATA_NOT_UTF8", "--model", "STD", *ASSAY],
+            ["fit", "--data", "DATA_HUGE_FIELD", "--model", "STD", *ASSAY],
+            ["fit", "--data", "DATA_LONG_ROW", "--model", "STD", *ASSAY],
+            ["fit", "--data", "DATA", "--config", "CONFIG_NOT_UTF8", "--model", "STD", *ASSAY],
+            ["fit", "--data", "DATA", "--config", "CONFIG_NO_SECTION", "--model", "STD", *ASSAY],
+            ["fit", "--data", "DATA", "--config", "CONFIG_UNKNOWN_KEY", "--model", "BEC"],
+            ["fit", "--data", "DATA", "--config", "CONFIG_UNKNOWN_SECTION", "--model", "STD", *ASSAY],
+            ["simulate", "--scenario", "SCENARIO_NOT_UTF8", "--out", "OUT"],
+            ["simulate", "--scenario", "SCENARIO_NO_SECTION", "--out", "OUT"],
+            ["simulate", "--scenario", "SCENARIO_UNKNOWN_KEY", "--out", "OUT"],
         ],
         ids=[
             "chains",
@@ -599,6 +610,16 @@ class TestFlagErrors:
             "report-short-row",
             "report-long-row",
             "report-huge-field",
+            "data-not-utf8",
+            "data-huge-field",
+            "data-long-row",
+            "config-not-utf8",
+            "config-no-section",
+            "config-unknown-key",
+            "config-unknown-section",
+            "scenario-not-utf8",
+            "scenario-no-section",
+            "scenario-unknown-key",
         ],
     )
     def test_bad_value_is_a_one_line_input_error(
@@ -610,7 +631,25 @@ class TestFlagErrors:
         (tmp_path / "long.csv").write_text("a,b\n1,2\n3,4,5\n")
         # one quoted cell past the csv module's 131,072-character field limit
         (tmp_path / "huge.csv").write_text(f'a,b\n1,"{"x" * 200_000}"\n')
-        paths = {
+        header = "outcome,age,sex,other_sti,hepb,group\n"
+        files = {
+            "DATA_NOT_UTF8": header.encode() + b"1,30,1,0,0,msm\xff\n",
+            "DATA_HUGE_FIELD": f'{header}1,"{"9" * 200_000}",1,0,0,msm\n'.encode(),
+            "DATA_LONG_ROW": f"{header}1,30,1,0,0,msm\n0,40,0,0,0,msm,7\n".encode(),
+            "CONFIG_NOT_UTF8": b"[assay]\nse = 0.9\xff\nsp = 0.95\n",
+            "CONFIG_NO_SECTION": b"se = 0.9\nsp = 0.95\n",
+            # se_prior meant as se_prior_n would leave BEC in fixed mode
+            "CONFIG_UNKNOWN_KEY": b"[assay]\nse = 0.9\nsp = 0.95\nse_prior = 50\n",
+            "CONFIG_UNKNOWN_SECTION": b"[colums]\noutcome = outcome\n",
+            "SCENARIO_NOT_UTF8": SCENARIO_INI.replace("SIM", "S\xc9").encode("latin-1"),
+            "SCENARIO_NO_SECTION": SCENARIO_INI.replace("[scenario]\n", "").encode(),
+            "SCENARIO_UNKNOWN_KEY": SCENARIO_INI.replace("sp = 0.95", "sp = 0.95\nse_n = 50").encode(),
+        }
+        # simulate takes a scenario path only when it ends in .ini
+        paths = {name: str(tmp_path / (name + (".csv" if "DATA" in name else ".ini"))) for name in files}
+        for name, data in files.items():
+            Path(paths[name]).write_bytes(data)
+        paths |= {
             "DATA": cohort_file,
             "SCENARIO": scenario_file,
             "NEG_SEED_SCENARIO": str(neg_seed),
@@ -622,7 +661,8 @@ class TestFlagErrors:
         assert main([paths.get(a, a) for a in argv]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert len([line for line in err.splitlines() if line.startswith("input error:")]) == 1
+        lines = err.splitlines()
+        assert [line for line in lines if line.startswith("input error:")] == lines[-1:], err
 
 
 class TestReportCommand:
@@ -969,4 +1009,77 @@ class TestScenarioFileDomains:
         if broken:
             assert code == 2, text
         assert code in (0, 2, 3), err
-        assert len(reasons) == (code != 0), err
+        assert reasons == (err.splitlines()[-1:] if code else []), err
+
+
+# Keys of an analysis config for the property test below, by section:
+# each key's valid values, and values the reader must refuse (None: the
+# key is left out). The fuzz cohort has the canonical column names.
+BAD_ACCURACY = (None, "nan", "0.4", "1.5", "x", "")
+BAD_PRIOR_SIZES = ("0", "-1", "nan", "inf", "x")
+ASSAY_BLOCK = {
+    "se": (st.floats(0.55, 0.999), BAD_ACCURACY),
+    "sp": (st.floats(0.55, 0.999), BAD_ACCURACY),
+    "se_prior_n": (st.none() | st.floats(1.0, 1e4), BAD_PRIOR_SIZES),
+    "sp_prior_n": (st.none() | st.floats(1.0, 1e4), BAD_PRIOR_SIZES),
+}
+CONFIG_KEYS = {
+    "columns": {f: (st.none() | st.just(f), ("nope", "")) for f in ("outcome", "age", "group")},
+    "assay": ASSAY_BLOCK,
+    "assay.outcome": ASSAY_BLOCK,
+}
+# lines that no value makes valid: an unknown key or section
+UNKNOWN_LINES = (
+    ("assay", "se_prior = 50"),
+    ("assay.outcome", "sp_prior = 50"),
+    ("columns", "height = age"),
+    ("colums", "outcome = outcome"),
+    ("assay_hiv", "se = 0.9"),
+)
+
+
+@st.composite
+def config_files(draw):
+    """The text of an analysis config, and whether something in it is invalid.
+
+    ``[columns]`` and ``[assay]`` are always there and ``[assay.outcome]``
+    sometimes; every key gets a valid value or is left out (where it may
+    be). Then up to two values are made invalid, and an unknown key or
+    section may be added.
+    """
+    sections = ["columns", "assay"] + (["assay.outcome"] if draw(st.booleans()) else [])
+    values = {
+        (section, key): draw(valid)
+        for section in sections
+        for key, (valid, _) in CONFIG_KEYS[section].items()
+    }
+    broken = draw(st.lists(st.sampled_from(sorted(values)), max_size=2, unique=True))
+    for section, key in broken:
+        values[section, key] = draw(st.sampled_from(CONFIG_KEYS[section][key][1]))
+    # one draw in three adds an unknown line
+    unknown = dict(draw(st.sampled_from([[]] * 10 + [[pair] for pair in UNKNOWN_LINES])))
+    lines = []
+    for section in sections + [s for s in unknown if s not in sections]:
+        lines.append(f"[{section}]")
+        lines += [f"{k} = {v}" for (s, k), v in values.items() if s == section and v is not None]
+        lines += [unknown[section]] if section in unknown else []
+    return "\n".join(lines) + "\n", bool(broken or unknown)
+
+
+class TestConfigFileDomains:
+    """A config file drawn whole: fit exits 0, or 2 or 3 with one line, never a traceback."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(drawn=config_files())
+    def test_fit(self, fuzz_files, tmp_path_factory, drawn):
+        text, broken = drawn
+        path = tmp_path_factory.mktemp("config") / "analysis.ini"
+        path.write_text(text)
+        argv = ["fit", "--data", fuzz_files[0], "--config", str(path)]
+        code, err = run_flags(argv + ["--model", "STD", "--interval", "delta"], {})
+        assert "Traceback" not in err
+        reasons = [line for line in err.splitlines() if line.startswith(("input error:", "statistical error:"))]
+        if broken:
+            assert code == 2, text
+        assert code in (0, 2, 3), err
+        assert reasons == (err.splitlines()[-1:] if code else []), err

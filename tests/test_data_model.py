@@ -267,6 +267,12 @@ class TestCohortIO:
         with pytest.raises(SchemaError):
             load_cohort(src)
 
+    def test_byte_order_mark_is_skipped(self, small_cohort, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        save_cohort(small_cohort, plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_cohort(marked).records == load_cohort(plain).records
+
     def test_parse_error_carries_coordinates(self):
         src = io.StringIO(
             "outcome,age,sex,other_sti,hepb,group\n"
@@ -300,9 +306,11 @@ class TestAssayProfile:
         assert pa + pb == pytest.approx(500.0)
 
     def test_settings_switch_on_priors_with_either_size(self):
-        assert AssayProfile.from_settings(0.964, 0.974).mode is AssayMode.FIXED
-        a = AssayProfile.from_settings("0.964", "0.974", sp_prior_n="500")
+        assert AssayProfile(0.964, 0.974).mode is AssayMode.FIXED
+        assert AssayProfile(0.964, 0.974).se_prior is None
+        a = AssayProfile("0.964", "0.974", sp_prior_n="500")
         assert a.mode is AssayMode.BETA_PRIOR
+        assert a.se_prior_n == DEFAULT_PRIOR_N
         assert sum(a.se_prior) == pytest.approx(DEFAULT_PRIOR_N)
         assert sum(a.sp_prior) == pytest.approx(500.0)
 
@@ -312,14 +320,12 @@ class TestAssayProfile:
         with pytest.raises(SchemaError, match="positive and finite"):
             AssayProfile.with_beta_priors(0.964, 0.974, se_prior_n=n)
         with pytest.raises(SchemaError, match="positive and finite"):
-            AssayProfile.from_settings(0.964, 0.974, sp_prior_n=n)
+            AssayProfile(0.964, 0.974, sp_prior_n=n)
 
-    def test_inconsistent_prior_mean_rejected(self):
-        with pytest.raises(SchemaError):
-            AssayProfile(
-                sensitivity=0.9, specificity=0.9, mode=AssayMode.BETA_PRIOR,
-                se_prior=(5.0, 5.0), sp_prior=(90.0, 10.0),
-            )
+    def test_prior_on_a_perfect_value_is_rejected(self):
+        # the shapes would be (n, 0): no Beta density
+        with pytest.raises(SchemaError, match="positive and finite"):
+            AssayProfile(1.0, 0.974, se_prior_n=100.0)
 
 
 class TestAnalysisConfig:

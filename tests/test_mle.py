@@ -1,5 +1,6 @@
 """Frequentist fitters: the plain logistic MLE and the joint error-rate MLE."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -395,6 +396,26 @@ class TestFitLiu:
         X = build_design_matrix(cohort, columns=sc.covariates)
         fit = fit_liu(cohort.outcomes(), X, variant=LiuVariant.ERRORS_EQUAL)
         assert fit.error_rates_hat.r0 == fit.error_rates_hat.r1
+
+    def test_clamped_response_probability_fails_without_warnings(self):
+        # replicate 31 at n = 2,000 of acceptance criterion 7: a Newton step
+        # meets patterns with outcomes at a clamped response probability,
+        # where the Hessian is not finite; that is a failed fit, not a warning
+        base = SimScenario(
+            n=2_000,
+            beta_true=(-5.0, 0.14, 0.3, 2.5),
+            assay_true=AssayProfile(sensitivity=0.964, specificity=0.974),
+            covariates=("age", "sex", "other_sti"),
+            covariate_spec=CovariateSpec(other_sti_rate=0.08),
+            seed=11,
+        )
+        sc = calibrate_intercept(base, 0.01)
+        cohort, _ = simulate(sc, rng=np.random.default_rng([11, 31, 0]))
+        X = build_design_matrix(cohort, columns=sc.covariates)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit = fit_liu(cohort.outcomes(), X)
+        assert not fit.converged
 
     def test_default_init_clips_runaway_start(self):
         x = np.concatenate([-np.ones(30), np.ones(30)])

@@ -327,6 +327,15 @@ class TestScenarioFiles:
                 "[scenario]\nn = 100\n[generating_assay]\nse = 0.9\nsp = 0.95\n"
                 "[coefficients]\nintercept = -2\n[covariates]\nshoe_size = 9\n"
             ),
+            (  # a misspelled section
+                "[scenario]\nn = 100\n[generating_assay]\nse = 0.9\nsp = 0.95\n"
+                "[coefficients]\nintercept = -2\n[covarites]\nmale_rate = 0.6\n"
+            ),
+            (  # an assay key that is not a prior size
+                "[scenario]\nn = 100\n[generating_assay]\nse = 0.9\nsp = 0.95\n"
+                "[analysis_assay]\nse = 0.9\nsp = 0.95\nsp_prior = 50\n"
+                "[coefficients]\nintercept = -2\n"
+            ),
             (  # the group weights have their own keys
                 "[scenario]\nn = 100\n[generating_assay]\nse = 0.9\nsp = 0.95\n"
                 "[coefficients]\nintercept = -2\n[covariates]\ngroup_probs = 1\n"
