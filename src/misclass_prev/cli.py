@@ -32,6 +32,7 @@ import argparse
 import logging
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .bayes import ACCURACY_NAMES
 from .data_model import (
@@ -120,12 +121,22 @@ def _add_assay_flags(sub):
     sub.add_argument("--sp-prior-n", type=float, help="prior effective sample size for specificity")
 
 
-def _add_sampler_flags(sub, chains=4, warmup=2000, samples=2000):
-    sub.add_argument("--chains", type=int, default=chains)
-    sub.add_argument(
-        "--warmup", type=int, default=warmup, help="burn-in iterations per chain, discarded"
-    )
-    sub.add_argument("--samples", type=int, default=samples)
+def _add_sampler_flags(sub, study=False):
+    """--chains, --warmup and --samples with SamplerConfig's defaults; under simulate
+    (``study``) they parse to None, and ``_run_simulate`` fills in STUDY_DEFAULTS."""
+    config = STUDY_SAMPLER if study else SamplerConfig()
+    for flag, text in (
+        ("chains", "independent chains"),
+        ("warmup", "burn-in iterations per chain, discarded"),
+        ("samples", "retained draws per chain"),
+    ):
+        value = getattr(config, flag)
+        sub.add_argument(
+            f"--{flag}",
+            type=int,
+            default=None if study else value,
+            help=f"{text} (default {value}{' in study mode' if study else ''})",
+        )
 
 
 def _add_output_flags(sub):
@@ -178,7 +189,9 @@ def build_parser():
     _add_output_flags(comp)
 
     sim = sub.add_parser("simulate", help="draw synthetic cohorts or run a study")
-    sim.add_argument("--scenario", required=True, help="bundled scenario name or .ini path")
+    sim.add_argument(
+        "--scenario", required=True, help="scenario file, or the name of a bundled scenario"
+    )
     sim.add_argument("--seed", type=int, help=f"override the scenario seed, {SEED_HELP}")
     sim.add_argument("--truth-out", help="write per-subject latent truth csv here")
     sim.add_argument("--reps", type=int, help="run a replication study with this many cohorts")
@@ -188,7 +201,7 @@ def build_parser():
         f"(study mode; default {STUDY_DEFAULTS['estimators']})",
     )
     sim.add_argument("--workers", type=int, help="parallel replicate workers (study mode)")
-    _add_sampler_flags(sim, chains=None, warmup=None, samples=None)
+    _add_sampler_flags(sim, study=True)
     sim.add_argument("--se", type=float, help="analysis sensitivity override (study mode)")
     sim.add_argument("--sp", type=float, help="analysis specificity override (study mode)")
     _add_output_flags(sim)
@@ -389,10 +402,15 @@ def _run_compare(args):
 # ---------------------------------------------------------------------------
 
 
-def _load_scenario(name_or_path):
-    if name_or_path.endswith(".ini"):
-        return read_scenario(name_or_path)
-    return load_bundled_scenario(name_or_path)
+def _load_scenario(value):
+    """A --scenario value that names a file, or has a directory or a suffix, is a file.
+
+    Only a bare name is looked up among the bundled scenarios.
+    """
+    path = Path(value)
+    if path.is_file() or path.suffix or path.name != value:
+        return read_scenario(value)
+    return load_bundled_scenario(value)
 
 
 def _run_simulate(args):

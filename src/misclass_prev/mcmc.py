@@ -9,6 +9,15 @@ weights p / q bounded, which makes the chain uniformly ergodic (Tierney
 1994; Mengersen & Tweedie 1996). Nothing adapts; warmup is a burn-in
 whose draws are discarded.
 
+So a short burn-in is enough. With w* the largest weight p / q of the
+normalized densities, the chain's total-variation distance to the
+target after t steps is at most (1 - 1/w*)^t from any start (Mengersen
+& Tweedie 1996, Ann. Statist. 24(1)): after the default 100 iterations
+that is below 0.006 even at w* = 20. The default is also the floor
+``SamplerConfig`` allows. ``tests/test_mcmc.py`` (``TestBurnIn``) holds
+the first retained draw, from a start 5 units out, to a normal and to a
+skewed Gamma target by Kolmogorov-Smirnov tests over 1,000 chains.
+
 Every chain owns its own generator seeded from (seed, chain index);
 runs are bit reproducible for a fixed configuration.
 
@@ -32,7 +41,7 @@ PROPOSAL_SCALE = 1.1
 @dataclass(frozen=True)
 class SamplerConfig:
     chains: int = 4
-    warmup: int = 2000
+    warmup: int = 100
     samples: int = 2000
     seed: int = 0
 

@@ -420,9 +420,12 @@ def _scenario_from(ini):
 
 
 def load_bundled_scenario(name="demo_cohort"):
-    """Read one of the scenario files shipped inside the package."""
-    ref = resources.files("misclass_prev").joinpath(f"scenarios/{name}.ini")
-    with ref.open("r", encoding="utf-8") as fh:
+    """Read one of the scenario files shipped inside the package; another name is a SchemaError."""
+    folder = resources.files("misclass_prev").joinpath("scenarios")
+    names = sorted(p.name.removesuffix(".ini") for p in folder.iterdir() if p.name.endswith(".ini"))
+    if name not in names:
+        raise SchemaError(f"no bundled scenario {name!r}; bundled: {', '.join(names)}")
+    with folder.joinpath(f"{name}.ini").open("r", encoding="utf-8") as fh:
         return read_scenario(fh)
 
 
@@ -433,7 +436,7 @@ def load_bundled_scenario(name="demo_cohort"):
 ESTIMATOR_NAMES = ("observed", "rg", "std", "liu", "bc", "bec")
 _PERFECT_ASSAY = AssayProfile(sensitivity=1.0, specificity=1.0)
 # The sampler of a study's Bayesian estimators, unless the caller sets one.
-STUDY_SAMPLER = SamplerConfig(chains=2, warmup=800, samples=800)
+STUDY_SAMPLER = SamplerConfig(chains=2, samples=800)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from misclass_prev.cli import main
+from misclass_prev.cli import STUDY_DEFAULTS, build_parser, main
 from misclass_prev.data_model import (
     AssayProfile,
     PopulationGroup,
@@ -20,7 +20,9 @@ from misclass_prev.data_model import (
     Cohort,
     save_cohort,
 )
+from misclass_prev.mcmc import SamplerConfig
 from misclass_prev.simulate import (
+    STUDY_SAMPLER,
     CovariateSpec,
     SimScenario,
     load_bundled_scenario,
@@ -139,9 +141,12 @@ class TestSimulateCommand:
     def test_cohort_mode_without_out_is_an_input_error(self, scenario_file):
         assert main(["simulate", "--scenario", scenario_file]) == 2
 
-    def test_unknown_bundled_scenario_is_an_input_error(self, tmp_path):
-        rc = main(["simulate", "--scenario", "no_such_thing", "--out", str(tmp_path / "x.csv")])
-        assert rc == 2
+    @pytest.mark.parametrize("name", ["my.cfg", "my_scenario"])
+    def test_scenario_file_is_read_whatever_its_suffix(self, name, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path(name).write_text(SCENARIO_INI)
+        assert main(["simulate", "--scenario", name, "--out", "x.csv"]) == 0
+        assert len(read_rows(tmp_path / "x.csv")) == 401
 
     def test_study_mode_summarizes_estimators(self, scenario_file, tmp_path):
         out = tmp_path / "study.csv"
@@ -579,6 +584,8 @@ class TestFlagErrors:
             ["simulate", "--scenario", "SCENARIO_NOT_UTF8", "--out", "OUT"],
             ["simulate", "--scenario", "SCENARIO_NO_SECTION", "--out", "OUT"],
             ["simulate", "--scenario", "SCENARIO_UNKNOWN_KEY", "--out", "OUT"],
+            ["simulate", "--scenario", "MISSING_SCENARIO", "--out", "OUT"],
+            ["simulate", "--scenario", "no_such_thing", "--out", "OUT"],
         ],
         ids=[
             "chains",
@@ -620,6 +627,8 @@ class TestFlagErrors:
             "scenario-not-utf8",
             "scenario-no-section",
             "scenario-unknown-key",
+            "scenario-missing-file",
+            "scenario-unknown-name",
         ],
     )
     def test_bad_value_is_a_one_line_input_error(
@@ -645,7 +654,6 @@ class TestFlagErrors:
             "SCENARIO_NO_SECTION": SCENARIO_INI.replace("[scenario]\n", "").encode(),
             "SCENARIO_UNKNOWN_KEY": SCENARIO_INI.replace("sp = 0.95", "sp = 0.95\nse_n = 50").encode(),
         }
-        # simulate takes a scenario path only when it ends in .ini
         paths = {name: str(tmp_path / (name + (".csv" if "DATA" in name else ".ini"))) for name in files}
         for name, data in files.items():
             Path(paths[name]).write_bytes(data)
@@ -657,12 +665,43 @@ class TestFlagErrors:
             "SHORT_ROW": str(tmp_path / "short.csv"),
             "LONG_ROW": str(tmp_path / "long.csv"),
             "HUGE_FIELD": str(tmp_path / "huge.csv"),
+            "MISSING_SCENARIO": str(tmp_path / "missing.cfg"),
         }
         assert main([paths.get(a, a) for a in argv]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         lines = err.splitlines()
         assert [line for line in lines if line.startswith("input error:")] == lines[-1:], err
+        if "MISSING_SCENARIO" in argv:  # the reason names the file given, not a package path
+            assert paths["MISSING_SCENARIO"] in lines[-1]
+        if "no_such_thing" in argv:  # and an unknown bundled name lists the bundled ones
+            assert "demo_cohort" in lines[-1]
+
+
+class TestSamplerDefaults:
+    """The sampler's defaults are SamplerConfig's, and the study's STUDY_SAMPLER's."""
+
+    FLAGS = ("chains", "warmup", "samples")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--data", "x.csv", "--model", "BC"],
+            ["compare", "--data", "x.csv"],
+        ],
+        ids=["fit", "compare"],
+    )
+    def test_fit_and_compare_take_sampler_config_defaults(self, argv):
+        args = build_parser().parse_args(argv)
+        default = SamplerConfig()
+        assert {f: getattr(args, f) for f in self.FLAGS} == {
+            f: getattr(default, f) for f in self.FLAGS
+        }
+
+    def test_study_defaults_are_the_study_sampler(self):
+        assert {f: STUDY_DEFAULTS[f] for f in self.FLAGS} == {
+            f: getattr(STUDY_SAMPLER, f) for f in self.FLAGS
+        }
 
 
 class TestReportCommand:

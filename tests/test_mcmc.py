@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from misclass_prev.bayes import _sampling_basis
 from misclass_prev.errors import NonConvergenceError
@@ -232,3 +233,41 @@ class TestIndependenceKernel:
         H = np.diag([2.0, -1.0])  # the curvature of a saddle, not of a mode
         with pytest.raises(NonConvergenceError, match="not positive definite"):
             _sampling_basis(H)
+
+
+ROOT3 = np.sqrt(3.0)
+
+
+def shifted_gamma_logpdf(x):
+    """Gamma(4, rate sqrt 3) shifted to its mode at 0 in x[0]; standard normal in the rest."""
+    z = float(x[0])
+    if z <= -ROOT3:
+        return -np.inf
+    rest = x[1:]
+    return 3.0 * np.log1p(z / ROOT3) - ROOT3 * z - 0.5 * float(rest @ rest)
+
+
+class TestBurnIn:
+    """The default burn-in forgets a start 5 units out in every coordinate.
+
+    The first retained draw of 500 seeds x 2 chains must pass a
+    Kolmogorov-Smirnov test against the target at p > 0.01, on a normal
+    and on a skewed target whose Laplace approximation is N(0, I).
+    """
+
+    @pytest.mark.parametrize(
+        "log_post, target, shape_loc_scale",
+        [
+            (std_normal_logpdf, "norm", ()),
+            (shifted_gamma_logpdf, "gamma", (4.0, -ROOT3, 1.0 / ROOT3)),
+        ],
+        ids=["normal", "shifted-gamma"],
+    )
+    def test_first_retained_draw_follows_the_target(self, log_post, target, shape_loc_scale):
+        dim = 2
+        first = []
+        for seed in range(500):
+            config = SamplerConfig(chains=2, samples=100, seed=seed)
+            draws = sample(log_post, dim, config, init=np.full((2, dim), 5.0))
+            first.extend(draws.draws[:, 0, 0])
+        assert stats.kstest(first, target, args=shape_loc_scale).pvalue > 0.01
