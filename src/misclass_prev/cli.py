@@ -9,8 +9,9 @@ as an aligned text table.
 ``fit``, ``compare`` and study mode all run a model through
 ``report.estimate``, so a model gives the same fit and prevalence at
 the same seed whichever command runs it. Each command builds its tables
-as rows of raw values and writes them through ``report.csv_text`` or
-``report.text_table``; ``--truth-out`` goes through the same writer.
+as rows of raw values and writes them through ``data_model.csv_text``
+or ``report.text_table``. Every output file, the tables, ``--truth-out``
+and ``--save-draws`` alike, is written by ``data_model.write_text``.
 
 Results go to stdout or ``--out``; logs, the resolved seed, and the
 effective configuration echo go to stderr. Every input file goes through
@@ -40,9 +41,11 @@ from .data_model import (
     AnalysisConfig,
     AssayProfile,
     build_design_matrix,
+    csv_text,
     load_cohort,
     read_analysis_config,
     save_cohort,
+    write_text,
 )
 from .errors import InputError, StatisticalError
 from .mcmc import SamplerConfig
@@ -50,7 +53,7 @@ from .mle import LiuVariant, ModelTag
 from .report import (
     build_comparison_report,
     coefficient_csv_rows,
-    csv_text,
+    draws_rows,
     estimate,
     prevalence_csv_rows,
     record_rows,
@@ -59,7 +62,6 @@ from .report import (
     require_converged as _gate_convergence,  # perfbench's tests call the gate by this name
     se_csv_rows,
     text_table,
-    write_csv,
 )
 from .rogan_gladen import IntervalMethod, rogan_gladen_interval
 from .simulate import (
@@ -215,8 +217,7 @@ def build_parser():
 
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        write_text(text, out_path)
         log.info("wrote %s", out_path)
     else:
         sys.stdout.write(text)
@@ -322,6 +323,8 @@ def _fit_rows(fit, prev, draws):
 
 def _run_fit(args):
     model = ModelTag(args.model)
+    if args.save_draws and model in (ModelTag.STD, ModelTag.LIU):
+        raise InputError(f"--save-draws needs a Bayesian model (BC or BEC), not {model.value}")
     column_map, assay = _config_and_assay(args, required=model is not ModelTag.LIU)
     options = _estimate_options(args)
     _echo(args, f"model = {args.model}; {_assay_echo(assay)}")
@@ -333,9 +336,8 @@ def _run_fit(args):
     fit, prev, draws = estimate(
         model, y, X, assay, args.seed, interval=IntervalMethod(args.interval), **options
     )
-    if args.save_draws and draws is not None:
-        draws.to_csv(args.save_draws)
-        log.info("wrote %d draws to %s", draws.n_total, args.save_draws)
+    if args.save_draws:
+        _emit(csv_text(draws_rows(draws)), args.save_draws)
     rows = _fit_rows(fit, prev, draws)
 
     if args.format == "csv":
@@ -386,8 +388,7 @@ def _run_compare(args):
 
     for path, table in ((args.coef_out, coefficient_csv_rows), (args.se_out, se_csv_rows)):
         if path:
-            write_csv(table(report), path)
-            log.info("wrote %s", path)
+            _emit(csv_text(table(report)), path)
 
     if args.format == "csv":
         out = csv_text(prevalence_csv_rows(report))
@@ -414,6 +415,8 @@ def _load_scenario(value):
 
 
 def _run_simulate(args):
+    if args.reps is not None and args.truth_out:
+        raise InputError("--truth-out writes a simulated cohort's truth; a study (--reps) has none")
     if args.reps is None:
         given = [f"--{flag}" for flag in STUDY_DEFAULTS if getattr(args, flag) is not None]
         if given:
@@ -454,8 +457,7 @@ def _run_simulate(args):
     log.info("wrote %d records to %s", len(cohort), args.out)
     if args.truth_out:
         rows = [[float(p), int(t)] for p, t in zip(truth.pi, truth.true_status)]
-        write_csv([["pi", "true_status"], *rows], args.truth_out)
-        log.info("wrote truth to %s", args.truth_out)
+        _emit(csv_text([["pi", "true_status"], *rows]), args.truth_out)
     print(
         f"misclass-prev simulate: true prevalence = {truth.true_prevalence!r}; "
         f"observed = {float(cohort.outcomes().mean())!r}",

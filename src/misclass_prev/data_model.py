@@ -1,4 +1,4 @@
-"""Cohorts, design matrices, assay profiles, and the input-file reader.
+"""Cohorts, design matrices, assay profiles, and the file reader and writer.
 
 A ``Cohort`` holds one read-only numpy column per field: ``outcome``,
 ``sex``, ``other_sti`` and ``hepb`` as 0/1, ``age`` as non-negative
@@ -22,10 +22,13 @@ A design matrix groups its rows into covariate patterns (distinct rows,
 with how many cohort rows share each) on first use and keeps them: the
 likelihoods, fits and prevalence summaries all run over the patterns.
 
-Every input file is read here, as UTF-8 with any byte-order mark
-skipped (``read_text``): csv files as rectangular rows (``read_csv_rows``)
-and key = value files against the caller's sections and keys
-(``read_ini``). A file that cannot be read is a one-line SchemaError.
+Every file is read and written here. Input is read as UTF-8 with any
+byte-order mark skipped (``read_text``): csv files as rectangular rows
+(``read_csv_rows``) and key = value files against the caller's sections
+and keys (``read_ini``). A file that cannot be read is a one-line
+SchemaError. Output is written as UTF-8 with newlines as given
+(``write_text``); a csv table goes in the same dialect, from rows of
+raw cells, floats by ``repr`` so they read back exactly (``csv_text``).
 """
 
 from __future__ import annotations
@@ -385,7 +388,7 @@ class AssayProfile:
 
 
 # ---------------------------------------------------------------------------
-# Input files: one reader for text, csv and ini
+# Files: one reader for text, csv and ini, one writer for text and csv
 # ---------------------------------------------------------------------------
 
 
@@ -405,6 +408,12 @@ def read_text(source, what):
         name, reason = getattr(source, "name", source), getattr(exc, "strerror", None) or exc
         raise SchemaError(f"could not read {what} {name}: {reason}") from None
     return text.removeprefix("\ufeff")
+
+
+def write_text(text, path):
+    """Write ``text`` to the output file ``path`` as UTF-8, newlines untranslated."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def read_csv_rows(source, what):
@@ -428,6 +437,21 @@ def read_csv_rows(source, what):
         raise SchemaError(f"{what} line {reader.line_num}: {exc}") from None
     if header is None:
         raise SchemaError(f"{what} file is empty")
+
+
+def _fmt(v):
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
+def csv_text(rows):
+    """A table of raw cells as csv text: None as an empty cell, floats by ``repr``."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([_fmt(v) for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def read_ini(source, what, keys):
@@ -531,19 +555,9 @@ def load_cohort(source, column_map=None, outcome_label="outcome"):
 def save_cohort(cohort, path):
     """Write a cohort back out in canonical form; round-trips exactly."""
     groups = [g.value for g in GROUP_ORDER]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(CANONICAL_FIELDS)
-        w.writerows(
-            zip(
-                cohort.outcome.tolist(),
-                map(repr, cohort.age.tolist()),
-                cohort.sex.tolist(),
-                cohort.other_sti.tolist(),
-                cohort.hepb.tolist(),
-                [groups[g] for g in cohort.group.tolist()],
-            )
-        )
+    columns = {name: getattr(cohort, name).tolist() for name in CANONICAL_FIELDS}
+    columns["group"] = [groups[g] for g in columns["group"]]
+    write_text(csv_text([CANONICAL_FIELDS, *zip(*columns.values())]), path)
 
 
 @dataclass(frozen=True)

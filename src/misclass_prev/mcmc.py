@@ -28,7 +28,6 @@ first read.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -86,15 +85,6 @@ class PosteriorDraws:
 
     def flat(self):
         return self.draws.reshape(-1, self.draws.shape[2])
-
-    def to_csv(self, path):
-        """One row per retained draw: parameters, then chain and draw index."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(list(self.param_names) + ["chain", "draw"])
-            for c in range(self.draws.shape[0]):
-                for i in range(self.draws.shape[1]):
-                    w.writerow([repr(float(v)) for v in self.draws[c, i]] + [c, i])
 
 
 def _proposal_logpdf(phi):

@@ -14,17 +14,16 @@ The ``fit`` and ``compare`` commands and the replication studies all go
 through it, so one model gives one answer at one seed wherever it runs.
 
 Every output table is a header row followed by rows of raw cells: str,
-float, int or None. ``csv_text`` is the one csv writer (floats by
-``repr``, so they read back exactly) and ``text_table`` the one aligned
-rendering. A table of records takes its header from the record's fields
-(``record_rows``). Only ``render_csv_text``, which reads a saved csv back,
-parses cells into numbers.
+float, int or None. ``data_model.csv_text`` writes it as csv and
+``text_table`` renders it aligned. A table of records takes its header
+from the record's fields (``record_rows``), and posterior draws take
+theirs from the parameter names (``draws_rows``). Only
+``render_csv_text``, which reads a saved csv back, parses cells into
+numbers.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 from dataclasses import dataclass, fields, replace
 
@@ -471,14 +470,6 @@ def build_comparison_report(crude, fits=None, prevalences=None):
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v):
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 PREVALENCE_HEADER = (
     "model",
     "point",
@@ -519,16 +510,12 @@ def se_csv_rows(report):
     return record_rows(report.se_comparison, SeComparisonRow)
 
 
-def csv_text(rows):
-    """A table as csv text, floats written by ``repr`` so they read back exactly."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([_fmt(v) for v in row] for row in rows)
-    return buf.getvalue()
-
-
-def write_csv(rows, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_text(rows))
+def draws_rows(draws):
+    """One row per retained draw of a ``PosteriorDraws``: parameters, then chain and draw index."""
+    rows = [[*draws.param_names, "chain", "draw"]]
+    for c, chain in enumerate(draws.draws.tolist()):
+        rows.extend([*values, c, i] for i, values in enumerate(chain))
+    return rows
 
 
 def text_table(rows):

@@ -586,6 +586,8 @@ class TestFlagErrors:
             ["simulate", "--scenario", "SCENARIO_UNKNOWN_KEY", "--out", "OUT"],
             ["simulate", "--scenario", "MISSING_SCENARIO", "--out", "OUT"],
             ["simulate", "--scenario", "no_such_thing", "--out", "OUT"],
+            ["fit", "--data", "DATA", "--model", "STD", *ASSAY, "--save-draws", "OUT"],
+            ["simulate", "--scenario", "SCENARIO", "--reps", "1", "--truth-out", "OUT"],
         ],
         ids=[
             "chains",
@@ -629,6 +631,8 @@ class TestFlagErrors:
             "scenario-unknown-key",
             "scenario-missing-file",
             "scenario-unknown-name",
+            "fit-save-draws-std",
+            "study-truth-out",
         ],
     )
     def test_bad_value_is_a_one_line_input_error(
@@ -672,6 +676,7 @@ class TestFlagErrors:
         assert "Traceback" not in err
         lines = err.splitlines()
         assert [line for line in lines if line.startswith("input error:")] == lines[-1:], err
+        assert not Path(paths["OUT"]).exists()  # the error comes before any output
         if "MISSING_SCENARIO" in argv:  # the reason names the file given, not a package path
             assert paths["MISSING_SCENARIO"] in lines[-1]
         if "no_such_thing" in argv:  # and an unknown bundled name lists the bundled ones

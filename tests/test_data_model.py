@@ -22,7 +22,14 @@ from misclass_prev import (
     save_cohort,
 )
 
-from misclass_prev.data_model import CANONICAL_FIELDS, DEFAULT_PRIOR_N, GROUP_ORDER
+from misclass_prev.data_model import (
+    CANONICAL_FIELDS,
+    DEFAULT_PRIOR_N,
+    GROUP_ORDER,
+    csv_text,
+    read_csv_rows,
+    write_text,
+)
 from misclass_prev.simulate import calibrate_intercept, load_bundled_scenario, simulate
 
 from conftest import make_record
@@ -283,6 +290,19 @@ class TestCohortIO:
             load_cohort(src)
         msg = str(exc.value)
         assert "row 2" in msg and "age" in msg
+
+
+class TestCsvWriter:
+    def test_written_cells_read_back_as_written(self, tmp_path):
+        x = 0.1 + 0.2  # no short decimal form: 0.30000000000000004
+        text = 'a, "quoted"\nline'
+        path = tmp_path / "table.csv"
+        write_text(csv_text([["gap", "float", "int", "text"], [None, x, 7, text]]), path)
+        header, row = read_csv_rows(path, "table")
+        assert header == ["gap", "float", "int", "text"]
+        assert row == ["", repr(x), "7", text]
+        assert float(row[1]) == x
+        assert path.read_bytes().count(b"\r") == 0
 
 
 class TestAssayProfile:

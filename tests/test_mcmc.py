@@ -75,20 +75,6 @@ class TestPosteriorDraws:
         assert pd.flat().shape == (21, 2)
         np.testing.assert_array_equal(pd.flat()[7], draws[1, 0])
 
-    def test_csv_round_trip_is_lossless(self, tmp_path):
-        rng = np.random.default_rng(11)
-        draws = rng.standard_normal((2, 4, 2))
-        pd = PosteriorDraws(draws, ("alpha", "beta"), accept_rate=np.full(2, np.nan))
-        path = tmp_path / "draws.csv"
-        pd.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "alpha,beta,chain,draw"
-        assert len(lines) == 1 + 8
-        first = lines[1].split(",")
-        assert float(first[0]) == draws[0, 0, 0]
-        assert float(first[1]) == draws[0, 0, 1]
-        assert first[2:] == ["0", "0"]
-
 
 class TestDiagnostics:
     def test_rhat_flags_separated_chains(self):

@@ -5,7 +5,7 @@ import typing
 import numpy as np
 import pytest
 
-from misclass_prev.data_model import AssayProfile, build_design_matrix
+from misclass_prev.data_model import AssayProfile, build_design_matrix, csv_text, write_text
 from misclass_prev.errors import NonConvergenceError
 from misclass_prev.likelihoods import logistic
 from misclass_prev.mcmc import PosteriorDraws
@@ -15,6 +15,7 @@ from misclass_prev.report import (
     PrevalenceEstimate,
     build_comparison_report,
     coefficient_csv_rows,
+    draws_rows,
     marginal_prevalence_bayes,
     marginal_prevalence_liu,
     marginal_prevalence_std,
@@ -23,7 +24,6 @@ from misclass_prev.report import (
     render_csv_text,
     render_text,
     se_csv_rows,
-    write_csv,
 )
 from misclass_prev.rogan_gladen import CrudeEstimate, IntervalMethod, rogan_gladen_interval
 from misclass_prev.simulate import CovariateSpec, SimScenario, simulate
@@ -274,6 +274,21 @@ class TestLiuSummary:
             marginal_prevalence_liu(X, plain)
 
 
+class TestDrawsRows:
+    def test_csv_round_trip_is_lossless(self):
+        rng = np.random.default_rng(11)
+        draws = rng.standard_normal((2, 4, 2))
+        pd = PosteriorDraws(draws, ("alpha", "beta"), accept_rate=np.full(2, np.nan))
+        lines = csv_text(draws_rows(pd)).splitlines()
+        assert lines[0] == "alpha,beta,chain,draw"
+        assert len(lines) == 1 + 8
+        for k, line in enumerate(lines[1:]):
+            c, i = divmod(k, 4)
+            cells = line.split(",")
+            assert [float(v) for v in cells[:2]] == draws[c, i].tolist()
+            assert cells[2:] == [str(c), str(i)]
+
+
 class TestComparisonReport:
     def make_estimate(self, tag, point, lower, upper):
         return PrevalenceEstimate(
@@ -365,7 +380,7 @@ class TestComparisonReport:
         assert repr(crude.p_adj) not in text
 
         path = tmp_path / "coef.csv"
-        write_csv(coefficient_csv_rows(report), path)
+        write_text(csv_text(coefficient_csv_rows(report)), path)
         rendered = render_csv_text(path)
         assert rendered.splitlines()[0].split() == list(coefficient_csv_rows(report)[0])
 
