@@ -23,8 +23,9 @@ constants are computed up front, and the basis is carried to the
 patterns as the matrix ``U A``, so that a proposal ``phi`` costs one
 product of that matrix with ``phi`` for its linear predictor and one
 elementwise pass of a value kernel of ``likelihoods``. The mode search
-scores its points through ``bc_log_posterior_grad`` and
-``bec_log_posterior_grad``; ``bc_log_posterior`` and
+scores its points, with their curvature, through
+``bc_log_posterior_grad`` and ``bec_log_posterior_grad``;
+``bc_log_posterior`` and
 ``bec_log_posterior`` are the reference values of the same posteriors.
 """
 
@@ -39,7 +40,6 @@ from .data_model import AssayMode, AssayProfile
 from .errors import NonConvergenceError
 from .likelihoods import (
     binomial_counts,
-    mixture_hessian,
     mixture_loglik,
     mixture_loglik_value,
     std_loglik,
@@ -50,7 +50,6 @@ from .mle import (
     FitResult,
     ModelTag,
     _fit_data,
-    _logistic_information,
     _newton_ascent,
     _newton_direction,
     observed_information,
@@ -112,23 +111,21 @@ def bc_log_posterior(y, X, beta):
     return bc_log_posterior_grad(y, X, beta)[0]
 
 
-def bc_log_posterior_grad(y, X, beta, trials=None):
+def bc_log_posterior_grad(y, X, beta, trials=None, curvature=False):
     """Value and gradient of ``bc_log_posterior`` over beta.
 
-    ``trials`` as in ``likelihoods.binomial_counts``.
+    ``trials`` as in ``likelihoods.binomial_counts``. With
+    ``curvature``, a third entry: the negative Hessian, the logistic
+    information plus ``I / var``.
     """
     Xm = X.matrix if hasattr(X, "matrix") else np.asarray(X, dtype=float)
     beta = np.asarray(beta, dtype=float)
     var = newman_prior_variance(Xm.shape[1] - 1)
-    ll, grad = std_loglik(y, Xm, beta, trials=trials)
+    ll, grad, *info = std_loglik(y, Xm, beta, trials=trials, curvature=curvature)
     value = ll + _normal_logpdf_sum(beta, var)
-    return value, grad - beta / var
-
-
-def _bc_neg_hessian(m, U, beta):
-    """Negative Hessian of ``bc_log_posterior``: the logistic information plus ``I / var``."""
-    var = newman_prior_variance(U.shape[1] - 1)
-    return _logistic_information(m, U, beta) + np.eye(U.shape[1]) / var
+    if not curvature:
+        return value, grad - beta / var
+    return value, grad - beta / var, info[0] + np.eye(Xm.shape[1]) / var
 
 
 @dataclass(frozen=True)
@@ -167,30 +164,49 @@ def bec_log_posterior(y, X, block, assay):
     return bec_log_posterior_grad(y, X, block, assay)[0]
 
 
-def bec_log_posterior_grad(y, X, block, assay, trials=None):
+def bec_log_posterior_grad(y, X, block, assay, trials=None, curvature=False):
     """Value and gradient over (beta[, se, sp]) of ``bec_log_posterior``.
 
-    ``trials`` as in ``likelihoods.binomial_counts``.
+    ``trials`` as in ``likelihoods.binomial_counts``. With
+    ``curvature``, a third entry: the negative Hessian over the same
+    coordinates, ``-J' H J`` from ``mixture_loglik``'s Hessian over
+    (beta, p0, p1), with J the Jacobian of the linear map to ``(beta,
+    p0 = 1 - sp, p1 = se)``; plus ``I / var`` on beta and, in beta-prior
+    mode, each Beta prior's curvature ``(a - 1)/x^2 + (b - 1)/(1 - x)^2``.
     """
     Xm = X.matrix if hasattr(X, "matrix") else np.asarray(X, dtype=float)
     beta = np.asarray(block.beta, dtype=float)
     se, sp, sampled = _bec_parts(block, assay)
     if sampled and not _in_accuracy_support(se, sp):
         raise ValueError("gradient requested outside the support")
-    var = newman_prior_variance(Xm.shape[1] - 1)
+    p = Xm.shape[1]
+    var = newman_prior_variance(p - 1)
     k, m = binomial_counts(y, trials)
-    ll, g_beta, g_p0, g_p1 = mixture_loglik(k, m, Xm, beta, 1.0 - sp, se + sp - 1.0)
+    ll, g_beta, g_p0, g_p1, *H = mixture_loglik(
+        k, m, Xm, beta, 1.0 - sp, se + sp - 1.0, curvature=curvature
+    )
     g_se, g_sp = g_p1, -g_p0  # p0 = 1 - sp, p1 = se
     value = ll + _normal_logpdf_sum(beta, var)
     g_beta = g_beta - beta / var
-    if not sampled:
+    if sampled:
+        a_se, b_se = assay.se_prior
+        a_sp, b_sp = assay.sp_prior
+        value += _beta_logpdf(se, a_se, b_se) + _beta_logpdf(sp, a_sp, b_sp)
+        g_se += (a_se - 1.0) / se - (b_se - 1.0) / (1.0 - se)
+        g_sp += (a_sp - 1.0) / sp - (b_sp - 1.0) / (1.0 - sp)
+        g_beta = np.concatenate([g_beta, [g_se, g_sp]])
+    if not curvature:
         return value, g_beta
-    a_se, b_se = assay.se_prior
-    a_sp, b_sp = assay.sp_prior
-    value += _beta_logpdf(se, a_se, b_se) + _beta_logpdf(sp, a_sp, b_sp)
-    g_se += (a_se - 1.0) / se - (b_se - 1.0) / (1.0 - se)
-    g_sp += (a_sp - 1.0) / sp - (b_sp - 1.0) / (1.0 - sp)
-    return value, np.concatenate([g_beta, [g_se, g_sp]])
+    J = np.eye(p + 2)[:, : p + 2 * sampled]
+    if sampled:
+        J[p:, p:] = [[0.0, -1.0], [1.0, 0.0]]
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite H stays non-finite
+        neg_h = -J.T @ H[0] @ J
+    neg_h[:p, :p] += np.eye(p) / var
+    if sampled:
+        for j, x, (a, b) in ((p, se, assay.se_prior), (p + 1, sp, assay.sp_prior)):
+            neg_h[j, j] += (a - 1.0) / x**2 + (b - 1.0) / (1.0 - x) ** 2
+    return value, g_beta, neg_h
 
 
 def _bc_log_density(k, m, p):
@@ -241,27 +257,6 @@ def _bec_log_density(k, m, p, assay):
         return value + (accuracy - log_norm)
 
     return log_density
-
-
-def _bec_neg_hessian(k, m, U, beta, se, sp, assay):
-    """Negative Hessian of ``bec_log_posterior`` over (beta[, se, sp]).
-
-    ``-J' H J`` from ``mixture_hessian`` over (beta, p0, p1), with J the
-    Jacobian of the linear map to ``(beta, p0 = 1 - sp, p1 = se)``; plus
-    ``I / var`` on beta and, in beta-prior mode, each Beta prior's
-    curvature ``(a - 1)/x^2 + (b - 1)/(1 - x)^2``.
-    """
-    p = U.shape[1]
-    sampled = assay.mode is AssayMode.BETA_PRIOR
-    J = np.eye(p + 2)[:, : p + 2 * sampled]
-    if sampled:
-        J[p:, p:] = [[0.0, -1.0], [1.0, 0.0]]
-    neg_h = -J.T @ mixture_hessian(k, m, U, beta, 1.0 - sp, se + sp - 1.0) @ J
-    neg_h[:p, :p] += np.eye(p) / newman_prior_variance(p - 1)
-    if sampled:
-        for j, x, (a, b) in ((p, se, assay.se_prior), (p + 1, sp, assay.sp_prior)):
-            neg_h[j, j] += (a - 1.0) / x**2 + (b - 1.0) / (1.0 - x) ** 2
-    return neg_h
 
 
 # ---------------------------------------------------------------------------
@@ -402,32 +397,32 @@ def _basis_log_post(log_density, Us, mode, A):
 
 
 def _sample_posterior(
-    tag, Us, loglik, neg_hess, log_density, theta0, config, tr, names, lo=-np.inf, hi=np.inf
+    tag, Us, loglik, log_density, theta0, config, tr, names, lo=-np.inf, hi=np.inf
 ):
     """Draws of a posterior over (beta[, se, sp]), on the input scale.
 
     Finds the mode from ``theta0`` by ``mle._newton_ascent``, the
     projected Newton loop of the maximum-likelihood fits: ``loglik``
-    gives the log posterior over standardized coefficients and its
-    gradient, ``neg_hess`` its exact negative Hessian, and ``[lo, hi]``
-    boxes the coordinates. A search that ends unconverged is a
-    NonConvergenceError naming the model ``tag``. Samples
-    ``log_density(theta, eta)``, with ``eta`` the linear predictor over
-    the standardized patterns ``Us``, in the mode-centered coordinates
-    of ``_sampling_basis`` at ``neg_hess(mode)``, from seed-derived
+    gives the log posterior over standardized coefficients, its gradient
+    and its exact negative Hessian, and ``[lo, hi]`` boxes the
+    coordinates. A search that ends unconverged is a NonConvergenceError
+    naming the model ``tag``. Samples ``log_density(theta, eta)``, with
+    ``eta`` the linear predictor over the standardized patterns ``Us``,
+    in the mode-centered coordinates of ``_sampling_basis`` at the
+    negative Hessian the search ended with, from seed-derived
     overdispersed starts, and undoes the standardization on every draw.
     The returned draws carry the sampler's acceptance rates; their
     R-hat and ESS are computed when first read, on the input scale.
     """
 
-    def direction(theta, free, score):
-        return _newton_direction(neg_hess(theta)[np.ix_(free, free)], score)
+    def direction(neg_h, free, score):
+        return _newton_direction(neg_h[free][:, free], score)
 
-    mode, _, converged, _, warning, _ = _newton_ascent(loglik, direction, theta0, lo, hi)
+    mode, _, converged, _, warning, _, neg_h = _newton_ascent(loglik, direction, theta0, lo, hi)
     if not converged:
         raise NonConvergenceError(f"{tag.value} posterior mode: {warning}")
     dim = mode.shape[0]
-    A = _sampling_basis(neg_hess(mode))
+    A = _sampling_basis(neg_h)
     log_post = _basis_log_post(log_density, Us, mode, A)
 
     # Overdispersed starts, two posterior sds around the mode in each
@@ -460,15 +455,10 @@ def fit_bc(y, X, config=None):
     p = Us.shape[1]
 
     def loglik(beta):
-        return bc_log_posterior_grad(k, Us, beta, trials=m)
-
-    def neg_hess(beta):
-        return _bc_neg_hessian(m, Us, beta)
+        return bc_log_posterior_grad(k, Us, beta, trials=m, curvature=True)
 
     log_density = _bc_log_density(k, m, p)
-    draws = _sample_posterior(
-        ModelTag.BC, Us, loglik, neg_hess, log_density, np.zeros(p), config, tr, names
-    )
+    draws = _sample_posterior(ModelTag.BC, Us, loglik, log_density, np.zeros(p), config, tr, names)
     beta_hat = draws.flat().mean(axis=0)
     ll_hat = std_loglik_value(k, m, U @ beta_hat)
     fit = _posterior_fit_result(ModelTag.BC, draws, p, ll_hat, names)
@@ -497,10 +487,7 @@ def fit_bec(y, X, assay, config=None):
 
     def loglik(theta):
         block = BecParameterBlock(theta[:p], *theta[p:])
-        return bec_log_posterior_grad(k, Us, block, assay, trials=m)
-
-    def neg_hess(theta):
-        return _bec_neg_hessian(k, m, Us, theta[:p], *accuracy(theta), assay)
+        return bec_log_posterior_grad(k, Us, block, assay, trials=m, curvature=True)
 
     log_density = _bec_log_density(k, m, p, assay)
 
@@ -511,7 +498,7 @@ def fit_bec(y, X, assay, config=None):
         hi = np.concatenate([np.full(p, np.inf), [1.0 - 1e-9, 1.0 - 1e-9]])
         out_names += ACCURACY_NAMES
     draws = _sample_posterior(
-        ModelTag.BEC, Us, loglik, neg_hess, log_density, theta0, config, tr, out_names, lo, hi
+        ModelTag.BEC, Us, loglik, log_density, theta0, config, tr, out_names, lo, hi
     )
 
     flat = draws.flat()

@@ -258,13 +258,46 @@ class CovariatePatterns:
         """Row-weighted mean of one value per pattern."""
         return float(self.trials @ values) / len(self.inverse)
 
+    @cached_property
+    def singular_values(self):
+        """The singular values of ``rows``, computed on first use and then
+        kept, so that every fit of one design checks its rank once."""
+        return np.linalg.svd(self.rows, compute_uv=False)
+
+
+# Grouping copies the matrix into a structured array for ``np.unique``,
+# 8 bytes a cell; ``np.lexsort`` makes no such copy but pages in about
+# 128 kB of its own stable-sort code. Below this many cells the copy is
+# the smaller cost, above it the sort is, and it is also several times
+# faster.
+_LEXSORT_CELLS = 16_384
+
 
 def group_rows(matrix):
-    """Group a design matrix by distinct rows (a sort: O(n log n) over n rows)."""
-    rows, inverse, trials = np.unique(
-        matrix, axis=0, return_inverse=True, return_counts=True
-    )
-    return CovariatePatterns(rows=rows, trials=trials.astype(float), inverse=inverse.reshape(-1))
+    """Group a design matrix by distinct rows (a sort: O(n log n) over n rows).
+
+    Patterns come in ``np.unique(matrix, axis=0)``'s order. A large
+    matrix is sorted by one stable ``lexsort`` over the columns, first
+    column first, which puts equal rows next to each other; a pattern
+    starts wherever a row differs from the one before it.
+    """
+    if matrix.size < _LEXSORT_CELLS:
+        rows, inverse, trials = np.unique(
+            matrix, axis=0, return_inverse=True, return_counts=True
+        )
+        return CovariatePatterns(
+            rows=rows, trials=trials.astype(float), inverse=inverse.reshape(-1)
+        )
+    n = matrix.shape[0]
+    order = np.lexsort(matrix.T[::-1])
+    ordered = matrix[order]
+    starts = np.empty(n, dtype=bool)
+    starts[:1] = True
+    (ordered[1:] != ordered[:-1]).any(axis=1, out=starts[1:])
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    trials = np.diff(np.append(np.flatnonzero(starts), n)).astype(float)
+    return CovariatePatterns(rows=ordered[starts], trials=trials, inverse=inverse)
 
 
 def design_patterns(X):
@@ -515,6 +548,48 @@ def _parse_group_cell(token, row, column):
     raise ParseError(f"unrecognized population group {token!r}", row=row, column=column)
 
 
+# Rows parsed at a time: few enough that their tokens take little
+# memory, enough that the per-chunk work is small against the cells.
+_CHUNK_ROWS = 1024
+
+
+def _parse_column(tokens, parse, column):
+    """One column of a chunk as an array, or None if a cell in it is bad.
+
+    Each distinct token of a 0/1 or group column is parsed once; ages
+    are parsed as one array, with Python's ``float`` rules.
+    """
+    if parse is _parse_age_cell:
+        try:
+            values = np.array(tokens, dtype=float)
+        except ValueError:
+            return None
+        return values if (np.isfinite(values) & (values >= 0.0)).all() else None
+    try:
+        lookup = {t: parse(t, 0, column) for t in set(tokens)}
+    except ParseError:
+        return None
+    return np.fromiter(map(lookup.__getitem__, tokens), np.int8, len(tokens))
+
+
+def _parse_chunk(rows, first, cells):
+    """The columns of ``rows``, data rows ``first`` onward, one array each.
+
+    A chunk with a bad cell is parsed again cell by cell, row by row,
+    which raises the ParseError of its first bad cell in row and then
+    column order.
+    """
+    tokens = list(zip(*rows))
+    columns = [_parse_column(tokens[j], parse, column) for parse, j, column in cells]
+    if any(c is None for c in columns):
+        parsed = [
+            [parse(row[j], i, column) for parse, j, column in cells]
+            for i, row in enumerate(rows, start=first)
+        ]
+        columns = [np.array(values) for values in zip(*parsed)]
+    return columns
+
+
 def load_cohort(source, column_map=None, outcome_label="outcome"):
     """Read a cohort from a csv file, a path or an open text file, through ``read_csv_rows``.
 
@@ -522,7 +597,8 @@ def load_cohort(source, column_map=None, outcome_label="outcome"):
     ``sex``, ``other_sti``, ``hepb``, ``group``) to the column names
     actually present in the file; unmapped fields default to their
     canonical names. Parse failures carry row and column coordinates,
-    rows are counted from 1 at the first data row.
+    rows are counted from 1 at the first data row. The rows are parsed
+    column by column, a chunk of them at a time as they are read.
     """
     colmap = dict(column_map or {})
     unknown = [k for k in colmap if k not in CANONICAL_FIELDS]
@@ -542,12 +618,22 @@ def load_cohort(source, column_map=None, outcome_label="outcome"):
     parsers = dict.fromkeys(_BINARY_FIELDS, _parse_binary_cell)
     parsers.update(age=_parse_age_cell, group=_parse_group_cell)
     cells = [(parse, header.index(resolved[name]), resolved[name]) for name, parse in parsers.items()]
-    columns = [[] for _ in cells]
-    for i, row in enumerate(rows, start=1):
-        for (parse, j, column), values in zip(cells, columns):
-            values.append(parse(row[j], i, column))
-    if not columns[0]:
+    chunks, chunk, first = [], [], 1
+    try:
+        for row in rows:
+            chunk.append(row)
+            if len(chunk) == _CHUNK_ROWS:
+                chunks.append(_parse_chunk(chunk, first, cells))
+                chunk, first = [], first + _CHUNK_ROWS
+    except SchemaError:
+        if chunk:  # a bad cell above the bad row is met first
+            _parse_chunk(chunk, first, cells)
+        raise
+    if chunk:
+        chunks.append(_parse_chunk(chunk, first, cells))
+    if not chunks:
         raise SchemaError("input file has a header but no data rows")
+    columns = [np.concatenate(parts) for parts in zip(*chunks)]
     log.info("loaded %d records (outcome label %r)", len(columns[0]), outcome_label)
     return Cohort.from_columns(**dict(zip(parsers, columns)), outcome_label=outcome_label)
 

@@ -20,10 +20,19 @@ so both are ``offset + slope * sigmoid(U beta)``, and one kernel,
 ``mixture_loglik``, computes that likelihood for the joint error-rate
 fit, the known-accuracy marginal and the internally corrected posterior;
 each caller only applies the chain rule from the kernel's scores to its
-own parameters. ``mixture_hessian`` gives its second derivatives, which
-the joint fit's Newton steps use. The plain logistic likelihood, offset
-0 and slope 1, keeps its softplus form ``k eta - m log(1 + e^eta)``,
-which stays finite where ``log(sigmoid(eta))`` would underflow.
+own parameters. The plain logistic likelihood, offset 0 and slope 1,
+keeps its softplus form ``k eta - m log(1 + e^eta)``, which stays
+finite where ``log(sigmoid(eta))`` would underflow.
+
+Given ``curvature=True``, ``std_loglik``, ``liu_loglik`` and
+``mixture_loglik`` also return the second derivatives, built in the
+same pass from the per-pattern terms the value and score already hold:
+``std_loglik`` the negative Hessian ``U' diag(m pi (1 - pi)) U`` (the
+logistic information), ``mixture_loglik`` the Hessian over ``(beta, p0,
+p1)`` and ``liu_loglik`` the Hessian over ``(beta, r0, r1)``. A Newton
+step then costs one pass over the patterns, not one for the value and
+score and another for the curvature. Without it they return the value
+and score alone.
 
 The two value kernels, ``std_loglik_value`` and ``mixture_loglik_value``,
 take the linear predictor ``eta = U beta`` rather than the design and
@@ -55,11 +64,11 @@ def logistic(eta):
     with no masked copies. Non-finite input is a domain error.
     """
     arr = np.asarray(eta, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("logistic: eta must be finite")
     e = np.exp(-np.abs(arr))
     out = np.where(arr >= 0, 1.0, e) / (1.0 + e)
-    if np.ndim(eta) == 0:
+    if arr.ndim == 0:
         return float(out)
     return out
 
@@ -109,30 +118,35 @@ def binomial_counts(y, trials=None):
     if k.ndim != 1:
         raise ValueError("y must be a 1-d vector")
     if trials is None:
-        if not np.all((k == 0.0) | (k == 1.0)):
+        if not ((k == 0.0) | (k == 1.0)).all():
             raise ValueError("y must contain only 0 and 1")
         return k, np.ones(k.shape[0])
     m = np.asarray(trials, dtype=float)
     if m.shape != k.shape:
         raise ValueError(f"trials has shape {m.shape}, positives {k.shape}")
-    if not (np.all(m >= 1.0) and np.all((k >= 0.0) & (k <= m)) and np.all(k == np.round(k))):
+    if not ((m >= 1.0).all() and ((k >= 0.0) & (k <= m)).all() and (k == np.rint(k)).all()):
         raise ValueError("positives must be whole numbers in [0, trials], trials at least 1")
     return k, m
 
 
-def std_loglik(y, X, beta, trials=None):
+def std_loglik(y, X, beta, trials=None, curvature=False):
     """Logistic log-likelihood and its score, per row or per covariate pattern.
 
     Returns ``(loglik, gradient)`` where the gradient is
-    ``X' (k - m pi)``; ``trials`` as in ``binomial_counts``. Uses the
-    softplus identity ``log(1 + e^eta) = logaddexp(0, eta)`` so no term
-    overflows.
+    ``X' (k - m pi)``; ``trials`` as in ``binomial_counts``. The value
+    is ``std_loglik_value``'s, whose softplus overflows nowhere. With
+    ``curvature``, a third entry: the negative Hessian ``X' diag(m pi
+    (1 - pi)) X``, from the same ``pi``.
     """
     k, m = binomial_counts(y, trials)
     U, beta = _design_and_beta(X, beta)
     eta = U @ beta
-    ll = float(np.sum(k * eta - m * np.logaddexp(0.0, eta)))
-    return ll, U.T @ (k - m * logistic(eta))
+    ll, pi = std_loglik_value(k, m, eta), logistic(eta)
+    del eta  # no later term reads it
+    score = U.T @ (k - m * pi)
+    if not curvature:
+        return ll, score
+    return ll, score, U.T @ ((m * pi * (1.0 - pi))[:, None] * U)
 
 
 # The value kernels add per-pattern terms by numpy's pairwise summation
@@ -158,16 +172,15 @@ def std_loglik_value(k, m, eta):
     return float(terms.sum())
 
 
-def _mixture_terms(k, m, U, beta, offset, slope):
-    pi = logistic(U @ beta)
-    p = offset + slope * pi
-    pc = np.maximum(p, _LOG_CLAMP)
-    qc = np.maximum(1.0 - p, _LOG_CLAMP)
-    ll = float(np.sum(k * np.log(pc) + (m - k) * np.log(qc)))
-    return ll, pi, pc, qc
+# A count over the square of a probability at the 1e-300 clamp: the
+# square underflows to 0, and a pattern with no such outcomes would give
+# 0/0 for a term that is 0. Over the least subnormal instead, 0 stays 0
+# and a count of at least 1 overflows to the inf it was, so no other
+# term changes.
+_LEAST_SQUARE = 5e-324
 
 
-def mixture_loglik(k, m, U, beta, offset, slope):
+def mixture_loglik(k, m, U, beta, offset, slope, curvature=False):
     """The misclassified-Bernoulli log-likelihood over covariate patterns.
 
     Pattern i has ``m[i]`` trials, ``k[i]`` positives and response
@@ -180,11 +193,52 @@ def mixture_loglik(k, m, U, beta, offset, slope):
     through the per-pattern weight ``w = k/p - (m - k)/(1 - p)``,
     d loglik / d p. The counts are taken as validated: this is the inner
     loop of every fit.
+
+    With ``curvature``, a fifth entry: the Hessian over ``(beta, p0,
+    p1)``, a square matrix of side ``len(beta) + 2``. With ``s =
+    sigmoid(U beta)`` and the derivative of ``w``, ``v = -k/p^2 - (m -
+    k)/(1 - p)^2``, it is the sum of ``v dp dp' + w d2p`` over patterns.
+    ``p`` is linear in ``p0`` and ``p1``, so ``w`` enters only the beta
+    block and the blocks crossing beta with the end probabilities.
     """
-    ll, pi, pc, qc = _mixture_terms(k, m, U, beta, offset, slope)
-    w = k / pc - (m - k) / qc
-    grad_beta = U.T @ (w * slope * (pi * (1.0 - pi)))
-    return ll, grad_beta, float(np.sum(w * (1.0 - pi))), float(np.sum(w * pi))
+    pi = logistic(U @ beta)
+    p = offset + slope * pi
+    qc = np.maximum(1.0 - p, _LOG_CLAMP)
+    pc = np.maximum(p, _LOG_CLAMP, out=p)
+    miss = m - k
+    ll = float((k * np.log(pc) + miss * np.log(qc)).sum())
+    w = k / pc - miss / qc
+    qi = 1.0 - pi
+    d = pi * qi  # d sigmoid / d eta
+    wsd = w * slope * d
+    out = ll, U.T @ wsd, float((w * qi).sum()), float((w * pi).sum())
+    if not curvature:
+        return out
+    n_beta = U.shape[1]
+    H = np.empty((n_beta + 2, n_beta + 2))
+    # Outcomes at a clamped probability give an infinite v and, times a
+    # zero sigmoid slope, nan. The Newton step and the information check
+    # already fail on a non-finite Hessian. Each per-pattern array is
+    # dropped once no later term reads it, so that one pass holds no more
+    # memory at once than the value and the Hessian did in passes of
+    # their own.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v = -(k / np.maximum(pc**2, _LEAST_SQUARE)) - miss / np.maximum(qc**2, _LEAST_SQUARE)
+        del pc, qc, miss
+        vsd = v * slope * d
+        wd = w * d
+        del w
+        H[:n_beta, n_beta] = U.T @ (vsd * qi - wd)
+        H[:n_beta, n_beta + 1] = U.T @ (vsd * pi + wd)
+        del vsd, wd
+        H[n_beta, n_beta] = (v * qi**2).sum()
+        H[n_beta, n_beta + 1] = (v * pi * qi).sum()
+        H[n_beta + 1, n_beta + 1] = (v * pi**2).sum()
+        del qi
+        H[:n_beta, :n_beta] = U.T @ ((v * (slope * d) ** 2 + wsd * (1.0 - 2.0 * pi))[:, None] * U)
+    H[n_beta:, :n_beta] = H[:n_beta, n_beta:].T
+    H[n_beta + 1, n_beta] = H[n_beta, n_beta + 1]
+    return *out, H
 
 
 def mixture_loglik_value(k, m, eta, offset, slope):
@@ -217,61 +271,29 @@ def mixture_loglik_value(k, m, eta, offset, slope):
     return float(p.sum())
 
 
-def _count_over_square(count, prob):
-    """``count / prob**2``, and 0 where the count is 0.
-
-    At the 1e-300 clamp ``prob**2`` underflows to 0, and a pattern with
-    no such outcomes would give 0/0 for a term that is 0.
-    """
-    return np.divide(count, prob**2, out=np.zeros_like(count), where=count > 0.0)
-
-
-def mixture_hessian(k, m, U, beta, offset, slope):
-    """Hessian of ``mixture_loglik`` over ``(beta, p0, p1)``.
-
-    With ``s = sigmoid(U beta)``, ``p = p0 (1 - s) + p1 s`` and, per
-    pattern, ``w = k/p - (m - k)/(1 - p)`` and its derivative
-    ``v = -k/p^2 - (m - k)/(1 - p)^2``, the Hessian is the sum of
-    ``v dp dp' + w d2p`` over patterns. ``p`` is linear in ``p0`` and
-    ``p1``, so ``w`` enters only the beta block and the blocks crossing
-    beta with the end probabilities. A square matrix of side
-    ``len(beta) + 2``.
-    """
-    _, pi, pc, qc = _mixture_terms(k, m, U, beta, offset, slope)
-    p = U.shape[1]
-    H = np.empty((p + 2, p + 2))
-    # Outcomes at a clamped probability give an infinite v (its square
-    # underflows) and, times a zero sigmoid slope, nan. The Newton step and
-    # the information check already fail on a non-finite Hessian.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = k / pc - (m - k) / qc
-        v = -_count_over_square(k, pc) - _count_over_square(m - k, qc)
-        d = pi * (1.0 - pi)  # d sigmoid / d eta
-        H[:p, :p] = U.T @ ((v * (slope * d) ** 2 + w * slope * d * (1.0 - 2.0 * pi))[:, None] * U)
-        H[:p, p] = U.T @ (v * slope * d * (1.0 - pi) - w * d)
-        H[:p, p + 1] = U.T @ (v * slope * d * pi + w * d)
-        H[p, p] = np.sum(v * (1.0 - pi) ** 2)
-        H[p, p + 1] = np.sum(v * pi * (1.0 - pi))
-        H[p + 1, p + 1] = np.sum(v * pi**2)
-    H[p:, :p] = H[:p, p:].T
-    H[p + 1, p] = H[p, p + 1]
-    return H
-
-
-def liu_loglik(y, X, beta, rates, trials=None):
+def liu_loglik(y, X, beta, rates, trials=None, curvature=False):
     """Joint log-likelihood for logistic regression with free error rates.
 
     Returns ``(loglik, gradient)`` with the gradient over the stacked
     parameter (beta, r0, r1), so its length is ``len(beta) + 2``;
-    ``trials`` as in ``binomial_counts``.
+    ``trials`` as in ``binomial_counts``. With ``curvature``, a third
+    entry: the Hessian over the same parameter.
     """
     k, m = binomial_counts(y, trials)
     if not isinstance(rates, ErrorRates):
         rates = ErrorRates(*rates)
     U, beta = _design_and_beta(X, beta)
-    ll, g_beta, g_p0, g_p1 = mixture_loglik(k, m, U, beta, rates.r0, 1.0 - rates.r0 - rates.r1)
-    # p0 = r0, p1 = 1 - r1
-    return ll, np.concatenate([g_beta, [g_p0, -g_p1]])
+    out = mixture_loglik(
+        k, m, U, beta, rates.r0, 1.0 - rates.r0 - rates.r1, curvature=curvature
+    )
+    # p0 = r0 and p1 = 1 - r1: the r1 entries change sign
+    grad = np.concatenate([out[1], [out[2], -out[3]]])
+    if not curvature:
+        return out[0], grad
+    H = out[4]
+    H[-1] *= -1.0
+    H[:, -1] *= -1.0
+    return out[0], grad, H
 
 
 def bec_marginal_loglik(y, X, beta, assay):

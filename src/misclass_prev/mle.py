@@ -1,15 +1,23 @@
 """Maximum-likelihood fitting: plain logistic and joint error-rate models.
 
-Both fits run one damped Newton loop, ``_newton_ascent``. ``fit_std``
-gives it the exact logistic information; ``fit_liu`` maximizes the
-misclassified likelihood over (beta, free error rates) by projected
-Newton with the analytic Hessian of ``likelihoods.mixture_hessian``, on
-the original scale with the free rates boxed in [0, ``RATE_MAX``];
-which of the false-positive rate r0 and the false-negative rate r1 are
-free is one matrix per ``LiuVariant``. Standard errors for both fits
-come from the analytic observed information in the original
-parameterization. ``bayes`` finds the BC and BEC posterior modes with
-the same loop and the exact Hessians of their log posteriors.
+Both fits run one damped Newton loop, ``_newton_ascent``. Its
+protocol: ``loglik(theta)`` returns ``(value, score, curvature)``, the
+curvature being the negative Hessian at ``theta``, computed in the same
+pass over the patterns as the value and score; ``direction(curvature,
+free, score)`` turns the curvature of the accepted point into the
+Newton step over the free coordinates. The loop returns the curvature
+of its last point with the optimum, so a fit takes its standard errors
+from it without another pass. ``fit_std`` gives it the exact logistic
+information of ``std_loglik``; ``fit_liu`` maximizes the misclassified
+likelihood over (beta, free error rates) by projected Newton with the
+analytic Hessian of ``liu_loglik``, on the original scale with the free
+rates boxed in [0, ``RATE_MAX``]; which of the false-positive rate r0
+and the false-negative rate r1 are free is one matrix per
+``LiuVariant``. Standard errors for both fits come from the analytic
+observed information in the original parameterization. ``bayes`` finds
+the BC and BEC posterior modes with the same loop and the exact
+Hessians of their log posteriors. ``fit_std`` and ``fit_liu`` both take
+a start, so bootstrap refits begin at the original estimate.
 
 Both fit over covariate patterns: a DesignMatrix is fitted over its
 distinct rows with trials and positives per row, and a caller that
@@ -28,7 +36,7 @@ no scipy.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -40,7 +48,6 @@ from .likelihoods import (
     binomial_counts,
     liu_loglik,
     logistic,
-    mixture_hessian,
     std_loglik,
 )
 
@@ -120,6 +127,7 @@ class InformationResult:
     se: np.ndarray  # None when the information is not positive definite
     rcond: float
     warning: str = None
+    covariance: np.ndarray = None  # the inverse, when se is given
 
 
 def _resolve_design(X, column_names):
@@ -134,10 +142,14 @@ def _resolve_design(X, column_names):
     return X, tuple(names)
 
 
-def _check_rank(X, names):
-    """Rank by SVD at ``np.linalg.matrix_rank``'s tolerance; names the collinear columns."""
-    s = np.linalg.svd(X, compute_uv=False)
-    rank = int(np.sum(s > s[0] * max(X.shape) * np.finfo(float).eps))
+def _check_rank(X, names, s=None):
+    """Rank by SVD at ``np.linalg.matrix_rank``'s tolerance; names the collinear columns.
+
+    ``s`` holds the singular values of ``X`` when they are already known.
+    """
+    if s is None:
+        s = np.linalg.svd(X, compute_uv=False)
+    rank = int((s > s[0] * max(X.shape) * np.finfo(float).eps).sum())
     if rank < X.shape[1]:
         null = np.abs(np.linalg.svd(np.linalg.qr(X, mode="r"))[2][rank:])
         collinear = [names[j] for j in np.flatnonzero(np.max(null, axis=0) > 1e-8)]
@@ -152,16 +164,19 @@ def _fit_data(y, X, column_names, trials):
     """``(positives, trials, rows, names)`` a fit runs on, rank-checked.
 
     Without ``trials``, ``y`` is one 0/1 outcome per row of ``X`` and the
-    rows are grouped by ``design_patterns``; with it, the rows of ``X``
-    carry ``trials`` trials and ``y`` positives each.
+    rows are grouped by ``design_patterns``; a DesignMatrix keeps its
+    patterns' singular values, so every fit of one design checks its
+    rank once. With ``trials``, the rows of ``X`` carry ``trials``
+    trials and ``y`` positives each, and are checked on every call.
     """
     rows, names = _resolve_design(X, column_names)
     if trials is None:
         patterns = design_patterns(X)
         k, m, rows = patterns.positives(binomial_counts(y)[0]), patterns.trials, patterns.rows
+        _check_rank(rows, names, patterns.singular_values)
     else:
         k, m = binomial_counts(y, trials)
-    _check_rank(rows, names)
+        _check_rank(rows, names)
     return k, m, rows, names
 
 
@@ -174,91 +189,95 @@ def _degenerate(k, m, U, beta):
     Newton can meet the score tolerance on the way out, with that
     coefficient still inside the bound and an SE in the thousands).
     """
-    if np.max(np.abs(beta)) > SEPARATION_BOUND:
+    if np.abs(beta).max() > SEPARATION_BOUND:
         return True
     pi = logistic(U @ beta)
-    worst = np.maximum(np.where(k > 0.0, 1.0 - pi, 0.0), np.where(k < m, pi, 0.0))
-    if np.max(worst) < 1e-6:
+    # every pattern fitted within 1e-6 of its outcomes
+    if not (((k > 0.0) & (1.0 - pi >= 1e-6)).any() or ((k < m) & (pi >= 1e-6)).any()):
         return True
-    # positives and trials at each level of every 0/1 column, in one pass;
-    # the counts are whole numbers, so the sums and the tests are exact
-    B = U[:, 1:][:, np.all((U[:, 1:] == 0.0) | (U[:, 1:] == 1.0), axis=0)]
-    positives, trials = k @ B, m @ B
-    positives = np.concatenate([positives, k.sum() - positives])
-    trials = np.concatenate([trials, m.sum() - trials])
-    return bool(np.any((positives == 0.0) | (positives == trials)))
-
-
-def _logistic_information(m, U, beta):
-    """Negative Hessian of the logistic log-likelihood, ``U' diag(m pi (1 - pi)) U``."""
-    pi = logistic(U @ beta)
-    return U.T @ ((m * pi * (1.0 - pi))[:, None] * U)
+    # positives and trials at each level of every 0/1 column, over the
+    # columns as contiguous rows; the counts are whole numbers, so the
+    # sums and the tests are exact
+    columns = U[:, 1:].T.copy()
+    binary = ((columns == 0.0) | (columns == 1.0)).all(axis=1)
+    positives, trials = (columns @ k)[binary], (columns @ m)[binary]
+    absent, missing = k.sum() - positives, m.sum() - trials
+    return bool(
+        ((positives == 0.0) | (positives == trials) | (absent == 0.0) | (absent == missing)).any()
+    )
 
 
 def _newton_ascent(loglik, direction, theta, lo=-np.inf, hi=np.inf):
     """Damped Newton ascent of ``loglik``, projected onto the box ``[lo, hi]``.
 
-    ``loglik(theta)`` returns ``(value, score)`` and ``direction(theta,
-    free, score)`` the Newton step over the coordinates ``free``. A
-    coordinate on a bound whose score points out of the box is held there
-    and every other one is free (projected Newton, Bertsekas 1982, SIAM J.
-    Control Optim.). Each step is halved along the projection arc until
-    the value drops by no more than 1e-12, which keeps it monotone when
-    Newton overshoots. Converged when the score over the free coordinates
-    is below SCORE_TOL or the step below STEP_TOL within MAX_ITER steps.
-    Returns ``(theta, value, converged, iterations, warning, free)``,
-    ``free`` the final mask of coordinates not held on a bound.
+    ``loglik(theta)`` returns ``(value, score, curvature)``, the
+    curvature the negative Hessian, and ``direction(curvature, free,
+    score)`` the Newton step over the coordinates ``free`` from the
+    curvature of the accepted point. A coordinate on a bound whose score
+    points out of the box is held there and every other one is free
+    (projected Newton, Bertsekas 1982, SIAM J. Control Optim.). Each step
+    is halved along the projection arc until the value drops by no more
+    than 1e-12, which keeps it monotone when Newton overshoots. Converged
+    when the score over the free coordinates is below SCORE_TOL or the
+    step below STEP_TOL within MAX_ITER steps. Returns ``(theta, value,
+    converged, iterations, warning, free, curvature)``, ``free`` the
+    final mask of coordinates not held on a bound and ``curvature`` the
+    negative Hessian at ``theta``.
     """
 
     def free_of(theta, score):
         return ~(((theta <= lo) & (score < 0.0)) | ((theta >= hi) & (score > 0.0)))
 
     theta = np.clip(theta, lo, hi)
-    ll, score = loglik(theta)
+    ll, score, curvature = loglik(theta)
     free = free_of(theta, score)
     warning = None
     iterations = 0
-    converged = np.max(np.abs(score[free])) < SCORE_TOL
+    converged = np.abs(score[free]).max() < SCORE_TOL
 
     for it in range(1, MAX_ITER + 1):
         if converged:
             break
         step = np.zeros_like(theta)
         try:
-            step[free] = direction(theta, free, score[free])
+            step[free] = direction(curvature, free, score[free])
         except np.linalg.LinAlgError:
             warning = "singular Hessian during Newton iteration"
             break
         for _ in range(30):
             trial = np.clip(theta + step, lo, hi)
-            ll_new, score_new = loglik(trial)
+            ll_new, score_new, curvature_new = loglik(trial)
             if ll_new >= ll - 1e-12:
                 break
             step = step / 2.0
-        theta, ll, score = trial, ll_new, score_new
+        theta, ll, score, curvature = trial, ll_new, score_new, curvature_new
         free = free_of(theta, score)
         iterations = it
-        if np.max(np.abs(score[free])) < SCORE_TOL or np.max(np.abs(step)) < STEP_TOL:
+        if np.abs(score[free]).max() < SCORE_TOL or np.abs(step).max() < STEP_TOL:
             converged = True
 
     if not converged and warning is None:
         warning = f"no convergence in {MAX_ITER} Newton iterations"
-    return theta, ll, converged, iterations, warning, free
+    return theta, ll, converged, iterations, warning, free, curvature
 
 
-def fit_std(y, X, column_names=None, trials=None):
+def fit_std(y, X, column_names=None, trials=None, init=None):
     """Damped Newton / IRLS fit of a plain logistic regression.
 
     ``y`` holds one 0/1 outcome per row of ``X``; given ``trials``, it
-    holds the positives among ``trials`` per row instead.
+    holds the positives among ``trials`` per row instead. The ascent
+    starts at the coefficients ``init``, or at zero.
     """
     k, m, U, names = _fit_data(y, X, column_names, trials)
     p = U.shape[1]
+    beta0 = np.zeros(p) if init is None else np.asarray(init, dtype=float)
+    if beta0.shape != (p,):
+        raise ValueError(f"init has shape {beta0.shape}, design has {p} columns")
 
-    beta, ll, converged, iterations, warning, _ = _newton_ascent(
-        lambda beta: std_loglik(k, U, beta, trials=m),
-        lambda beta, free, score: np.linalg.solve(_logistic_information(m, U, beta), score),
-        np.zeros(p),
+    beta, ll, converged, iterations, warning, _, info = _newton_ascent(
+        lambda beta: std_loglik(k, U, beta, trials=m, curvature=True),
+        lambda info, free, score: np.linalg.solve(info, score),
+        beta0,
     )
 
     if _degenerate(k, m, U, beta):
@@ -269,7 +288,7 @@ def fit_std(y, X, column_names=None, trials=None):
     cov = None
     if converged:
         try:
-            l_inv = np.linalg.inv(np.linalg.cholesky(_logistic_information(m, U, beta)))
+            l_inv = np.linalg.inv(np.linalg.cholesky(info))
             cov = l_inv.T @ l_inv
             beta_se = np.sqrt(np.diag(cov))
         except np.linalg.LinAlgError:
@@ -323,8 +342,8 @@ def observed_information(info):
             rcond=rcond,
             warning=f"observed information is numerically singular (rcond {rcond:.2e})",
         )
-    se = np.sqrt(np.diag(np.linalg.inv(info)))
-    return InformationResult(matrix=info, se=se, rcond=rcond, warning=None)
+    cov = np.linalg.inv(info)
+    return InformationResult(matrix=info, se=np.sqrt(np.diag(cov)), rcond=rcond, covariance=cov)
 
 
 @dataclass(frozen=True)
@@ -359,32 +378,19 @@ _RATE_MAP = {
 }
 
 
-def _liu_hessian(k, m, U, A, theta):
-    """Hessian over ``theta = (beta, free rates)``, ``J' H J``.
-
-    ``(beta, p0, p1) = (beta, A[0] @ free, 1 - A[1] @ free)`` is linear in
-    theta with Jacobian J, so no second-order chain terms arise.
-    """
-    p = U.shape[1]
-    r0, r1 = A @ theta[p:]
-    J = np.zeros((p + 2, p + A.shape[1]))
-    J[:p, :p] = np.eye(p)
-    J[p:, p:] = A * [[1.0], [-1.0]]
-    return J.T @ mixture_hessian(k, m, U, theta[:p], r0, 1.0 - r0 - r1) @ J
-
-
 def _newton_direction(neg_h, g):
     """Solve ``neg_h d = g``, shifting the diagonal until Cholesky finds it positive definite."""
-    if not np.all(np.isfinite(neg_h)):
+    if not np.isfinite(neg_h).all():
         raise np.linalg.LinAlgError("non-finite Hessian")
     shift = 0.0
-    floor = 1e-8 * max(1.0, float(np.max(np.abs(np.diag(neg_h)))))
+    eye = np.eye(g.shape[0])
     for _ in range(40):
-        shifted = neg_h + shift * np.eye(g.shape[0])
+        shifted = neg_h + shift * eye
         try:
             np.linalg.cholesky(shifted)  # raises unless positive definite
             return np.linalg.solve(shifted, g)
         except np.linalg.LinAlgError:
+            floor = 1e-8 * max(1.0, float(np.abs(neg_h.diagonal()).max()))
             shift = max(10.0 * shift, floor)
     raise np.linalg.LinAlgError("no diagonal shift makes the Hessian positive definite")
 
@@ -403,7 +409,9 @@ def fit_liu(
     the free ones, ``(r0, r1) = A @ free``. The fit is the projected
     Newton ascent ``_newton_ascent`` over ``(beta, free rates)`` on the
     original scale, with the free rates boxed in ``[0, RATE_MAX]`` and
-    the analytic Hessian ``_liu_hessian``: a rate on its bound whose
+    the analytic Hessian of ``liu_loglik`` mapped to the free rates as
+    ``J' H J``, J the Jacobian of the linear map from ``(beta, free
+    rates)`` to ``(beta, r0, r1)``: a rate on its bound whose
     score points out of the box is held there, so it comes out exactly
     0, and the Newton step over the rest is solved by Cholesky, with a
     Levenberg shift only when that fails. Standard errors and the
@@ -423,16 +431,29 @@ def fit_liu(
     if beta0.shape[0] != p:
         raise ValueError(f"init beta has length {beta0.shape[0]}, design has {p} columns")
 
-    def loglik(theta):
-        r0, r1 = A @ theta[p:]
-        ll, grad = liu_loglik(k, U, theta[:p], ErrorRates(r0, r1), trials=m)
-        return ll, np.concatenate([grad[:p], A.T @ grad[p:]])
-
-    def direction(theta, free, score):
-        return _newton_direction(-_liu_hessian(k, m, U, A, theta)[np.ix_(free, free)], score)
-
     n_free = A.shape[1]
-    theta, ll, converged, iterations, warning, free = _newton_ascent(
+    J = np.zeros((p + 2, p + n_free))
+    J[:p, :p] = np.eye(p)
+    J[p:, p:] = A
+
+    def loglik(theta):
+        ll, grad, H = liu_loglik(
+            k, U, theta[:p], ErrorRates(*(A @ theta[p:])), trials=m, curvature=True
+        )
+        # a trial point far out can leave H non-finite; that fails the
+        # Newton step only if the line search accepts the point
+        with np.errstate(invalid="ignore", over="ignore"):
+            neg_h = -(J.T @ H @ J)
+        return ll, np.concatenate([grad[:p], A.T @ grad[p:]]), neg_h
+
+    def held_out(neg_h, free):
+        # only a rate held on its bound leaves the information
+        return neg_h if free.all() else neg_h[free][:, free]
+
+    def direction(neg_h, free, score):
+        return _newton_direction(held_out(neg_h, free), score)
+
+    theta, ll, converged, iterations, warning, free, neg_h = _newton_ascent(
         loglik,
         direction,
         np.concatenate([beta0, A.T @ [init.r0, init.r1] / A.sum(axis=0)]),
@@ -444,7 +465,7 @@ def fit_liu(
     r0_hat, r1_hat = A @ theta[p:]
 
     # held rates have no normal approximation: information over the rest
-    neg_h = -_liu_hessian(k, m, U, A, theta)[np.ix_(free, free)]
+    neg_h = held_out(neg_h, free)
     info = observed_information(0.5 * (neg_h + neg_h.T))
     beta_se = cov = se_r0 = se_r1 = None
     if info.se is None:
@@ -453,7 +474,7 @@ def fit_liu(
     else:
         beta_se = info.se[:p]
         cov = np.zeros((theta.shape[0], theta.shape[0]))
-        cov[np.ix_(free, free)] = np.linalg.inv(info.matrix)
+        cov[np.ix_(free, free)] = info.covariance
         rate_se = np.zeros(n_free)
         rate_se[free[p:]] = info.se[p:]
         se_r0, se_r1 = (float(row @ rate_se) if (row * free[p:]).any() else None for row in A)

@@ -32,7 +32,7 @@ import numpy as np
 from .bayes import ACCURACY_NAMES, fit_bc, fit_bec
 from .data_model import design_patterns, read_csv_rows
 from .errors import NonConvergenceError, SingularDesignError
-from .likelihoods import logistic
+from .likelihoods import binomial_counts, logistic
 from .mcmc import SamplerConfig
 from .mle import LiuInit, LiuVariant, ModelTag, fit_liu, fit_std
 from .rogan_gladen import (
@@ -122,11 +122,12 @@ def marginal_prevalence_std(
     The nonparametric bootstrap resamples cohort rows, refits, averages
     the fitted probabilities, and corrects each resampled value; a
     resample is refitted as trials and positives per covariate pattern
-    it drew. Refits that fail to converge, whose resample lost every
-    positive of a rare indicator column, or that separate on one, are
-    counted and skipped. The cheaper delta interval propagates the
-    fit's coefficient covariance through the mean fitted probability
-    and divides by the Youden index.
+    it drew, starting at the fit's coefficients and iterating to the
+    same tolerance as a fit from zero. Refits that fail to converge,
+    whose resample lost every positive of a rare indicator column, or
+    that separate on one, are counted and skipped. The cheaper delta
+    interval propagates the fit's coefficient covariance through the
+    mean fitted probability and divides by the Youden index.
     """
     require_converged(fit)
     interval = IntervalMethod(interval)
@@ -138,17 +139,24 @@ def marginal_prevalence_std(
     if interval is IntervalMethod.BOOTSTRAP:
         rng = np.random.default_rng(rng)
         n, n_patterns = patterns.inverse.shape[0], patterns.trials.shape[0]
+        # each row's pattern and outcome as one code, 2 * pattern + outcome,
+        # so one gather and one count give a resample's negatives and positives
+        codes = 2 * patterns.inverse + binomial_counts(y)[0].astype(np.intp)
         vals = []
         for _ in range(n_boot):
             idx = rng.integers(0, n, size=n)
-            drawn = patterns.inverse[idx]
-            trials = np.bincount(drawn, minlength=n_patterns).astype(float)
+            counts = np.bincount(codes[idx], minlength=2 * n_patterns)
+            trials = (counts[0::2] + counts[1::2]).astype(float)
             live = trials > 0.0
-            positives = np.bincount(drawn, weights=y[idx], minlength=n_patterns)
+            positives = counts[1::2][live].astype(float)
             rows, trials = patterns.rows[live], trials[live]
             try:
                 refit = fit_std(
-                    positives[live], rows, column_names=fit.column_names, trials=trials
+                    positives,
+                    rows,
+                    column_names=fit.column_names,
+                    trials=trials,
+                    init=fit.beta_hat,
                 )
             except SingularDesignError:
                 continue
@@ -184,7 +192,8 @@ def marginal_prevalence_liu(X, fit, n_boot=500, rng=None, interval=IntervalMetho
     the latent true status. The bootstrap interval is parametric,
     simulating outcomes from the fitted (beta, r0, r1), refitting, and
     taking percentiles of the resampled prevalence; refits start at the
-    original estimates, a rate on its boundary included, and
+    original estimates, a rate on its boundary included, and run on
+    ``X`` itself, whose rank a DesignMatrix checks once for all of them;
     non-converged refits are counted. The delta interval propagates the
     joint observed-information covariance of (beta, free rates) through
     the mean fitted probability; the rate coordinates enter with zero
@@ -212,14 +221,7 @@ def marginal_prevalence_liu(X, fit, n_boot=500, rng=None, interval=IntervalMetho
             latent = rng.random(n) < pi_rows
             u = rng.random(n)
             y_b = np.where(latent, u >= r1, u < r0).astype(float)
-            refit = fit_liu(
-                patterns.positives(y_b),
-                patterns.rows,
-                variant=variant,
-                init=init,
-                column_names=fit.column_names,
-                trials=patterns.trials,
-            )
+            refit = fit_liu(y_b, X, variant=variant, init=init, column_names=fit.column_names)
             if refit.converged:
                 vals.append(_mean_prob(patterns, refit.beta_hat))
         failures = n_boot - len(vals)

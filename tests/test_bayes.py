@@ -12,9 +12,7 @@ from misclass_prev.bayes import (
     Standardization,
     _basis_log_post,
     _bc_log_density,
-    _bc_neg_hessian,
     _bec_log_density,
-    _bec_neg_hessian,
     _posterior_data,
     _posterior_fit_result,
     _sample_posterior,
@@ -140,7 +138,8 @@ class TestPosteriorHessians:
         k, m, U, rng = self.counts(40)
         beta = rng.normal(scale=0.7, size=3)
         numeric = fd_information(lambda b: bc_log_posterior_grad(k, U, b, trials=m)[1], beta)
-        assert_hessian_close(_bc_neg_hessian(m, U, beta), numeric)
+        analytic = bc_log_posterior_grad(k, U, beta, trials=m, curvature=True)[2]
+        assert_hessian_close(analytic, numeric)
 
     def test_corrected_model_fixed_mode_matches_differenced_gradient(self):
         k, m, U, rng = self.counts(41)
@@ -150,7 +149,8 @@ class TestPosteriorHessians:
         def score(b):
             return bec_log_posterior_grad(k, U, BecParameterBlock(beta=b), assay, trials=m)[1]
 
-        analytic = _bec_neg_hessian(k, m, U, beta, 0.9, 0.95, assay)
+        block = BecParameterBlock(beta=beta)
+        analytic = bec_log_posterior_grad(k, U, block, assay, trials=m, curvature=True)[2]
         assert_hessian_close(analytic, fd_information(score, beta))
 
     def test_corrected_model_with_accuracy_priors_matches_differenced_gradient(self):
@@ -162,7 +162,8 @@ class TestPosteriorHessians:
             block = BecParameterBlock(beta=t[:3], se=t[3], sp=t[4])
             return bec_log_posterior_grad(k, U, block, assay, trials=m)[1]
 
-        analytic = _bec_neg_hessian(k, m, U, theta[:3], *theta[3:], assay)
+        block = BecParameterBlock(beta=theta[:3], se=theta[3], sp=theta[4])
+        analytic = bec_log_posterior_grad(k, U, block, assay, trials=m, curvature=True)[2]
         assert_hessian_close(analytic, fd_information(score, theta))
 
 
@@ -183,7 +184,7 @@ class TestModeSearch:
                 1.0 if np.isinf(b) else 0.05 for b in lo
             ]
             for start in (theta, moved):
-                mode, _, converged, _, warning, _ = newton(loglik, direction, start, lo, hi)
+                mode, _, converged, _, warning, _, _ = newton(loglik, direction, start, lo, hi)
                 assert converged, warning
                 modes.append(mode)
             raise Found
@@ -196,10 +197,7 @@ class TestModeSearch:
 
     def test_mode_search_that_ends_unconverged_is_a_statistical_error(self):
         def loglik(theta):
-            return -0.5 * float(theta @ theta), -theta
-
-        def neg_hess(theta):
-            return np.full((2, 2), np.nan)
+            return -0.5 * float(theta @ theta), -theta, np.full((2, 2), np.nan)
 
         tr = Standardization(indices=(), means=(), sds=())
         with pytest.raises(NonConvergenceError, match="^BEC posterior mode: singular Hessian"):
@@ -207,7 +205,6 @@ class TestModeSearch:
                 ModelTag.BEC,
                 np.eye(2),
                 loglik,
-                neg_hess,
                 lambda theta, eta: 0.0,
                 np.ones(2),
                 QUICK,
@@ -488,7 +485,7 @@ class TestChainStart:
         # the density is finite at the mode alone: halving a start toward
         # the mode never reaches it, so no chain can start
         def loglik(theta):
-            return -0.5 * float(theta @ theta), -theta
+            return -0.5 * float(theta @ theta), -theta, np.eye(2)
 
         def log_density(theta, eta):
             return 0.0 if not np.any(theta) else -np.inf
@@ -499,7 +496,6 @@ class TestChainStart:
                 ModelTag.BC,
                 np.eye(2),
                 loglik,
-                lambda theta: np.eye(2),
                 log_density,
                 np.zeros(2),
                 QUICK,

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from misclass_prev import data_model
 
 from misclass_prev import (
     COLUMN_ORDER,
@@ -27,6 +30,7 @@ from misclass_prev.data_model import (
     DEFAULT_PRIOR_N,
     GROUP_ORDER,
     csv_text,
+    group_rows,
     read_csv_rows,
     write_text,
 )
@@ -238,6 +242,27 @@ class TestDesignMatrix:
         with pytest.raises(ValueError):
             X.matrix[0, 0] = 5.0
 
+    @given(
+        st.tuples(st.integers(1, 80), st.integers(1, 5)).flatmap(
+            lambda shape: arrays(
+                np.float64, shape, elements=st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, 1e-300])
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_grouping_matches_unique_rows(self, matrix):
+        rows, inverse, counts = np.unique(
+            matrix, axis=0, return_inverse=True, return_counts=True
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data_model, "_LEXSORT_CELLS", 0)  # the sort a large matrix takes
+            patterns = group_rows(matrix)
+        # by value: -0.0 and 0.0 are one pattern, and either may represent it
+        assert patterns.rows.shape == rows.shape and np.all(patterns.rows == rows)
+        np.testing.assert_array_equal(patterns.inverse, inverse.reshape(-1))
+        np.testing.assert_array_equal(patterns.trials, counts.astype(float))
+        assert np.all(patterns.rows[patterns.inverse] == matrix)
+
 
 class TestCohortIO:
     def test_round_trip(self, small_cohort, tmp_path):
@@ -290,6 +315,66 @@ class TestCohortIO:
             load_cohort(src)
         msg = str(exc.value)
         assert "row 2" in msg and "age" in msg
+
+    @pytest.mark.parametrize(
+        "column, bad, reason",
+        [
+            ("outcome", "yes", "expected 0 or 1, got 'yes'"),
+            ("age", "-4", "age must be finite and non-negative, got '-4'"),
+            ("age", "old", "could not parse age 'old'"),
+            ("group", "martian", "unrecognized population group 'martian'"),
+        ],
+    )
+    def test_bad_cell_deep_in_a_file_names_its_row_and_column(self, column, bad, reason):
+        # rows are parsed a chunk at a time, yet the reason names the first
+        # bad cell, as a row-by-row reader meets it: a later bad cell and a
+        # ragged row in the same chunk are not reached
+        header = ["outcome", "age", "sex", "other_sti", "hepb", "group"]
+        lines = [",".join(header)]
+        for i in range(1, 6001):
+            cells = [str(i % 2), f"{20 + i % 50}.5", "1", "0", str(int(i % 3 == 0)), "msm"]
+            if i == 5000:
+                cells[header.index(column)] = bad
+            if i == 5001:
+                cells[header.index("sex")] = "2"
+            lines.append(",".join(cells[:-1] if i == 5010 else cells))
+        with pytest.raises(ParseError) as exc:
+            load_cohort(io.StringIO("\n".join(lines) + "\n"))
+        assert str(exc.value) == f"{reason} (row 5000, column {column!r})"
+        assert (exc.value.row, exc.value.column) == (5000, column)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["0", "1", " 1", "0 "]),
+                st.sampled_from(["20", "20.0", " 33.5", "1e1", "0", "-0", "7_0"]),
+                st.sampled_from(["0", "1"]),
+                st.sampled_from(["0", "1"]),
+                st.sampled_from(["0", "1"]),
+                st.sampled_from(["msm", "MSM ", "general_population", "sex_worker", "lgtbi"]),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_columns_match_a_cell_by_cell_parse(self, rows, chunk):
+        text = "outcome,age,sex,other_sti,hepb,group\n" + "".join(",".join(r) + "\n" for r in rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data_model, "_CHUNK_ROWS", chunk)
+            cohort = load_cohort(io.StringIO(text))
+        for name, parse, j in [
+            ("outcome", data_model._parse_binary_cell, 0),
+            ("age", data_model._parse_age_cell, 1),
+            ("sex", data_model._parse_binary_cell, 2),
+            ("other_sti", data_model._parse_binary_cell, 3),
+            ("hepb", data_model._parse_binary_cell, 4),
+            ("group", data_model._parse_group_cell, 5),
+        ]:
+            want = [parse(r[j], i, name) for i, r in enumerate(rows, start=1)]
+            got = getattr(cohort, name).tolist()
+            assert got == want and [repr(v) for v in got] == [repr(v) for v in want]
 
 
 class TestCsvWriter:

@@ -21,7 +21,6 @@ from misclass_prev.likelihoods import (
     ErrorRates,
     liu_loglik,
     logistic,
-    mixture_hessian,
     mixture_loglik,
     std_loglik,
 )
@@ -29,7 +28,6 @@ from misclass_prev.mcmc import PosteriorDraws
 from misclass_prev.mle import (
     _RATE_MAP,
     LiuVariant,
-    _liu_hessian,
     fit_liu,
     fit_std,
 )
@@ -103,6 +101,46 @@ class TestLikelihoods:
             std_loglik(np.array([0.0, 0.0]), U, np.zeros(1), trials=np.array([0.0, 1.0]))
 
 
+def two_pass_logistic_information(m, U, beta):
+    """The logistic information as the fits once built it, in a pass of its own."""
+    pi = logistic(U @ beta)
+    return U.T @ ((m * pi * (1.0 - pi))[:, None] * U)
+
+
+def two_pass_mixture_hessian(k, m, U, beta, offset, slope):
+    """The Hessian of ``mixture_loglik`` over (beta, p0, p1) as once built in a pass of its own."""
+    pi = logistic(U @ beta)
+    prob = offset + slope * pi
+    pc, qc = np.maximum(prob, 1e-300), np.maximum(1.0 - prob, 1e-300)
+
+    def count_over_square(count, q):
+        return np.divide(count, q**2, out=np.zeros_like(count), where=count > 0.0)
+
+    p = U.shape[1]
+    H = np.empty((p + 2, p + 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = k / pc - (m - k) / qc
+        v = -count_over_square(k, pc) - count_over_square(m - k, qc)
+        d = pi * (1.0 - pi)
+        H[:p, :p] = U.T @ ((v * (slope * d) ** 2 + w * slope * d * (1.0 - 2.0 * pi))[:, None] * U)
+        H[:p, p] = U.T @ (v * slope * d * (1.0 - pi) - w * d)
+        H[:p, p + 1] = U.T @ (v * slope * d * pi + w * d)
+        H[p, p] = np.sum(v * (1.0 - pi) ** 2)
+        H[p, p + 1] = np.sum(v * pi * (1.0 - pi))
+        H[p + 1, p + 1] = np.sum(v * pi**2)
+    H[p:, :p] = H[:p, p:].T
+    H[p + 1, p] = H[p, p + 1]
+    return H
+
+
+def rate_jacobian(p, A, sign=(1.0, 1.0)):
+    """The Jacobian of ``(beta, free rates) -> (beta, A[0] @ free, A[1] @ free)``, rows signed."""
+    J = np.zeros((p + 2, p + A.shape[1]))
+    J[:p, :p] = np.eye(p)
+    J[p:, p:] = A * np.array(sign)[:, None]
+    return J
+
+
 class TestHessian:
     @given(designs, st.floats(0.0, 0.2), st.floats(0.0, 0.4))
     @settings(max_examples=60, deadline=None)
@@ -117,7 +155,7 @@ class TestHessian:
             return np.concatenate([g_beta, [g_p0, g_p1]])
 
         theta = np.concatenate([beta, [r0, 1.0 - r1]])
-        H = mixture_hessian(k, m, U, beta, r0, 1.0 - r0 - r1)
+        H = mixture_loglik(k, m, U, beta, r0, 1.0 - r0 - r1, curvature=True)[4]
         assert_hessian_close(H, fd_jacobian(score, theta))
 
     @pytest.mark.parametrize("variant", list(LiuVariant), ids=lambda v: v.value)
@@ -132,7 +170,40 @@ class TestHessian:
             return np.concatenate([grad[:p], A.T @ grad[p:]])
 
         theta = np.concatenate([beta, A.T @ [0.05, 0.15] / A.sum(axis=0)])
-        assert_hessian_close(_liu_hessian(k, m, U, A, theta), fd_jacobian(score, theta))
+        rates = ErrorRates(*(A @ theta[p:]))
+        H = liu_loglik(k, U, theta[:p], rates, trials=m, curvature=True)[2]
+        J = rate_jacobian(p, A)
+        assert_hessian_close(J.T @ H @ J, fd_jacobian(score, theta))
+
+    @given(designs, st.floats(0.0, 0.2), st.floats(0.0, 0.4))
+    @settings(max_examples=40, deadline=None)
+    def test_one_pass_curvature_is_the_two_pass_one_bit_for_bit(self, design, r0, r1):
+        y, X, beta = repeated_design(*design)
+        k, m, U = grouped(y, X)
+        p = U.shape[1]
+        info = std_loglik(k, U, beta, trials=m, curvature=True)[2]
+        np.testing.assert_array_equal(info, two_pass_logistic_information(m, U, beta))
+        reference = two_pass_mixture_hessian(k, m, U, beta, r0, 1.0 - r0 - r1)
+        H = mixture_loglik(k, m, U, beta, r0, 1.0 - r0 - r1, curvature=True)[4]
+        np.testing.assert_array_equal(H, reference)
+        # the joint fit's Hessian over (beta, free rates), as J' H J with
+        # the Jacobian to (beta, p0, p1) or, from liu_loglik, to (beta, r0, r1)
+        H_rates = liu_loglik(k, U, beta, ErrorRates(r0, r1), trials=m, curvature=True)[2]
+        for A in _RATE_MAP.values():
+            np.testing.assert_array_equal(
+                rate_jacobian(p, A).T @ H_rates @ rate_jacobian(p, A),
+                rate_jacobian(p, A, (1.0, -1.0)).T @ reference @ rate_jacobian(p, A, (1.0, -1.0)),
+            )
+
+    def test_one_pass_curvature_is_the_two_pass_one_at_the_clamp(self):
+        # patterns pushed to the 1e-300 clamp at both ends, with and
+        # without outcomes there: the same finite and non-finite entries
+        U = np.column_stack([np.ones(4), [-900.0, -900.0, 900.0, 0.0]])
+        k, m = np.array([0.0, 2.0, 3.0, 1.0]), np.array([4.0, 4.0, 3.0, 2.0])
+        beta = np.array([0.0, 1.0])
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            H = mixture_loglik(k, m, U, beta, 0.0, 1.0, curvature=True)[4]
+        np.testing.assert_array_equal(H, two_pass_mixture_hessian(k, m, U, beta, 0.0, 1.0))
 
     @pytest.mark.parametrize("variant", list(LiuVariant), ids=lambda v: v.value)
     @given(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from misclass_prev import (
     std_loglik,
 )
 
-from misclass_prev.likelihoods import mixture_hessian, mixture_loglik_value
+from misclass_prev.likelihoods import mixture_loglik, mixture_loglik_value
 
 from conftest import fd_gradient, random_logit_data
 
@@ -127,11 +129,25 @@ class TestMixtureHessian:
         k, m = np.array([0.0, 3.0]), np.array([5.0, 5.0])
         beta = np.array([-800.0, 800.0])
         assert np.isfinite(mixture_loglik_value(k, m, U @ beta, 0.0, 1.0))
-        with np.errstate(divide="raise", invalid="raise"):
-            H = mixture_hessian(k, m, U, beta, 0.0, 1.0)
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            H = mixture_loglik(k, m, U, beta, 0.0, 1.0, curvature=True)[4]
         # the p0 entry: 5 negatives at p = 0 and 3 of 5 positives at p = 1/2
         assert H[2, 2] == -10.0
         assert np.all(np.isfinite(H))
+
+    def test_outcomes_at_the_clamp_give_a_non_finite_hessian_without_warnings(self):
+        # row 0 now has 2 positives at p = 0: its v is -inf, and the Newton
+        # step and the information check fail on the non-finite Hessian
+        U = np.array([[1.0, 0.0], [1.0, 1.0]])
+        k, m = np.array([2.0, 3.0]), np.array([5.0, 5.0])
+        beta = np.array([-800.0, 800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ll, *_, H = mixture_loglik(k, m, U, beta, 0.0, 1.0, curvature=True)
+            info = std_loglik(k, U, beta, trials=m, curvature=True)[2]
+        assert np.isfinite(ll)
+        assert not np.all(np.isfinite(H))
+        assert np.all(np.isfinite(info))
 
 
 class TestBecMarginalLoglik:

@@ -142,6 +142,32 @@ class TestFitStd:
         assert set(err.value.columns) & set(GROUP_DUMMY_COLUMNS)
         assert any(name in str(err.value) for name in GROUP_DUMMY_COLUMNS)
 
+    def test_warm_start_reaches_the_same_refits_in_fewer_steps(self, intage_demo):
+        # the report's bootstrap refits: 20 STD resamples of the integer-age
+        # demo design, each fitted from zero and from the full-data estimate
+        y, X = intage_demo
+        beta_hat = fit_std(y, X).beta_hat
+        patterns = X.patterns
+        n, n_patterns = y.shape[0], patterns.trials.shape[0]
+        rng = np.random.default_rng(20)
+        steps = {"cold": [], "warm": []}
+        for _ in range(20):
+            idx = rng.integers(0, n, size=n)
+            drawn = patterns.inverse[idx]
+            trials = np.bincount(drawn, minlength=n_patterns).astype(float)
+            live = trials > 0.0
+            positives = np.bincount(drawn, weights=y[idx], minlength=n_patterns)[live]
+            kw = {"column_names": X.column_names, "trials": trials[live]}
+            cold = fit_std(positives, patterns.rows[live], **kw)
+            warm = fit_std(positives, patterns.rows[live], init=beta_hat, **kw)
+            assert warm.converged == cold.converged
+            np.testing.assert_allclose(warm.beta_hat, cold.beta_hat, rtol=0.0, atol=1e-8)
+            steps["cold"].append(cold.iterations)
+            steps["warm"].append(warm.iterations)
+        assert np.mean(steps["warm"]) < np.mean(steps["cold"])
+        with pytest.raises(ValueError, match="init has shape"):
+            fit_std(y, X, init=beta_hat[:-1])
+
     def test_loglik_matches_formula_at_optimum(self):
         rng = np.random.default_rng(21)
         y, X, _ = random_logit_data(rng, n=150, p=2)
