@@ -65,7 +65,6 @@ from .rogan_gladen import (
 )
 from .simulate import (
     CovariateSpec,
-    EstimatorSpec,
     SimScenario,
     SimTruth,
     calibrate_intercept,
@@ -87,7 +86,6 @@ __all__ = [
     "CrudeEstimate",
     "DesignMatrix",
     "ErrorRates",
-    "EstimatorSpec",
     "FitResult",
     "InputError",
     "IntervalMethod",

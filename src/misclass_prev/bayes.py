@@ -51,7 +51,6 @@ from .mle import (
     ModelTag,
     _fit_data,
     _newton_ascent,
-    _newton_direction,
     observed_information,
 )
 
@@ -339,7 +338,7 @@ def _sampling_basis(neg_h):
     info = observed_information(0.5 * (neg_h + neg_h.T))
     if info.se is None:
         raise NonConvergenceError(f"no sampling basis at the posterior mode: {info.warning}")
-    return np.linalg.cholesky(np.linalg.inv(info.matrix))
+    return np.linalg.cholesky(info.covariance)
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +413,7 @@ def _sample_posterior(
     The returned draws carry the sampler's acceptance rates; their
     R-hat and ESS are computed when first read, on the input scale.
     """
-
-    def direction(neg_h, free, score):
-        return _newton_direction(neg_h[free][:, free], score)
-
-    mode, _, converged, _, warning, _, neg_h = _newton_ascent(loglik, direction, theta0, lo, hi)
+    mode, _, converged, _, warning, _, neg_h = _newton_ascent(loglik, theta0, lo, hi)
     if not converged:
         raise NonConvergenceError(f"{tag.value} posterior mode: {warning}")
     dim = mode.shape[0]

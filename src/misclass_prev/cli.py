@@ -67,7 +67,6 @@ from .rogan_gladen import IntervalMethod, rogan_gladen_interval
 from .simulate import (
     ESTIMATOR_NAMES,
     STUDY_SAMPLER,
-    EstimatorSpec,
     ReplicationSummary,
     load_bundled_scenario,
     read_scenario,
@@ -141,6 +140,15 @@ def _add_sampler_flags(sub, study=False):
         )
 
 
+def _add_estimate_flags(sub):
+    """The flags ``fit`` and ``compare`` share, read back by ``_estimate_options``."""
+    sub.add_argument("--variant", choices=tuple(VARIANT_NAMES), default="both", help=VARIANT_HELP)
+    _add_sampler_flags(sub)
+    sub.add_argument("--bootstrap", type=int, help="interval resamples (std/liu)")
+    sub.add_argument("--seed", type=int, default=0, help=f"random seed, {SEED_HELP}")
+    sub.add_argument("--allow-nonconverged", action="store_true")
+
+
 def _add_output_flags(sub):
     sub.add_argument("--format", choices=("text", "csv"), default="text")
     sub.add_argument("--out", help="write the result here instead of stdout")
@@ -159,18 +167,14 @@ def build_parser():
         "--model", required=True, type=str.upper, choices=tuple(t.value for t in ModelTag)
     )
     _add_assay_flags(fit)
-    fit.add_argument("--variant", choices=tuple(VARIANT_NAMES), default="both", help=VARIANT_HELP)
-    _add_sampler_flags(fit)
-    fit.add_argument("--bootstrap", type=int, help="interval resamples (std/liu)")
+    _add_estimate_flags(fit)
     fit.add_argument(
         "--interval",
         choices=("bootstrap", "delta"),
         default="bootstrap",
         help="interval construction for the std and liu models",
     )
-    fit.add_argument("--seed", type=int, default=0, help=f"random seed, {SEED_HELP}")
     fit.add_argument("--save-draws", help="write posterior draws csv (bc/bec)")
-    fit.add_argument("--allow-nonconverged", action="store_true")
     _add_output_flags(fit)
 
     comp = sub.add_parser("compare", help="run the estimator battery and compare")
@@ -181,11 +185,7 @@ def build_parser():
         help="comma separated subset of std,liu,bc,bec",
     )
     _add_assay_flags(comp)
-    comp.add_argument("--variant", choices=tuple(VARIANT_NAMES), default="both", help=VARIANT_HELP)
-    _add_sampler_flags(comp)
-    comp.add_argument("--bootstrap", type=int, help="interval resamples (std/liu)")
-    comp.add_argument("--seed", type=int, default=0, help=f"random seed, {SEED_HELP}")
-    comp.add_argument("--allow-nonconverged", action="store_true")
+    _add_estimate_flags(comp)
     comp.add_argument("--coef-out", help="also write the coefficient block csv here")
     comp.add_argument("--se-out", help="also write the standard-error block csv here")
     _add_output_flags(comp)
@@ -274,6 +274,12 @@ def _estimate_options(args):
     )
 
 
+def _cohort_data(args, column_map):
+    """The outcomes and the design matrix of the ``--data`` cohort."""
+    cohort = load_cohort(args.data, column_map=column_map, outcome_label=args.outcome)
+    return cohort.outcomes(), build_design_matrix(cohort)
+
+
 def _name_list(flag, text, valid, noun):
     """The names a comma-separated flag lists, in lower case and in order.
 
@@ -329,9 +335,7 @@ def _run_fit(args):
     options = _estimate_options(args)
     _echo(args, f"model = {args.model}; {_assay_echo(assay)}")
 
-    cohort = load_cohort(args.data, column_map=column_map, outcome_label=args.outcome)
-    X = build_design_matrix(cohort)
-    y = cohort.outcomes()
+    y, X = _cohort_data(args, column_map)
 
     fit, prev, draws = estimate(
         model, y, X, assay, args.seed, interval=IntervalMethod(args.interval), **options
@@ -371,9 +375,7 @@ def _run_compare(args):
     options = _estimate_options(args)
     _echo(args, f"models = {','.join(wanted)}; {_assay_echo(assay)}")
 
-    cohort = load_cohort(args.data, column_map=column_map, outcome_label=args.outcome)
-    X = build_design_matrix(cohort)
-    y = cohort.outcomes()
+    y, X = _cohort_data(args, column_map)
 
     crude = rogan_gladen_interval(int(y.sum()), y.shape[0], assay.point_profile())
 
@@ -439,9 +441,9 @@ def _run_simulate(args):
         override = None
         if args.se is not None:
             override = AssayProfile(sensitivity=args.se, specificity=args.sp)
-        sampler = _sampler(args)
-        specs = [EstimatorSpec(name=w, assay=override, sampler=sampler) for w in wanted]
-        summaries = replicate_study(scenario, specs, reps=args.reps, workers=args.workers)
+        summaries = replicate_study(
+            scenario, wanted, args.reps, args.workers, assay=override, sampler=_sampler(args)
+        )
         rows = record_rows(summaries, ReplicationSummary)
         if args.format == "csv":
             out = csv_text(rows)

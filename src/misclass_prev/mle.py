@@ -3,10 +3,10 @@
 Both fits run one damped Newton loop, ``_newton_ascent``. Its
 protocol: ``loglik(theta)`` returns ``(value, score, curvature)``, the
 curvature being the negative Hessian at ``theta``, computed in the same
-pass over the patterns as the value and score; ``direction(curvature,
-free, score)`` turns the curvature of the accepted point into the
-Newton step over the free coordinates. The loop returns the curvature
-of its last point with the optimum, so a fit takes its standard errors
+pass over the patterns as the value and score. The loop solves the
+free block of the accepted point's curvature for the Newton step
+itself (``_newton_direction``), and returns the curvature of its last
+point with the optimum, so a fit takes its standard errors
 from it without another pass. ``fit_std`` gives it the exact logistic
 information of ``std_loglik``; ``fit_liu`` maximizes the misclassified
 likelihood over (beta, free error rates) by projected Newton with the
@@ -207,13 +207,13 @@ def _degenerate(k, m, U, beta):
     )
 
 
-def _newton_ascent(loglik, direction, theta, lo=-np.inf, hi=np.inf):
+def _newton_ascent(loglik, theta, lo=-np.inf, hi=np.inf):
     """Damped Newton ascent of ``loglik``, projected onto the box ``[lo, hi]``.
 
     ``loglik(theta)`` returns ``(value, score, curvature)``, the
-    curvature the negative Hessian, and ``direction(curvature, free,
-    score)`` the Newton step over the coordinates ``free`` from the
-    curvature of the accepted point. A coordinate on a bound whose score
+    curvature the negative Hessian. The Newton step over the coordinates
+    ``free`` solves the free block of the accepted point's curvature
+    (``_newton_direction``). A coordinate on a bound whose score
     points out of the box is held there and every other one is free
     (projected Newton, Bertsekas 1982, SIAM J. Control Optim.). Each step
     is halved along the projection arc until the value drops by no more
@@ -240,7 +240,8 @@ def _newton_ascent(loglik, direction, theta, lo=-np.inf, hi=np.inf):
             break
         step = np.zeros_like(theta)
         try:
-            step[free] = direction(curvature, free, score[free])
+            block = curvature if free.all() else curvature[np.ix_(free, free)]
+            step[free] = _newton_direction(block, score[free])
         except np.linalg.LinAlgError:
             warning = "singular Hessian during Newton iteration"
             break
@@ -275,9 +276,7 @@ def fit_std(y, X, column_names=None, trials=None, init=None):
         raise ValueError(f"init has shape {beta0.shape}, design has {p} columns")
 
     beta, ll, converged, iterations, warning, _, info = _newton_ascent(
-        lambda beta: std_loglik(k, U, beta, trials=m, curvature=True),
-        lambda info, free, score: np.linalg.solve(info, score),
-        beta0,
+        lambda beta: std_loglik(k, U, beta, trials=m, curvature=True), beta0
     )
 
     if _degenerate(k, m, U, beta):
@@ -319,29 +318,17 @@ def observed_information(info):
     errors are withheld and a warning attached.
     """
     info = np.asarray(info, dtype=float)
-    if not np.all(np.isfinite(info)):
-        return InformationResult(
-            matrix=info,
-            se=None,
-            rcond=0.0,
-            warning="information matrix has non-finite entries",
-        )
-    eigvals = np.linalg.eigvalsh(info)
-    rcond = float(eigvals[0] / eigvals[-1]) if eigvals[-1] > 0 else 0.0
-    if eigvals[0] <= 0:
-        return InformationResult(
-            matrix=info,
-            se=None,
-            rcond=rcond,
-            warning="observed information is not positive definite",
-        )
-    if rcond < RCOND_MIN:
-        return InformationResult(
-            matrix=info,
-            se=None,
-            rcond=rcond,
-            warning=f"observed information is numerically singular (rcond {rcond:.2e})",
-        )
+    rcond, warning = 0.0, "information matrix has non-finite entries"
+    if np.all(np.isfinite(info)):
+        eigvals = np.linalg.eigvalsh(info)
+        rcond = float(eigvals[0] / eigvals[-1]) if eigvals[-1] > 0 else 0.0
+        warning = None
+        if eigvals[0] <= 0:
+            warning = "observed information is not positive definite"
+        elif rcond < RCOND_MIN:
+            warning = f"observed information is numerically singular (rcond {rcond:.2e})"
+    if warning is not None:
+        return InformationResult(matrix=info, se=None, rcond=rcond, warning=warning)
     cov = np.linalg.inv(info)
     return InformationResult(matrix=info, se=np.sqrt(np.diag(cov)), rcond=rcond, covariance=cov)
 
@@ -382,16 +369,15 @@ def _newton_direction(neg_h, g):
     """Solve ``neg_h d = g``, shifting the diagonal until Cholesky finds it positive definite."""
     if not np.isfinite(neg_h).all():
         raise np.linalg.LinAlgError("non-finite Hessian")
-    shift = 0.0
-    eye = np.eye(g.shape[0])
+    shifted, shift = neg_h, 0.0
     for _ in range(40):
-        shifted = neg_h + shift * eye
         try:
             np.linalg.cholesky(shifted)  # raises unless positive definite
             return np.linalg.solve(shifted, g)
         except np.linalg.LinAlgError:
             floor = 1e-8 * max(1.0, float(np.abs(neg_h.diagonal()).max()))
             shift = max(10.0 * shift, floor)
+            shifted = neg_h + shift * np.eye(g.shape[0])
     raise np.linalg.LinAlgError("no diagonal shift makes the Hessian positive definite")
 
 
@@ -446,16 +432,8 @@ def fit_liu(
             neg_h = -(J.T @ H @ J)
         return ll, np.concatenate([grad[:p], A.T @ grad[p:]]), neg_h
 
-    def held_out(neg_h, free):
-        # only a rate held on its bound leaves the information
-        return neg_h if free.all() else neg_h[free][:, free]
-
-    def direction(neg_h, free, score):
-        return _newton_direction(held_out(neg_h, free), score)
-
     theta, ll, converged, iterations, warning, free, neg_h = _newton_ascent(
         loglik,
-        direction,
         np.concatenate([beta0, A.T @ [init.r0, init.r1] / A.sum(axis=0)]),
         lo=np.concatenate([np.full(p, -np.inf), np.zeros(n_free)]),
         hi=np.concatenate([np.full(p, np.inf), np.full(n_free, RATE_MAX)]),
@@ -465,7 +443,7 @@ def fit_liu(
     r0_hat, r1_hat = A @ theta[p:]
 
     # held rates have no normal approximation: information over the rest
-    neg_h = held_out(neg_h, free)
+    neg_h = neg_h[np.ix_(free, free)]
     info = observed_information(0.5 * (neg_h + neg_h.T))
     beta_se = cov = se_r0 = se_r1 = None
     if info.se is None:

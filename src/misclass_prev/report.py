@@ -8,6 +8,10 @@ accuracy correction, where a model needs one, happens on that averaged
 probability; for posterior draws the correction is applied draw by
 draw, before averaging, so truncation at zero propagates into the
 posterior summaries rather than being applied once at the end.
+One function, ``_prevalence``, builds every ``PrevalenceEstimate``:
+Wald bounds for the delta intervals, equal-tail ones of posterior draws
+or bootstrap refits, each stretched to bracket the point. STD and LIU
+share the interval dispatch and the delta gradient (``_fit_prevalence``).
 
 ``estimate`` turns a model name into a fit and its prevalence summary.
 The ``fit`` and ``compare`` commands and the replication studies all go
@@ -36,10 +40,11 @@ from .likelihoods import binomial_counts, logistic
 from .mcmc import SamplerConfig
 from .mle import LiuInit, LiuVariant, ModelTag, fit_liu, fit_std
 from .rogan_gladen import (
-    TAIL_QUANTILES,
     CrudeEstimate,
     IntervalMethod,
     correct_proportion,
+    corrected,
+    tail_bounds,
     wald_bounds,
 )
 
@@ -75,10 +80,6 @@ class PrevalenceEstimate:
         object.__setattr__(self, "ci_width", self.upper - self.lower)
 
 
-def _mean_prob(patterns, beta):
-    return patterns.mean(logistic(patterns.rows @ beta))
-
-
 def require_converged(fit, allow=False):
     """Refuse a non-converged fit; with ``allow``, log a warning and go on."""
     if fit.converged:
@@ -94,18 +95,63 @@ def require_converged(fit, allow=False):
     )
 
 
-def _bootstrap_bounds(vals, n_boot, what):
-    """95% equal-tail bounds of the clean refits.
+def _prevalence(tag, point, method, values=None, raw=None, se=None):
+    """The one builder of a ``PrevalenceEstimate``: ``point`` and its 95% interval.
 
-    Refuses fewer than half of ``n_boot`` clean refits, or none.
+    DELTA bounds are the Wald ones ``raw -/+ Z_95 se``, clamped into
+    [0, 1]. POSTERIOR_QUANTILE bounds are the equal-tail ones of the
+    draws ``values``. BOOTSTRAP bounds are those of the clean refits
+    among ``values``, one value per resample and None where the refit
+    failed; fewer than half of them clean, or none, is a
+    NonConvergenceError. Every interval is stretched to bracket ``point``.
     """
-    if len(vals) < max(1, (n_boot + 1) // 2):
-        raise NonConvergenceError(
-            f"{what} collapsed: only {len(vals)} of {n_boot} resamples refit cleanly"
+    failures = 0
+    if method is IntervalMethod.DELTA:
+        lower, upper = wald_bounds(raw, se, point)
+    else:
+        if method is IntervalMethod.BOOTSTRAP:
+            n_boot = len(values)
+            values = [v for v in values if v is not None]
+            failures = n_boot - len(values)
+            if len(values) < max(1, (n_boot + 1) // 2):
+                what = "bootstrap" if tag is ModelTag.STD else "parametric bootstrap"
+                raise NonConvergenceError(
+                    f"{what} collapsed: only {len(values)} of {n_boot} resamples refit cleanly"
+                )
+            if failures:
+                log.warning("prevalence bootstrap: %d of %d refits failed", failures, n_boot)
+        lower, upper = tail_bounds(values)
+        lower, upper = min(lower, point), max(upper, point)
+    return PrevalenceEstimate(tag, point, lower, upper, method, n_resample_failures=failures)
+
+
+def _fit_prevalence(tag, fit, patterns, interval, refits, assay=None):
+    """STD's and LIU's interval dispatch.
+
+    The point is the fit's mean fitted probability, corrected by
+    ``assay`` where one is given. The bootstrap interval takes the
+    iterable ``refits``: per resample, the prevalence of its refit,
+    corrected alike, or None where the refit failed. The delta interval
+    propagates ``fit.covariance`` through the mean fitted probability,
+    whose gradient is zero on the rate coordinates after beta.
+    """
+    pi = logistic(patterns.rows @ fit.beta_hat)
+    raw, slope = patterns.mean(pi), 1.0
+    if assay is not None:
+        raw, slope = corrected(raw, assay), assay.youden
+    point = min(1.0, max(0.0, raw))
+    if interval is IntervalMethod.BOOTSTRAP:
+        return _prevalence(tag, point, interval, values=list(refits))
+    if interval is IntervalMethod.DELTA:
+        g = np.zeros(fit.covariance.shape[0])
+        g[: patterns.rows.shape[1]] = (
+            patterns.rows.T @ (patterns.trials * pi * (1.0 - pi)) / patterns.inverse.shape[0]
         )
-    if len(vals) < n_boot:
-        log.warning("prevalence bootstrap: %d of %d refits failed", n_boot - len(vals), n_boot)
-    return np.quantile(vals, TAIL_QUANTILES)
+        var = float(g @ fit.covariance @ g)
+        if not var >= 0.0:
+            raise NonConvergenceError(f"{tag.value} delta interval has variance {var}")
+        return _prevalence(tag, point, interval, raw=raw, se=float(np.sqrt(var)) / slope)
+    raise ValueError(f"unsupported interval method for {tag.value} prevalence: {interval}")
 
 
 def marginal_prevalence_std(
@@ -130,59 +176,36 @@ def marginal_prevalence_std(
     mean fitted probability and divides by the Youden index.
     """
     require_converged(fit)
-    interval = IntervalMethod(interval)
     patterns = design_patterns(X)
     y = np.asarray(y, dtype=float)
-    point, _ = correct_proportion(_mean_prob(patterns, fit.beta_hat), assay)
 
-    failures = 0
-    if interval is IntervalMethod.BOOTSTRAP:
-        rng = np.random.default_rng(rng)
+    def refits():
+        gen = np.random.default_rng(rng)
         n, n_patterns = patterns.inverse.shape[0], patterns.trials.shape[0]
         # each row's pattern and outcome as one code, 2 * pattern + outcome,
         # so one gather and one count give a resample's negatives and positives
         codes = 2 * patterns.inverse + binomial_counts(y)[0].astype(np.intp)
-        vals = []
         for _ in range(n_boot):
-            idx = rng.integers(0, n, size=n)
-            counts = np.bincount(codes[idx], minlength=2 * n_patterns)
+            counts = np.bincount(codes[gen.integers(0, n, size=n)], minlength=2 * n_patterns)
             trials = (counts[0::2] + counts[1::2]).astype(float)
             live = trials > 0.0
-            positives = counts[1::2][live].astype(float)
             rows, trials = patterns.rows[live], trials[live]
             try:
                 refit = fit_std(
-                    positives,
+                    counts[1::2][live].astype(float),
                     rows,
                     column_names=fit.column_names,
                     trials=trials,
                     init=fit.beta_hat,
                 )
             except SingularDesignError:
+                refit = None
+            if refit is None or not refit.converged:
+                yield None
                 continue
-            if refit.converged:
-                mean = float(trials @ logistic(rows @ refit.beta_hat)) / n
-                vals.append(correct_proportion(mean, assay)[0])
-        failures = n_boot - len(vals)
-        lower, upper = _bootstrap_bounds(vals, n_boot, "bootstrap")
-        lower, upper = float(min(lower, point)), float(max(upper, point))
-    elif interval is IntervalMethod.DELTA:
-        pi = logistic(patterns.rows @ fit.beta_hat)
-        g = patterns.rows.T @ (patterns.trials * pi * (1.0 - pi)) / patterns.inverse.shape[0]
-        se_mean = float(np.sqrt(g @ fit.covariance @ g)) / assay.youden
-        raw = (patterns.mean(pi) - (1.0 - assay.specificity)) / assay.youden
-        lower, upper = wald_bounds(raw, se_mean, point)
-    else:
-        raise ValueError(f"unsupported interval method for STD prevalence: {interval}")
+            yield correct_proportion(float(trials @ logistic(rows @ refit.beta_hat)) / n, assay)[0]
 
-    return PrevalenceEstimate(
-        model_tag=ModelTag.STD,
-        point=point,
-        lower=lower,
-        upper=upper,
-        interval_method=interval,
-        n_resample_failures=failures,
-    )
+    return _fit_prevalence(ModelTag.STD, fit, patterns, IntervalMethod(interval), refits(), assay)
 
 
 def marginal_prevalence_liu(X, fit, n_boot=500, rng=None, interval=IntervalMethod.BOOTSTRAP):
@@ -196,55 +219,31 @@ def marginal_prevalence_liu(X, fit, n_boot=500, rng=None, interval=IntervalMetho
     ``X`` itself, whose rank a DesignMatrix checks once for all of them;
     non-converged refits are counted. The delta interval propagates the
     joint observed-information covariance of (beta, free rates) through
-    the mean fitted probability; the rate coordinates enter with zero
-    gradient since the prevalence map only touches beta.
+    the mean fitted probability.
     """
     require_converged(fit)
     if fit.error_rates_hat is None:
         raise ValueError("fit does not carry error-rate estimates")
-    interval = IntervalMethod(interval)
     patterns = design_patterns(X)
-    pi_hat = logistic(patterns.rows @ fit.beta_hat)
-    point = patterns.mean(pi_hat)
-    n, p = patterns.inverse.shape[0], patterns.rows.shape[1]
 
-    failures = 0
-    if interval is IntervalMethod.BOOTSTRAP:
-        rng = np.random.default_rng(rng)
+    def refits():
+        gen = np.random.default_rng(rng)
         r0, r1 = fit.error_rates_hat.r0, fit.error_rates_hat.r1
         variant = fit.variant or LiuVariant.BOTH_FREE
         init = LiuInit(beta=fit.beta_hat, r0=r0, r1=r1)
-        pi_rows = pi_hat[patterns.inverse]
-        vals = []
+        pi_rows = logistic(patterns.rows @ fit.beta_hat)[patterns.inverse]
         for _ in range(n_boot):
             # outcomes are drawn per row, as the stream always has been
-            latent = rng.random(n) < pi_rows
-            u = rng.random(n)
+            latent = gen.random(pi_rows.shape[0]) < pi_rows
+            u = gen.random(pi_rows.shape[0])
             y_b = np.where(latent, u >= r1, u < r0).astype(float)
             refit = fit_liu(y_b, X, variant=variant, init=init, column_names=fit.column_names)
             if refit.converged:
-                vals.append(_mean_prob(patterns, refit.beta_hat))
-        failures = n_boot - len(vals)
-        lower, upper = _bootstrap_bounds(vals, n_boot, "parametric bootstrap")
-        lower, upper = float(min(lower, point)), float(max(upper, point))
-    elif interval is IntervalMethod.DELTA:
-        g = np.zeros(fit.covariance.shape[0])
-        g[:p] = patterns.rows.T @ (patterns.trials * pi_hat * (1.0 - pi_hat)) / n
-        var = float(g @ fit.covariance @ g)
-        if not var >= 0.0:
-            raise NonConvergenceError(f"LIU delta interval has variance {var}")
-        lower, upper = wald_bounds(point, np.sqrt(var), point)
-    else:
-        raise ValueError(f"unsupported interval method for LIU prevalence: {interval}")
+                yield patterns.mean(logistic(patterns.rows @ refit.beta_hat))
+            else:
+                yield None
 
-    return PrevalenceEstimate(
-        model_tag=ModelTag.LIU,
-        point=point,
-        lower=lower,
-        upper=upper,
-        interval_method=interval,
-        n_resample_failures=failures,
-    )
+    return _fit_prevalence(ModelTag.LIU, fit, patterns, IntervalMethod(interval), refits())
 
 
 def _beta_coordinates(draws):
@@ -273,7 +272,7 @@ def posterior_prevalence_draws(draws, X, assay=None):
         block = flat[start : start + batch]
         out[start : start + batch] = weights @ logistic(patterns.rows @ block.T)
     if assay is not None:
-        out = np.clip((out - (1.0 - assay.specificity)) / assay.youden, 0.0, 1.0)
+        out = np.clip(corrected(out, assay), 0.0, 1.0)
     return out
 
 
@@ -287,15 +286,8 @@ def marginal_prevalence_bayes(draws, X, model_tag, assay=None):
     sampled coordinate), which ``estimate`` gates before it gets here.
     """
     vals = posterior_prevalence_draws(draws, X, assay=assay)
-    lower, upper = np.quantile(vals, TAIL_QUANTILES)
-    point = float(np.mean(vals))
-    lower, upper = min(float(lower), point), max(float(upper), point)
-    return PrevalenceEstimate(
-        model_tag=ModelTag(model_tag),
-        point=point,
-        lower=lower,
-        upper=upper,
-        interval_method=IntervalMethod.POSTERIOR_QUANTILE,
+    return _prevalence(
+        ModelTag(model_tag), float(np.mean(vals)), IntervalMethod.POSTERIOR_QUANTILE, values=vals
     )
 
 
@@ -342,12 +334,8 @@ def estimate(
 
     boot = {} if n_boot is None else {"n_boot": n_boot}
     if draws is not None:
-        prev = marginal_prevalence_bayes(
-            draws,
-            X,
-            tag,
-            assay=assay.point_profile() if tag is ModelTag.BC else None,
-        )
+        bc_assay = assay.point_profile() if tag is ModelTag.BC else None
+        prev = marginal_prevalence_bayes(draws, X, tag, assay=bc_assay)
     elif not fit.converged:
         prev = None
     elif tag is ModelTag.STD:

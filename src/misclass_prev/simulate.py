@@ -16,11 +16,17 @@ deviation between the bounds; ages are drawn by inverting the normal
 cdf. The normal cdf is ``math.erfc`` and the quantile
 ``statistics.NormalDist().inv_cdf``, so the package needs no scipy.
 Scenario files are read by ``data_model.read_ini`` against ``SCENARIO_KEYS``.
+
+A replication study (``replicate_study``) runs estimators named in
+``ESTIMATOR_NAMES`` on fresh cohorts, all with one analysis assay and
+one sampler; a failed estimate is None in a replicate's results.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import functools
 import logging
 import math
 import os
@@ -440,19 +446,6 @@ STUDY_SAMPLER = SamplerConfig(chains=2, samples=800)
 
 
 @dataclass(frozen=True)
-class EstimatorSpec:
-    """One estimator to run on every replicate."""
-
-    name: str
-    assay: AssayProfile = None  # analysis assay; defaults to the scenario's
-    sampler: SamplerConfig = STUDY_SAMPLER
-
-    def __post_init__(self):
-        if self.name not in ESTIMATOR_NAMES:
-            raise ValueError(f"unknown estimator {self.name!r}; valid: {ESTIMATOR_NAMES}")
-
-
-@dataclass(frozen=True)
 class ReplicationSummary:
     """One estimator's study results; its fields in order are the study table's columns."""
 
@@ -468,53 +461,40 @@ class ReplicationSummary:
         object.__setattr__(self, "failure_rate", self.failures / self.reps)
 
 
-def _run_estimator(spec, y, X, scenario, seed):
+def _run_estimator(name, y, X, assay, sampler, seed):
     """Returns (point, lower, upper); raises StatisticalError on statistical failure.
 
     ``observed`` is the crude Wald interval, the Rogan-Gladen one under a
     perfect assay; STD and LIU (both rates free) take delta intervals;
-    every model uses the assay's point values. All intervals are 95%.
+    every model uses the point values of ``assay``. All intervals are 95%.
     """
-    assay = (spec.assay or scenario.analysis_assay or scenario.assay_true).point_profile()
-    if spec.name in ("observed", "rg"):
-        crude = _PERFECT_ASSAY if spec.name == "observed" else assay
+    if name in ("observed", "rg"):
+        crude = _PERFECT_ASSAY if name == "observed" else assay
         est = rogan_gladen_interval(int(y.sum()), y.shape[0], crude)
         return est.p_adj, est.lower, est.upper
-
     _, est, _ = estimate(
-        spec.name.upper(),
-        y,
-        X,
-        assay,
-        seed,
-        sampler=spec.sampler,
-        interval=IntervalMethod.DELTA,
+        name.upper(), y, X, assay, seed, sampler=sampler, interval=IntervalMethod.DELTA
     )
     return est.point, est.lower, est.upper
 
 
-def _run_replicate(scenario, specs, rep_index):
+def _run_replicate(scenario, estimators, assay, sampler, rep_index):
+    """The true prevalence of one replicate's cohort, and per estimator its
+    (point, lower, upper), or None where the estimate failed."""
     sim_rng = np.random.default_rng([int(scenario.seed), int(rep_index), 0])
     cohort, truth = simulate(scenario, rng=sim_rng)
     X = build_design_matrix(cohort, columns=scenario.covariates)
     y = cohort.outcomes()
     results = []
-    for k, spec in enumerate(specs):
-        est_seed = int(
-            np.random.SeedSequence([int(scenario.seed), int(rep_index), 1000 + k]).generate_state(1)[0]
-        )
+    for k, name in enumerate(estimators):
+        entropy = [int(scenario.seed), int(rep_index), 1000 + k]
+        est_seed = int(np.random.SeedSequence(entropy).generate_state(1)[0])
         try:
-            point, lower, upper = _run_estimator(spec, y, X, scenario, est_seed)
-            results.append((True, point, lower, upper))
+            results.append(_run_estimator(name, y, X, assay, sampler, est_seed))
         except StatisticalError as exc:  # failures are data here; bugs still crash
-            log.warning("replicate %d estimator %s failed: %s", rep_index, spec.name, exc)
-            results.append((False, math.nan, math.nan, math.nan))
+            log.warning("replicate %d estimator %s failed: %s", rep_index, name, exc)
+            results.append(None)
     return truth.true_prevalence, results
-
-
-def _worker(payload):
-    scenario, specs, rep_index = payload
-    return _run_replicate(scenario, specs, rep_index)
 
 
 def resolve_workers(requested, reps):
@@ -525,55 +505,35 @@ def resolve_workers(requested, reps):
     return min(requested or 1, reps, os.cpu_count() or 1)
 
 
-def replicate_study(scenario, estimators, reps, workers=None):
-    """Run every estimator on ``reps`` fresh cohorts and summarize.
+def replicate_study(scenario, estimators, reps, workers=None, assay=None, sampler=STUDY_SAMPLER):
+    """Run every estimator named in ``estimators`` on ``reps`` fresh cohorts and summarize.
 
-    Each replicate owns seed streams derived from (scenario seed,
-    replicate index), so results do not depend on scheduling; statistical
-    failures are counted per estimator and excluded from the
+    Every estimator assumes ``assay`` (by default the scenario's analysis
+    assay, else its generating one) and the Bayesian ones sample with
+    ``sampler``. Each replicate owns seed streams derived from (scenario
+    seed, replicate index), so results do not depend on scheduling;
+    statistical failures are counted per estimator and excluded from the
     bias/coverage/width averages, and any other exception propagates.
     """
     if reps < 1:
         raise ValueError("reps must be positive")
-    specs = tuple(estimators)
+    names = tuple(estimators)
+    for name in names:
+        if name not in ESTIMATOR_NAMES:
+            raise ValueError(f"unknown estimator {name!r}; valid: {ESTIMATOR_NAMES}")
+    assay = (assay or scenario.analysis_assay or scenario.assay_true).point_profile()
+    run = functools.partial(_run_replicate, scenario, names, assay, sampler)
     workers = resolve_workers(workers, reps)
-
-    outcomes = [None] * reps
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            payloads = [(scenario, specs, r) for r in range(reps)]
-            for r, res in enumerate(pool.map(_worker, payloads)):
-                outcomes[r] = res
-    else:
-        for r in range(reps):
-            outcomes[r] = _run_replicate(scenario, specs, r)
+    pool = concurrent.futures.ProcessPoolExecutor(workers) if workers > 1 else None
+    with pool or contextlib.nullcontext():
+        outcomes = list((map if pool is None else pool.map)(run, range(reps)))
 
     summaries = []
-    for k, spec in enumerate(specs):
-        biases, widths, covered = [], [], []
-        failures = 0
-        for truth_prev, results in outcomes:
-            ok, point, lower, upper = results[k]
-            if not ok:
-                failures += 1
-                continue
-            biases.append(point - truth_prev)
-            widths.append(upper - lower)
-            covered.append(lower <= truth_prev <= upper)
-        if biases:
-            mean_bias = float(np.mean(biases))
-            coverage = float(np.mean(covered))
-            mean_width = float(np.mean(widths))
-        else:
-            mean_bias = coverage = mean_width = math.nan
-        summaries.append(
-            ReplicationSummary(
-                estimator=spec.name,
-                reps=reps,
-                failures=failures,
-                mean_bias=mean_bias,
-                coverage=coverage,
-                mean_width=mean_width,
-            )
-        )
+    for k, name in enumerate(names):
+        scored = [(results[k], truth) for truth, results in outcomes if results[k] is not None]
+        bias = [point - truth for (point, _, _), truth in scored]
+        covered = [lower <= truth <= upper for (_, lower, upper), truth in scored]
+        width = [upper - lower for (_, lower, upper), _ in scored]
+        stats = [float(np.mean(v)) if scored else math.nan for v in (bias, covered, width)]
+        summaries.append(ReplicationSummary(name, reps, reps - len(scored), *stats))
     return summaries

@@ -179,12 +179,12 @@ class TestModeSearch:
         class Found(Exception):
             pass
 
-        def both_starts(loglik, direction, theta, lo, hi):
+        def both_starts(loglik, theta, lo, hi):
             moved = theta + np.random.default_rng(7).uniform(-0.5, 0.5, theta.shape) * [
                 1.0 if np.isinf(b) else 0.05 for b in lo
             ]
             for start in (theta, moved):
-                mode, _, converged, _, warning, _, _ = newton(loglik, direction, start, lo, hi)
+                mode, _, converged, _, warning, _, _ = newton(loglik, start, lo, hi)
                 assert converged, warning
                 modes.append(mode)
             raise Found

@@ -1,10 +1,12 @@
 """Marginal prevalence summaries and the model comparison report."""
 
+import dataclasses
 import typing
 
 import numpy as np
 import pytest
 
+from misclass_prev import report
 from misclass_prev.data_model import AssayProfile, build_design_matrix, csv_text, write_text
 from misclass_prev.errors import NonConvergenceError
 from misclass_prev.likelihoods import logistic
@@ -229,6 +231,49 @@ def liu_fit():
     fit = fit_liu(y, X)
     assert fit.converged
     return y, X, fit, truth
+
+
+class TestBootstrapCollapse:
+    """Fewer than half of the requested refits clean is a collapse; fewer
+    failures than that are counted and logged, for STD and LIU alike."""
+
+    @pytest.fixture(params=["std", "liu"])
+    def every_other_refit_fails(self, request, monkeypatch, liu_fit):
+        name = f"fit_{request.param}"
+        real = getattr(report, name)
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(1)
+            refit = real(*args, **kwargs)
+            if len(calls) % 2:
+                refit = dataclasses.replace(refit, converged=False, condition_warning="made to fail")
+            return refit
+
+        monkeypatch.setattr(report, name, flaky)
+        if request.param == "std":
+            y, X, fit = small_logit_fit()
+            assay = AssayProfile(sensitivity=0.9, specificity=0.95)
+            return "bootstrap", lambda n_boot: marginal_prevalence_std(
+                y, X, fit, assay, n_boot=n_boot, rng=np.random.default_rng(3)
+            )
+        _, X, fit, _ = liu_fit
+        return "parametric bootstrap", lambda n_boot: marginal_prevalence_liu(
+            X, fit, n_boot=n_boot, rng=np.random.default_rng(7)
+        )
+
+    def test_half_the_refits_clean_is_enough(self, every_other_refit_fails, caplog):
+        _, run = every_other_refit_fails
+        est = run(10)
+        assert est.n_resample_failures == 5
+        assert est.lower <= est.point <= est.upper
+        assert "prevalence bootstrap: 5 of 10 refits failed" in caplog.text
+
+    def test_fewer_than_half_clean_collapses(self, every_other_refit_fails):
+        what, run = every_other_refit_fails
+        with pytest.raises(NonConvergenceError) as info:
+            run(11)
+        assert str(info.value) == f"{what} collapsed: only 5 of 11 resamples refit cleanly"
 
 
 class TestLiuSummary:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import special
 
 from misclass_prev import (
@@ -10,7 +13,7 @@ from misclass_prev import (
     rogan_gladen,
     rogan_gladen_interval,
 )
-from misclass_prev.rogan_gladen import TAIL_QUANTILES, Z_95, wald_bounds
+from misclass_prev.rogan_gladen import TAIL_QUANTILES, Z_95, corrected, tail_bounds, wald_bounds
 
 
 ASSAY = AssayProfile(sensitivity=0.975, specificity=0.999)
@@ -99,6 +102,31 @@ class TestNormalQuantile:
         # raw 0, se 1/4 and point 0 leave the upper bound at exactly z / 4
         assert 4.0 * wald_bounds(0.0, 0.25, 0.0)[1] == Z_95
         assert TAIL_QUANTILES == (0.025000000000000022, 0.975)
+
+
+class TestTailBounds:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.integers(1, 3000),
+            elements=st.floats(-1e6, 1e6) | st.sampled_from([0.0, 0.25, 1.0]),
+        )
+    )
+    def test_bit_for_bit_numpys_quantiles(self, values):
+        expected = np.quantile(values, TAIL_QUANTILES)
+        assert tail_bounds(values) == [float(expected[0]), float(expected[1])]
+
+    def test_a_list_of_one_value(self):
+        assert tail_bounds([0.3]) == [0.3, 0.3]
+
+
+class TestCorrected:
+    def test_an_array_is_corrected_value_by_value(self):
+        p = np.array([0.0005, 0.0139, 0.99])
+        expected = [correct_proportion(v, ASSAY) for v in p.tolist()]
+        np.testing.assert_array_equal(np.clip(corrected(p, ASSAY), 0.0, 1.0), [v for v, _ in expected])
+        assert [bool(t) for _, t in expected] == [True, False, True]
 
 
 class TestCrudeEstimate:

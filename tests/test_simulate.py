@@ -14,7 +14,6 @@ from misclass_prev.errors import InputError, SchemaError
 from misclass_prev.likelihoods import logistic
 from misclass_prev.simulate import (
     CovariateSpec,
-    EstimatorSpec,
     SimScenario,
     _calibrated_truncnorm,
     _draw_covariates,
@@ -390,7 +389,7 @@ class TestReplicationStudy:
         # the plain logistic estimator on clean data is the calibration
         # floor: nominal 95 percent intervals must cover at study scale
         sc = basic_scenario(n=2000, seed=123)
-        out = replicate_study(sc, [EstimatorSpec(name="std")], reps=100)
+        out = replicate_study(sc, ["std"], reps=100)
         s = out[0]
         assert s.failures == 0
         assert 0.88 <= s.coverage <= 1.00
@@ -406,8 +405,7 @@ class TestReplicationStudy:
             covariate_spec=CovariateSpec(other_sti_rate=0.08),
             seed=7,
         )
-        specs = [EstimatorSpec(name=n) for n in ("observed", "rg", "std", "liu", "bc", "bec")]
-        out = replicate_study(sc, specs, reps=2)
+        out = replicate_study(sc, ["observed", "rg", "std", "liu", "bc", "bec"], reps=2)
         assert [s.estimator for s in out] == ["observed", "rg", "std", "liu", "bc", "bec"]
         for s in out:
             assert s.reps == 2
@@ -427,7 +425,7 @@ class TestReplicationStudy:
             covariates=("sex",),
             seed=2,
         )
-        out = replicate_study(sc, [EstimatorSpec(name="liu")], reps=3)
+        out = replicate_study(sc, ["liu"], reps=3)
         assert out[0].reps == 3
         assert 0 <= out[0].failures <= 3
 
@@ -440,16 +438,22 @@ class TestReplicationStudy:
 
         monkeypatch.setattr(report, "fit_std", broken)
         with pytest.raises(TypeError, match="broken fitter"):
-            replicate_study(basic_scenario(n=200), [EstimatorSpec(name="std")], reps=1)
+            replicate_study(basic_scenario(n=200), ["std"], reps=1)
+
+    def test_summaries_do_not_depend_on_the_worker_count(self):
+        sc = basic_scenario(n=400, seed=11, assay=AssayProfile(sensitivity=0.9, specificity=0.95))
+        names = ["observed", "rg", "std", "liu"]
+        serial = replicate_study(sc, names, reps=3, workers=1)
+        assert replicate_study(sc, names, reps=3, workers=2) == serial
 
     def test_unknown_estimator_rejected(self):
-        with pytest.raises(ValueError, match="unknown estimator"):
-            EstimatorSpec(name="magic")
+        with pytest.raises(ValueError, match="unknown estimator 'magic'"):
+            replicate_study(basic_scenario(), ["std", "magic"], reps=1)
 
     def test_rejects_nonpositive_reps(self):
         sc = basic_scenario()
         with pytest.raises(ValueError):
-            replicate_study(sc, [EstimatorSpec(name="observed")], reps=0)
+            replicate_study(sc, ["observed"], reps=0)
 
 
 class TestWorkerResolution:
