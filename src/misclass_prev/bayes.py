@@ -18,15 +18,20 @@ posterior. Sampling itself runs in the Laplace basis of
 there, where the posterior is roughly N(0, I) and the sampler's fixed
 independence proposal fits it.
 
-The density the sampler scores is built once per fit. Its prior
-constants are computed up front, and the basis is carried to the
-patterns as the matrix ``U A``, so that a proposal ``phi`` costs one
-product of that matrix with ``phi`` for its linear predictor and one
-elementwise pass of a value kernel of ``likelihoods``. The mode search
-scores its points, with their curvature, through
-``bc_log_posterior_grad`` and ``bec_log_posterior_grad``;
-``bc_log_posterior`` and
-``bec_log_posterior`` are the reference values of the same posteriors.
+A fit's sampled coordinates theta = (beta[, se, sp]) have one owner,
+``_Posterior``, built once per fit, and BC and BEC run one pipeline
+over it. It holds the log prior, each Beta prior on the accuracy and
+the accuracy support included, with its gradient and curvature; the
+likelihood's ends ``(1 - sp, se + sp - 1)``, from the sampled accuracy
+or the assay's fixed values; and the mode search's start, its box and
+the names of the sampled accuracy coordinates. The sampler's density
+adds that prior to a value kernel of ``likelihoods``, and the basis is
+carried to the patterns as the matrix ``U A``, so that a proposal
+``phi`` costs one product of that matrix with ``phi`` for its linear
+predictor and one elementwise pass of the kernel. The mode search
+scores its points, with their curvature, through ``_Posterior.grad``;
+``bc_log_posterior[_grad]`` and ``bec_log_posterior[_grad]`` are the
+reference values of the same posteriors.
 """
 
 from __future__ import annotations
@@ -68,41 +73,112 @@ def newman_prior_variance(n_covariates):
     return math.pi**2 / (3.0 * (p + 1))
 
 
-def _normal_logpdf_sum(beta, var):
-    beta = np.asarray(beta, dtype=float)
-    k = beta.shape[0]
-    return float(-0.5 * (k * np.log(2.0 * math.pi * var) + np.sum(beta**2) / var))
+class _Posterior:
+    """The sampled coordinates theta = (beta[, se, sp]) of one fit, their prior and likelihood.
 
-
-def _log_beta_function(a, b):
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
-def _beta_logpdf(x, a, b):
-    if not (0.0 < x < 1.0):
-        return -np.inf
-    return float((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - _log_beta_function(a, b))
-
-
-def _in_accuracy_support(se, sp):
-    return 0.0 < se < 1.0 and 0.0 < sp < 1.0 and se + sp > 1.0
-
-
-def _normal_log_prior(p):
-    """``theta -> `` the shared normal log prior of the ``p`` leading coefficients.
-
-    The same value as ``_normal_logpdf_sum``, with its constants computed
-    once, for the sampler's inner loop.
+    Built once per fit from the coefficient count ``p`` and, for BEC,
+    the assay. In beta-prior mode se and sp follow the ``p``
+    coefficients; otherwise theta is the coefficients alone, and BEC
+    reads its accuracy from the assay. ``value(theta)`` is the log
+    prior: the shared normal on the coefficients plus, in beta-prior
+    mode, each Beta prior, and -inf outside the accuracy support (rates
+    in (0, 1), se + sp > 1). ``kernel(k, m, eta, *ends(theta))`` is the
+    likelihood at the linear predictor ``eta`` of theta's coefficients
+    over patterns with ``k`` positives among ``m`` trials: BEC's, with
+    ``ends`` its offset and slope ``(1 - sp, se + sp - 1)``, or, without
+    an assay, BC's plain logistic one, with no ends. The sampler calls
+    these for every proposal, so their constants are bound in closures.
+    ``start``, ``lo``/``hi`` and ``names`` are the mode search's start
+    (zero coefficients, the prior means of se and sp), its box and the
+    names of the sampled accuracy coordinates.
     """
-    var = newman_prior_variance(p - 1)
-    log_norm = -0.5 * p * math.log(2.0 * math.pi * var)
-    half_precision = 0.5 / var
 
-    def log_prior(theta):
-        beta = theta[:p]
-        return log_norm - half_precision * float(beta @ beta)
+    def __init__(self, p, assay=None):
+        var, plain = newman_prior_variance(p - 1), assay is None
+        sampled = not plain and assay.mode is AssayMode.BETA_PRIOR
+        shapes = (assay.se_prior, assay.sp_prior) if sampled else ()
+        self.p, self.var, self.dim, self.plain = p, var, p + len(shapes), plain
+        # (a - 1, b - 1) of each Beta prior, in the order of theta
+        self.shapes = beta_shapes = tuple((a - 1.0, b - 1.0) for a, b in shapes)
+        accuracy = None if plain else (assay.sensitivity, assay.specificity)
+        self.start = np.concatenate([np.zeros(p), accuracy if sampled else ()])
+        self.lo = np.concatenate([np.full(p, -np.inf), np.full(len(shapes), 0.501)])
+        self.hi = np.concatenate([np.full(p, np.inf), np.full(len(shapes), 1.0 - 1e-9)])
+        self.names = ACCURACY_NAMES[: len(shapes)]
+        # J, the Jacobian of theta -> (beta, p0 = 1 - sp, p1 = se)
+        J = np.eye(p + 2)
+        J[p:, p:] = [[0.0, -1.0], [1.0, 0.0]]
+        self.jacobian = J[:, : self.dim]
 
-    return log_prior
+        log_norm = -0.5 * p * math.log(2.0 * math.pi * var) - sum(
+            math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b) for a, b in shapes
+        )
+        half_precision = 0.5 / var
+
+        def beta_term(x, a1, b1):  # a Beta prior's log density, up to its constant
+            return a1 * math.log(x) + b1 * math.log1p(-x)
+
+        def value(theta):
+            beta = theta[:p]
+            log_prior = log_norm - half_precision * float(beta @ beta)
+            if not sampled:
+                return log_prior
+            se, sp = theta[p:].tolist()
+            if not (0.0 < se < 1.0 and 0.0 < sp < 1.0 and se + sp > 1.0):
+                return -math.inf
+            (a_se, b_se), (a_sp, b_sp) = beta_shapes
+            return log_prior + beta_term(se, a_se, b_se) + beta_term(sp, a_sp, b_sp)
+
+        def ends(theta):
+            if plain:
+                return ()
+            se, sp = theta[p:].tolist() if sampled else accuracy
+            return 1.0 - sp, se + sp - 1.0
+
+        self.value, self.ends = value, ends
+        self.kernel = std_loglik_value if plain else mixture_loglik_value
+
+    def theta(self, block):
+        """A BecParameterBlock as theta, its se/sp set exactly when they are sampled."""
+        accuracy = (block.se, block.sp)
+        if self.dim > self.p and None in accuracy:
+            raise ValueError("beta-prior mode requires sampled se and sp in the block")
+        if self.dim == self.p and accuracy != (None, None):
+            raise ValueError("fixed mode does not sample se/sp; leave them unset")
+        beta = np.asarray(block.beta, dtype=float)
+        return np.concatenate([beta, accuracy[: self.dim - self.p]])
+
+    def grad(self, k, m, U, theta, curvature=False):
+        """Value and gradient of the log posterior at ``theta`` inside the support.
+
+        Over patterns ``U`` with ``k`` positives among ``m`` trials. With
+        ``curvature``, a third entry: the negative Hessian, the
+        likelihood's (for BEC ``-J' H J`` from ``mixture_loglik``'s
+        Hessian H over (beta, p0, p1)) plus ``I / var`` on beta and
+        ``(a - 1)/x^2 + (b - 1)/(1 - x)^2`` for each Beta prior.
+        """
+        p, beta = self.p, theta[: self.p]
+        if self.plain:
+            ll, score, *neg_h = std_loglik(k, U, beta, trials=m, curvature=curvature)
+        else:
+            ll, g_beta, g_p0, g_p1, *H = mixture_loglik(
+                k, m, U, beta, *self.ends(theta), curvature=curvature
+            )
+            score = np.concatenate([g_beta, [g_p1, -g_p0]])[: self.dim]
+            J = self.jacobian
+            with np.errstate(invalid="ignore", over="ignore"):  # a non-finite H stays non-finite
+                neg_h = [-J.T @ h @ J for h in H]
+        prior_grad, prior_curvature = [], []
+        for x, (a1, b1) in zip(theta[p:].tolist(), self.shapes):
+            prior_grad.append(a1 / x - b1 / (1.0 - x))
+            prior_curvature.append(a1 / x**2 + b1 / (1.0 - x) ** 2)
+        value = ll + self.value(theta)
+        score = score + np.concatenate([-beta / self.var, prior_grad])
+        for h in neg_h:
+            h[np.diag_indices(self.dim)] += np.concatenate(
+                [np.full(p, 1.0 / self.var), prior_curvature]
+            )
+        return value, score, *neg_h
 
 
 def bc_log_posterior(y, X, beta):
@@ -117,14 +193,9 @@ def bc_log_posterior_grad(y, X, beta, trials=None, curvature=False):
     ``curvature``, a third entry: the negative Hessian, the logistic
     information plus ``I / var``.
     """
-    Xm = X.matrix if hasattr(X, "matrix") else np.asarray(X, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    var = newman_prior_variance(Xm.shape[1] - 1)
-    ll, grad, *info = std_loglik(y, Xm, beta, trials=trials, curvature=curvature)
-    value = ll + _normal_logpdf_sum(beta, var)
-    if not curvature:
-        return value, grad - beta / var
-    return value, grad - beta / var, info[0] + np.eye(Xm.shape[1]) / var
+    k, m = binomial_counts(y, trials)
+    return _Posterior(beta.shape[0]).grad(k, m, X, beta, curvature)
 
 
 @dataclass(frozen=True)
@@ -140,16 +211,6 @@ class BecParameterBlock:
     sp: float = None
 
 
-def _bec_parts(block, assay):
-    if assay.mode is AssayMode.BETA_PRIOR:
-        if block.se is None or block.sp is None:
-            raise ValueError("beta-prior mode requires sampled se and sp in the block")
-        return float(block.se), float(block.sp), True
-    if block.se is not None or block.sp is not None:
-        raise ValueError("fixed mode does not sample se/sp; leave them unset")
-    return assay.sensitivity, assay.specificity, False
-
-
 def bec_log_posterior(y, X, block, assay):
     """Log posterior of the internally corrected model.
 
@@ -157,9 +218,9 @@ def bec_log_posterior(y, X, block, assay):
     returning -inf, which the Metropolis kernel treats as an automatic
     rejection; there is no smooth penalty.
     """
-    se, sp, sampled = _bec_parts(block, assay)
-    if sampled and not _in_accuracy_support(se, sp):
-        return -np.inf
+    post = _Posterior(len(block.beta), assay)
+    if post.value(post.theta(block)) == -math.inf:
+        return -math.inf
     return bec_log_posterior_grad(y, X, block, assay)[0]
 
 
@@ -168,92 +229,31 @@ def bec_log_posterior_grad(y, X, block, assay, trials=None, curvature=False):
 
     ``trials`` as in ``likelihoods.binomial_counts``. With
     ``curvature``, a third entry: the negative Hessian over the same
-    coordinates, ``-J' H J`` from ``mixture_loglik``'s Hessian over
-    (beta, p0, p1), with J the Jacobian of the linear map to ``(beta,
-    p0 = 1 - sp, p1 = se)``; plus ``I / var`` on beta and, in beta-prior
-    mode, each Beta prior's curvature ``(a - 1)/x^2 + (b - 1)/(1 - x)^2``.
+    coordinates (``_Posterior.grad``).
     """
     Xm = X.matrix if hasattr(X, "matrix") else np.asarray(X, dtype=float)
-    beta = np.asarray(block.beta, dtype=float)
-    se, sp, sampled = _bec_parts(block, assay)
-    if sampled and not _in_accuracy_support(se, sp):
+    post = _Posterior(Xm.shape[1], assay)
+    theta = post.theta(block)
+    if post.value(theta) == -math.inf:
         raise ValueError("gradient requested outside the support")
-    p = Xm.shape[1]
-    var = newman_prior_variance(p - 1)
     k, m = binomial_counts(y, trials)
-    ll, g_beta, g_p0, g_p1, *H = mixture_loglik(
-        k, m, Xm, beta, 1.0 - sp, se + sp - 1.0, curvature=curvature
-    )
-    g_se, g_sp = g_p1, -g_p0  # p0 = 1 - sp, p1 = se
-    value = ll + _normal_logpdf_sum(beta, var)
-    g_beta = g_beta - beta / var
-    if sampled:
-        a_se, b_se = assay.se_prior
-        a_sp, b_sp = assay.sp_prior
-        value += _beta_logpdf(se, a_se, b_se) + _beta_logpdf(sp, a_sp, b_sp)
-        g_se += (a_se - 1.0) / se - (b_se - 1.0) / (1.0 - se)
-        g_sp += (a_sp - 1.0) / sp - (b_sp - 1.0) / (1.0 - sp)
-        g_beta = np.concatenate([g_beta, [g_se, g_sp]])
-    if not curvature:
-        return value, g_beta
-    J = np.eye(p + 2)[:, : p + 2 * sampled]
-    if sampled:
-        J[p:, p:] = [[0.0, -1.0], [1.0, 0.0]]
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite H stays non-finite
-        neg_h = -J.T @ H[0] @ J
-    neg_h[:p, :p] += np.eye(p) / var
-    if sampled:
-        for j, x, (a, b) in ((p, se, assay.se_prior), (p + 1, sp, assay.sp_prior)):
-            neg_h[j, j] += (a - 1.0) / x**2 + (b - 1.0) / (1.0 - x) ** 2
-    return value, g_beta, neg_h
+    return post.grad(k, m, Xm, theta, curvature)
 
 
-def _bc_log_density(k, m, p):
-    """The BC log posterior as the sampler scores it, ``(beta, eta) -> value``.
+def _log_density(k, m, post):
+    """The log posterior as the sampler scores it, ``(theta, eta) -> value``.
 
-    ``eta`` is the linear predictor ``U beta`` over the patterns with
-    ``k`` positives among ``m`` trials.
+    ``eta`` is the linear predictor of theta's coefficients over the
+    patterns with ``k`` positives among ``m`` trials. A proposal outside
+    the accuracy support is -inf before any likelihood work.
     """
-    log_prior = _normal_log_prior(p)
-
-    def log_density(beta, eta):
-        return std_loglik_value(k, m, eta) + log_prior(beta)
-
-    return log_density
-
-
-def _bec_log_density(k, m, p, assay):
-    """The BEC log posterior as the sampler scores it, ``(theta, eta) -> value``.
-
-    ``theta`` is (beta[, se, sp]) and ``eta`` the linear predictor of
-    its ``p`` coefficients over the patterns. In beta-prior mode a
-    proposal outside the accuracy support is -inf before any likelihood
-    work.
-    """
-    normal = _normal_log_prior(p)
-    if assay.mode is AssayMode.FIXED:
-        offset, slope = 1.0 - assay.specificity, assay.sensitivity + assay.specificity - 1.0
-
-        def log_density(theta, eta):
-            return mixture_loglik_value(k, m, eta, offset, slope) + normal(theta)
-
-        return log_density
-
-    (a_se, b_se), (a_sp, b_sp) = assay.se_prior, assay.sp_prior
-    log_norm = _log_beta_function(a_se, b_se) + _log_beta_function(a_sp, b_sp)
+    log_prior, kernel, ends = post.value, post.kernel, post.ends
 
     def log_density(theta, eta):
-        se, sp = theta[p], theta[p + 1]
-        if not _in_accuracy_support(se, sp):
-            return -np.inf
-        accuracy = (
-            (a_se - 1.0) * math.log(se)
-            + (b_se - 1.0) * math.log1p(-se)
-            + (a_sp - 1.0) * math.log(sp)
-            + (b_sp - 1.0) * math.log1p(-sp)
-        )
-        value = mixture_loglik_value(k, m, eta, 1.0 - sp, se + sp - 1.0) + normal(theta)
-        return value + (accuracy - log_norm)
+        value = log_prior(theta)
+        if value == -math.inf:
+            return value
+        return kernel(k, m, eta, *ends(theta)) + value
 
     return log_density
 
@@ -346,15 +346,17 @@ def _sampling_basis(neg_h):
 # ---------------------------------------------------------------------------
 
 
-def _posterior_fit_result(tag, draws_obj, n_beta, loglik, names):
+def _posterior_fit_result(tag, draws_obj, p, loglik, names):
     """The fit summary of posterior draws, and the package's one R-hat gate.
 
-    Converged only when every sampled coordinate, the accuracy ones
-    included, has a finite split R-hat below ``RHAT_LIMIT``.
+    The estimate is the posterior mean of theta, its first ``p``
+    coordinates the coefficients, and the fit's log-likelihood is
+    ``loglik`` there. Converged only when every sampled coordinate, the
+    accuracy ones included, has a finite split R-hat below
+    ``RHAT_LIMIT``.
     """
-    flat = draws_obj.flat()[:, :n_beta]
-    beta_hat = flat.mean(axis=0)
-    beta_se = flat.std(axis=0, ddof=1)
+    flat = draws_obj.flat()
+    theta_hat = flat.mean(axis=0)
     bad = ~(np.isfinite(draws_obj.rhat) & (draws_obj.rhat < RHAT_LIMIT))
     converged = not bool(np.any(bad))
     warning = None
@@ -366,9 +368,9 @@ def _posterior_fit_result(tag, draws_obj, n_beta, loglik, names):
         )
     return FitResult(
         model_tag=tag,
-        beta_hat=beta_hat,
-        beta_se=beta_se,
-        loglik=loglik,
+        beta_hat=theta_hat[:p],
+        beta_se=flat[:, :p].std(axis=0, ddof=1),
+        loglik=loglik(theta_hat),
         converged=converged,
         iterations=draws_obj.n_total,
         column_names=names,
@@ -395,25 +397,27 @@ def _basis_log_post(log_density, Us, mode, A):
     return log_post
 
 
-def _sample_posterior(
-    tag, Us, loglik, log_density, theta0, config, tr, names, lo=-np.inf, hi=np.inf
-):
-    """Draws of a posterior over (beta[, se, sp]), on the input scale.
+def _sample_posterior(tag, post, Us, loglik, log_density, config, tr, names):
+    """Draws of a posterior over ``post``'s theta = (beta[, se, sp]), on the input scale.
 
-    Finds the mode from ``theta0`` by ``mle._newton_ascent``, the
+    Finds the mode from ``post.start`` by ``mle._newton_ascent``, the
     projected Newton loop of the maximum-likelihood fits: ``loglik``
     gives the log posterior over standardized coefficients, its gradient
-    and its exact negative Hessian, and ``[lo, hi]`` boxes the
-    coordinates. A search that ends unconverged is a NonConvergenceError
-    naming the model ``tag``. Samples ``log_density(theta, eta)``, with
-    ``eta`` the linear predictor over the standardized patterns ``Us``,
-    in the mode-centered coordinates of ``_sampling_basis`` at the
-    negative Hessian the search ended with, from seed-derived
-    overdispersed starts, and undoes the standardization on every draw.
-    The returned draws carry the sampler's acceptance rates; their
-    R-hat and ESS are computed when first read, on the input scale.
+    and its exact negative Hessian, and ``[post.lo, post.hi]`` boxes
+    the coordinates. A search that ends unconverged is a
+    NonConvergenceError naming the model ``tag``. Samples
+    ``log_density(theta, eta)``, with ``eta`` the linear predictor over
+    the standardized patterns ``Us``, in the mode-centered coordinates
+    of ``_sampling_basis`` at the negative Hessian the search ended
+    with, from seed-derived overdispersed starts, and undoes the
+    standardization on every draw. The draws are named ``names`` and
+    then ``post.names``; they carry the sampler's acceptance rates, and
+    their R-hat and ESS are computed when first read, on the input
+    scale.
     """
-    mode, _, converged, _, warning, _, neg_h = _newton_ascent(loglik, theta0, lo, hi)
+    mode, _, converged, _, warning, _, neg_h = _newton_ascent(
+        loglik, post.start, post.lo, post.hi
+    )
     if not converged:
         raise NonConvergenceError(f"{tag.value} posterior mode: {warning}")
     dim = mode.shape[0]
@@ -437,7 +441,25 @@ def _sample_posterior(
     # undo_beta changes only the intercept and the standardized columns,
     # so sampled accuracy coordinates after the coefficients pass through
     theta_draws = tr.undo_beta(mode + raw.draws @ A.T)
-    return PosteriorDraws(theta_draws, names, raw.accept_rate)
+    return PosteriorDraws(theta_draws, names + post.names, raw.accept_rate)
+
+
+def _fit(tag, y, X, assay, config):
+    """The fit summary and the back-transformed draws of BC (no ``assay``) or BEC."""
+    config = config or SamplerConfig()
+    k, m, U, Us, tr, names = _posterior_data(y, X)
+    post = _Posterior(Us.shape[1], assay)
+    p = post.p
+
+    def loglik(theta):
+        return post.grad(k, m, Us, theta, curvature=True)
+
+    draws = _sample_posterior(tag, post, Us, loglik, _log_density(k, m, post), config, tr, names)
+
+    def loglik_at(theta):
+        return post.kernel(k, m, U @ theta[:p], *post.ends(theta))
+
+    return _posterior_fit_result(tag, draws, p, loglik_at, names), draws
 
 
 def fit_bc(y, X, config=None):
@@ -445,19 +467,7 @@ def fit_bc(y, X, config=None):
 
     Returns the fit summary and the back-transformed draws.
     """
-    config = config or SamplerConfig()
-    k, m, U, Us, tr, names = _posterior_data(y, X)
-    p = Us.shape[1]
-
-    def loglik(beta):
-        return bc_log_posterior_grad(k, Us, beta, trials=m, curvature=True)
-
-    log_density = _bc_log_density(k, m, p)
-    draws = _sample_posterior(ModelTag.BC, Us, loglik, log_density, np.zeros(p), config, tr, names)
-    beta_hat = draws.flat().mean(axis=0)
-    ll_hat = std_loglik_value(k, m, U @ beta_hat)
-    fit = _posterior_fit_result(ModelTag.BC, draws, p, ll_hat, names)
-    return fit, draws
+    return _fit(ModelTag.BC, y, X, None, config)
 
 
 def fit_bec(y, X, assay, config=None):
@@ -469,36 +479,4 @@ def fit_bec(y, X, assay, config=None):
     """
     if not isinstance(assay, AssayProfile):
         raise TypeError("assay must be an AssayProfile")
-    config = config or SamplerConfig()
-    k, m, U, Us, tr, names = _posterior_data(y, X)
-    p = Us.shape[1]
-
-    # In beta-prior mode se and sp are sampled after the coefficients;
-    # in fixed mode theta holds the coefficients alone.
-    def accuracy(theta):
-        if len(theta) > p:
-            return theta[p], theta[p + 1]
-        return assay.sensitivity, assay.specificity
-
-    def loglik(theta):
-        block = BecParameterBlock(theta[:p], *theta[p:])
-        return bec_log_posterior_grad(k, Us, block, assay, trials=m, curvature=True)
-
-    log_density = _bec_log_density(k, m, p, assay)
-
-    theta0, lo, hi, out_names = np.zeros(p), -np.inf, np.inf, tuple(names)
-    if assay.mode is AssayMode.BETA_PRIOR:
-        theta0 = np.concatenate([theta0, [assay.sensitivity, assay.specificity]])
-        lo = np.concatenate([np.full(p, -np.inf), [0.501, 0.501]])
-        hi = np.concatenate([np.full(p, np.inf), [1.0 - 1e-9, 1.0 - 1e-9]])
-        out_names += ACCURACY_NAMES
-    draws = _sample_posterior(
-        ModelTag.BEC, Us, loglik, log_density, theta0, config, tr, out_names, lo, hi
-    )
-
-    flat = draws.flat()
-    beta_hat = flat[:, :p].mean(axis=0)
-    se_hat, sp_hat = accuracy([float(flat[:, j].mean()) for j in range(flat.shape[1])])
-    ll_hat = mixture_loglik_value(k, m, U @ beta_hat, 1.0 - sp_hat, se_hat + sp_hat - 1.0)
-    fit = _posterior_fit_result(ModelTag.BEC, draws, p, ll_hat, names)
-    return fit, draws
+    return _fit(ModelTag.BEC, y, X, assay, config)

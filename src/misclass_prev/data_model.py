@@ -674,13 +674,21 @@ def read_analysis_config(path):
 
     A bare ``[assay]`` section acts as the default for any outcome. Every
     assay block must be a valid ``AssayProfile``, whichever outcome it is for.
+    Outcome names are matched stripped and lower-cased, so two blocks
+    that name one outcome, such as ``[assay.HIV]`` and ``[assay.hiv]``,
+    are an error.
     """
     ini = read_ini(path, "config", CONFIG_KEYS)
     column_map = dict(ini["columns"]) if ini.has_section("columns") else {}
-    assays = {}
+    assays, sections = {}, {}
     for name in ini.sections():
         if name != "columns":
             settings = assay_settings(ini[name])
             AssayProfile(*settings.values())  # a broken block fails even if no outcome uses it
-            assays[name.partition(".")[2].strip().lower()] = settings
+            outcome = name.partition(".")[2].strip().lower()
+            if outcome in sections:
+                raise SchemaError(
+                    f"config sections [{sections[outcome]}] and [{name}] name one outcome"
+                )
+            assays[outcome], sections[outcome] = settings, name
     return AnalysisConfig(column_map=column_map, assays=assays)

@@ -411,7 +411,7 @@ def fit_liu(
     A = _RATE_MAP[variant]
 
     if init is None:
-        init = default_liu_init(k, U, column_names=names, trials=m)
+        init = default_liu_init(k, U, trials=m)
 
     beta0 = np.asarray(init.beta, dtype=float)
     if beta0.shape[0] != p:

@@ -192,11 +192,7 @@ def marginal_prevalence_std(
             rows, trials = patterns.rows[live], trials[live]
             try:
                 refit = fit_std(
-                    counts[1::2][live].astype(float),
-                    rows,
-                    column_names=fit.column_names,
-                    trials=trials,
-                    init=fit.beta_hat,
+                    counts[1::2][live].astype(float), rows, trials=trials, init=fit.beta_hat
                 )
             except SingularDesignError:
                 refit = None
@@ -237,7 +233,7 @@ def marginal_prevalence_liu(X, fit, n_boot=500, rng=None, interval=IntervalMetho
             latent = gen.random(pi_rows.shape[0]) < pi_rows
             u = gen.random(pi_rows.shape[0])
             y_b = np.where(latent, u >= r1, u < r0).astype(float)
-            refit = fit_liu(y_b, X, variant=variant, init=init, column_names=fit.column_names)
+            refit = fit_liu(y_b, X, variant=variant, init=init)
             if refit.converged:
                 yield patterns.mean(logistic(patterns.rows @ refit.beta_hat))
             else:

@@ -10,9 +10,9 @@ from misclass_prev import bayes, mcmc
 from misclass_prev.bayes import (
     BecParameterBlock,
     Standardization,
+    _Posterior,
     _basis_log_post,
-    _bc_log_density,
-    _bec_log_density,
+    _log_density,
     _posterior_data,
     _posterior_fit_result,
     _sample_posterior,
@@ -196,17 +196,18 @@ class TestModeSearch:
         np.testing.assert_allclose(modes[0], modes[1], rtol=0.0, atol=1e-6)
 
     def test_mode_search_that_ends_unconverged_is_a_statistical_error(self):
+        # the owner starts the search at zero, where this score is not zero
         def loglik(theta):
-            return -0.5 * float(theta @ theta), -theta, np.full((2, 2), np.nan)
+            return -0.5 * float((theta - 1.0) @ (theta - 1.0)), 1.0 - theta, np.full((2, 2), np.nan)
 
         tr = Standardization(indices=(), means=(), sds=())
         with pytest.raises(NonConvergenceError, match="^BEC posterior mode: singular Hessian"):
             _sample_posterior(
                 ModelTag.BEC,
+                _Posterior(2),
                 np.eye(2),
                 loglik,
                 lambda theta, eta: 0.0,
-                np.ones(2),
                 QUICK,
                 tr,
                 ("a", "b"),
@@ -246,15 +247,23 @@ class TestBetaLogDensity:
     @pytest.mark.parametrize("n", [100.0, 1000.0, 10000.0])
     @pytest.mark.parametrize("value", [0.5001, 0.51, 0.964, 0.999])
     def test_matches_scipy(self, n, value):
+        # the log prior of theta = (0, se = x, sp = 0.99) with the se prior
+        # of size n at value, against scipy's normal and Beta densities;
+        # the sp prior of size 10 has shapes (9, 1)
         from scipy import stats
 
-        a, b = value * n, (1.0 - value) * n
+        assay = AssayProfile.with_beta_priors(value, 0.9, se_prior_n=n, sp_prior_n=10.0)
+        log_prior = _Posterior(1, assay).value
+        a, b = assay.se_prior
         sd = math.sqrt(value * (1.0 - value) / (n + 1.0))
+        rest = stats.norm.logpdf(0.0, scale=math.sqrt(newman_prior_variance(0)))
+        rest += stats.beta.logpdf(0.99, *assay.sp_prior)
         # both sides take log B(a, b) as a difference of log-gammas near
         # lgamma(n), whose spacing is 1.5e-11 at n = 10,000
         tol = 1e-12 + 4 * np.spacing(math.lgamma(n))
         for x in (value - 2.0 * sd, value - 0.5 * sd, value, min(value + 2.0 * sd, 1.0 - 1e-9)):
-            assert abs(bayes._beta_logpdf(x, a, b) - stats.beta.logpdf(x, a, b)) <= tol
+            got = log_prior(np.array([0.0, x, 0.99]))
+            assert abs(got - (stats.beta.logpdf(x, a, b) + rest)) <= tol
 
 
 class TestStandardization:
@@ -431,7 +440,7 @@ class TestConvergenceGate:
             [rng.standard_normal((300, 2)), rng.standard_normal((300, 2)) + 8.0]
         )
         draws = PosteriorDraws(apart, ("beta0", "beta1"), accept_rate=np.full(2, np.nan))
-        fit = _posterior_fit_result(ModelTag.BC, draws, 2, -10.0, ("beta0", "beta1"))
+        fit = _posterior_fit_result(ModelTag.BC, draws, 2, lambda theta: -10.0, ("beta0", "beta1"))
         assert not fit.converged
         assert "chains not mixed" in fit.condition_warning
 
@@ -439,7 +448,7 @@ class TestConvergenceGate:
         rng = np.random.default_rng(34)
         ok = rng.standard_normal((2, 500, 2))
         draws = PosteriorDraws(ok, ("beta0", "beta1"), accept_rate=np.full(2, np.nan))
-        fit = _posterior_fit_result(ModelTag.BEC, draws, 2, -10.0, ("beta0", "beta1"))
+        fit = _posterior_fit_result(ModelTag.BEC, draws, 2, lambda theta: -10.0, ("beta0", "beta1"))
         assert fit.converged
         assert fit.condition_warning is None
 
@@ -494,10 +503,10 @@ class TestChainStart:
         with pytest.raises(NonConvergenceError, match="^chain 0 start: "):
             _sample_posterior(
                 ModelTag.BC,
+                _Posterior(2),
                 np.eye(2),
                 loglik,
                 log_density,
-                np.zeros(2),
                 QUICK,
                 tr,
                 ("a", "b"),
@@ -516,7 +525,7 @@ def pattern_data(rng, n, grouped):
 # (density builder, reference log posterior) for each sampled model;
 # the reference scores theta on the standardized rows
 def _bc_pair(y, Xs, k, m, p):
-    return _bc_log_density(k, m, p), lambda theta: bc_log_posterior(y, Xs, theta)
+    return _log_density(k, m, _Posterior(p)), lambda theta: bc_log_posterior(y, Xs, theta)
 
 
 def _bec_pair(assay):
@@ -524,15 +533,16 @@ def _bec_pair(assay):
         def reference(theta):
             return bec_log_posterior(y, Xs, BecParameterBlock(theta[:p], *theta[p:]), assay)
 
-        return _bec_log_density(k, m, p, assay), reference
+        return _log_density(k, m, _Posterior(p, assay)), reference
 
     return pair
 
 
 BETA_PRIORS = AssayProfile.with_beta_priors(0.9, 0.92, se_prior_n=200, sp_prior_n=200)
+FIXED = AssayProfile(sensitivity=0.9, specificity=0.95)
 DENSITIES = {
     "bc": _bc_pair,
-    "bec-fixed": _bec_pair(AssayProfile(sensitivity=0.9, specificity=0.95)),
+    "bec-fixed": _bec_pair(FIXED),
     # se = sp = 1: offset 0 and slope 1, so 1 - p rounds to 0 at eta = 40
     # and the 1e-300 clamp acts
     "bec-perfect": _bec_pair(AssayProfile(sensitivity=1.0, specificity=1.0)),
@@ -586,7 +596,7 @@ class TestSamplerDensity:
 
 
 class TestSamplerCalls:
-    @pytest.mark.parametrize("model", ["bc", "bec"])
+    @pytest.mark.parametrize("model", ["bc", "bec", "bec-fixed"])
     def test_one_density_call_per_proposal_and_reference_draws(self, model, monkeypatch):
         """A fit scores each start point and proposal once, and its draws are
         those the reference log posterior gives on the fit's own basis."""
@@ -627,12 +637,13 @@ class TestSamplerCalls:
                 return bc_log_posterior(y, Xs, theta)
 
         else:
-            fit_bec(y, X, BETA_PRIORS, config=cfg)
+            assay = BETA_PRIORS if model == "bec" else FIXED
+            fit_bec(y, X, assay, config=cfg)
 
             def reference(theta):
                 p = Xs.shape[1]
                 block = BecParameterBlock(theta[:p], *theta[p:])
-                return bec_log_posterior(y, Xs, block, BETA_PRIORS)
+                return bec_log_posterior(y, Xs, block, assay)
 
         assert seen["calls"] == cfg.chains * (cfg.warmup + cfg.samples) + cfg.chains
         mode, A = seen["mode"], seen["A"]

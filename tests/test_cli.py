@@ -582,6 +582,7 @@ class TestFlagErrors:
             ["fit", "--data", "DATA", "--config", "CONFIG_NO_SECTION", "--model", "STD", *ASSAY],
             ["fit", "--data", "DATA", "--config", "CONFIG_UNKNOWN_KEY", "--model", "BEC"],
             ["fit", "--data", "DATA", "--config", "CONFIG_UNKNOWN_SECTION", "--model", "STD", *ASSAY],
+            ["fit", "--data", "DATA", "--config", "CONFIG_TWO_BLOCKS", "--model", "BEC"],
             ["simulate", "--scenario", "SCENARIO_NOT_UTF8", "--out", "OUT"],
             ["simulate", "--scenario", "SCENARIO_NO_SECTION", "--out", "OUT"],
             ["simulate", "--scenario", "SCENARIO_UNKNOWN_KEY", "--out", "OUT"],
@@ -627,6 +628,7 @@ class TestFlagErrors:
             "config-no-section",
             "config-unknown-key",
             "config-unknown-section",
+            "config-two-blocks-one-outcome",
             "scenario-not-utf8",
             "scenario-no-section",
             "scenario-unknown-key",
@@ -655,6 +657,9 @@ class TestFlagErrors:
             # se_prior meant as se_prior_n would leave BEC in fixed mode
             "CONFIG_UNKNOWN_KEY": b"[assay]\nse = 0.9\nsp = 0.95\nse_prior = 50\n",
             "CONFIG_UNKNOWN_SECTION": b"[colums]\noutcome = outcome\n",
+            # the later block used to replace the earlier one without a word
+            "CONFIG_TWO_BLOCKS": b"[assay.HIV]\nse = 0.9\nsp = 0.95\n[assay.hiv]\nse = 0.8\n"
+            b"sp = 0.99\n",
             "SCENARIO_NOT_UTF8": SCENARIO_INI.replace("SIM", "S\xc9").encode("latin-1"),
             "SCENARIO_NO_SECTION": SCENARIO_INI.replace("[scenario]\n", "").encode(),
             "SCENARIO_UNKNOWN_KEY": SCENARIO_INI.replace("sp = 0.95", "sp = 0.95\nse_n = 50").encode(),

@@ -1,4 +1,5 @@
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -445,6 +446,19 @@ class TestAnalysisConfig:
         assert got.column_map == {"outcome": "hiv_react", "age": "age_years"}
         assert got.assays[""]["se"] == 0.90
         assert got.assays["hiv"]["se_prior_n"] == 1000.0
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [("assay.HIV", "assay.hiv"), ("assay.hiv", "assay. hiv"), ("assay", "assay.")],
+    )
+    def test_two_blocks_for_one_outcome_rejected(self, tmp_path, first, second):
+        # outcome names are matched stripped and lower-cased; the later
+        # block used to replace the earlier one without a word
+        cfg = tmp_path / "analysis.ini"
+        cfg.write_text(f"[{first}]\nse = 0.9\nsp = 0.95\n\n[{second}]\nse = 0.8\nsp = 0.99\n")
+        message = f"config sections [{first}] and [{second}] name one outcome"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            read_analysis_config(cfg)
 
     def test_unknown_field_rejected(self, tmp_path):
         cfg = tmp_path / "analysis.ini"
