@@ -25,13 +25,15 @@ the accuracy support included, with its gradient and curvature; the
 likelihood's ends ``(1 - sp, se + sp - 1)``, from the sampled accuracy
 or the assay's fixed values; and the mode search's start, its box and
 the names of the sampled accuracy coordinates. The sampler's density
-adds that prior to a value kernel of ``likelihoods``, and the basis is
-carried to the patterns as the matrix ``U A``, so that a proposal
-``phi`` costs one product of that matrix with ``phi`` for its linear
-predictor and one elementwise pass of the kernel. The mode search
-scores its points, with their curvature, through ``_Posterior.grad``;
-``bc_log_posterior[_grad]`` and ``bec_log_posterior[_grad]`` are the
-reference values of the same posteriors.
+adds that prior to the likelihood of ``likelihoods.OutcomeEntries``,
+whose entries' predictors, like theta, are linear in the sampler's
+coordinates ``phi``: each fit builds one column-major map from ``[phi,
+1]`` to both (``_basis_log_post``), so that a proposal costs one product
+of that map with ``[phi, 1]`` and a few elementwise passes over the
+entries. The mode search scores its points, with their curvature,
+through ``_Posterior.grad``; ``bc_log_posterior[_grad]`` and
+``bec_log_posterior[_grad]`` are the reference values of the same
+posteriors.
 """
 
 from __future__ import annotations
@@ -43,13 +45,7 @@ import numpy as np
 
 from .data_model import AssayMode, AssayProfile
 from .errors import NonConvergenceError
-from .likelihoods import (
-    binomial_counts,
-    mixture_loglik,
-    mixture_loglik_value,
-    std_loglik,
-    std_loglik_value,
-)
+from .likelihoods import OutcomeEntries, binomial_counts, mixture_loglik, std_loglik
 from .mcmc import PosteriorDraws, SamplerConfig, sample
 from .mle import (
     FitResult,
@@ -82,12 +78,10 @@ class _Posterior:
     reads its accuracy from the assay. ``value(theta)`` is the log
     prior: the shared normal on the coefficients plus, in beta-prior
     mode, each Beta prior, and -inf outside the accuracy support (rates
-    in (0, 1), se + sp > 1). ``kernel(k, m, eta, *ends(theta))`` is the
-    likelihood at the linear predictor ``eta`` of theta's coefficients
-    over patterns with ``k`` positives among ``m`` trials: BEC's, with
-    ``ends`` its offset and slope ``(1 - sp, se + sp - 1)``, or, without
-    an assay, BC's plain logistic one, with no ends. The sampler calls
-    these for every proposal, so their constants are bound in closures.
+    in (0, 1), se + sp > 1). ``ends(theta)`` are the likelihood's
+    offset and slope ``(1 - sp, se + sp - 1)`` for BEC and none for BC,
+    whose likelihood is the plain logistic one. The sampler calls these
+    for every proposal, so their constants are bound in closures.
     ``start``, ``lo``/``hi`` and ``names`` are the mode search's start
     (zero coefficients, the prior means of se and sp), its box and the
     names of the sampled accuracy coordinates.
@@ -136,7 +130,6 @@ class _Posterior:
             return 1.0 - sp, se + sp - 1.0
 
         self.value, self.ends = value, ends
-        self.kernel = std_loglik_value if plain else mixture_loglik_value
 
     def theta(self, block):
         """A BecParameterBlock as theta, its se/sp set exactly when they are sampled."""
@@ -238,24 +231,6 @@ def bec_log_posterior_grad(y, X, block, assay, trials=None, curvature=False):
         raise ValueError("gradient requested outside the support")
     k, m = binomial_counts(y, trials)
     return post.grad(k, m, Xm, theta, curvature)
-
-
-def _log_density(k, m, post):
-    """The log posterior as the sampler scores it, ``(theta, eta) -> value``.
-
-    ``eta`` is the linear predictor of theta's coefficients over the
-    patterns with ``k`` positives among ``m`` trials. A proposal outside
-    the accuracy support is -inf before any likelihood work.
-    """
-    log_prior, kernel, ends = post.value, post.kernel, post.ends
-
-    def log_density(theta, eta):
-        value = log_prior(theta)
-        if value == -math.inf:
-            return value
-        return kernel(k, m, eta, *ends(theta)) + value
-
-    return log_density
 
 
 # ---------------------------------------------------------------------------
@@ -378,26 +353,41 @@ def _posterior_fit_result(tag, draws_obj, p, loglik, names):
     )
 
 
-def _basis_log_post(log_density, Us, mode, A):
-    """``log_density`` in the sampler's coordinates: ``phi -> log_density(theta, eta)``.
+def _basis_log_post(post, entries, Us, mode, A):
+    """The log posterior in the sampler's coordinates, ``phi -> value`` at ``theta = mode + A phi``.
 
-    ``theta = mode + A phi``, and the linear predictor of its leading
-    ``Us.shape[1]`` coefficients over the patterns ``Us`` is updated as
-    ``eta = Us mode + (Us A) phi``, with both terms computed here, once.
-    ``Us A`` is kept column-major, the faster layout for a product with
-    a vector.
+    ``post``'s log prior, -inf outside the accuracy support before the
+    likelihood's passes, plus the likelihood of ``entries`` over the
+    standardized patterns ``Us``. Every entry's ``z`` is linear in phi,
+    and so is theta: with ``D`` the entries' signed rows of ``Us``, one
+    product of the map ``[[D A, D mode], [A, mode]]`` with ``[phi, 1]``
+    gives both. The map is built here, once, and kept column-major, the
+    faster layout for a product with a vector.
     """
-    p = Us.shape[1]
-    UA = np.asfortranarray(Us @ A[:p])
-    eta_mode = Us @ mode[:p]
+    dim, p = mode.shape[0], post.p
+    D = entries.design(Us)
+    n = D.shape[0]
+    z_map = np.empty((dim + 1, n + dim)).T  # column-major
+    np.matmul(D, A[:p], out=z_map[:n, :dim])
+    np.matmul(D, mode[:p], out=z_map[:n, dim])
+    z_map[n:, :dim], z_map[n:, dim] = A, mode
+    del D
+    phi1 = np.ones(dim + 1)
+    log_prior, ends, loglik = post.value, post.ends, entries.loglik
 
     def log_post(phi):
-        return log_density(mode + A @ phi, eta_mode + UA @ phi)
+        phi1[:dim] = phi
+        z = z_map @ phi1
+        theta = z[n:]
+        value = log_prior(theta)
+        if value == -math.inf:
+            return value
+        return loglik(z[:n], *ends(theta)) + value
 
     return log_post
 
 
-def _sample_posterior(tag, post, Us, loglik, log_density, config, tr, names):
+def _sample_posterior(tag, post, loglik, basis_log_post, config, tr, names):
     """Draws of a posterior over ``post``'s theta = (beta[, se, sp]), on the input scale.
 
     Finds the mode from ``post.start`` by ``mle._newton_ascent``, the
@@ -405,11 +395,11 @@ def _sample_posterior(tag, post, Us, loglik, log_density, config, tr, names):
     gives the log posterior over standardized coefficients, its gradient
     and its exact negative Hessian, and ``[post.lo, post.hi]`` boxes
     the coordinates. A search that ends unconverged is a
-    NonConvergenceError naming the model ``tag``. Samples
-    ``log_density(theta, eta)``, with ``eta`` the linear predictor over
-    the standardized patterns ``Us``, in the mode-centered coordinates
-    of ``_sampling_basis`` at the negative Hessian the search ended
-    with, from seed-derived overdispersed starts, and undoes the
+    NonConvergenceError naming the model ``tag``. Samples the log
+    posterior ``basis_log_post(mode, A)`` gives over the mode-centered
+    coordinates phi of ``_sampling_basis``, with ``A`` that basis at the
+    negative Hessian the search ended with, from seed-derived
+    overdispersed starts, and undoes the
     standardization on every draw. The draws are named ``names`` and
     then ``post.names``; they carry the sampler's acceptance rates, and
     their R-hat and ESS are computed when first read, on the input
@@ -422,7 +412,7 @@ def _sample_posterior(tag, post, Us, loglik, log_density, config, tr, names):
         raise NonConvergenceError(f"{tag.value} posterior mode: {warning}")
     dim = mode.shape[0]
     A = _sampling_basis(neg_h)
-    log_post = _basis_log_post(log_density, Us, mode, A)
+    log_post = basis_log_post(mode, A)
 
     # Overdispersed starts, two posterior sds around the mode in each
     # whitened coordinate. They can land outside the accuracy support;
@@ -450,14 +440,18 @@ def _fit(tag, y, X, assay, config):
     k, m, U, Us, tr, names = _posterior_data(y, X)
     post = _Posterior(Us.shape[1], assay)
     p = post.p
+    entries = OutcomeEntries(k, m, mixture=not post.plain)
 
     def loglik(theta):
         return post.grad(k, m, Us, theta, curvature=True)
 
-    draws = _sample_posterior(tag, post, Us, loglik, _log_density(k, m, post), config, tr, names)
+    def basis_log_post(mode, A):
+        return _basis_log_post(post, entries, Us, mode, A)
+
+    draws = _sample_posterior(tag, post, loglik, basis_log_post, config, tr, names)
 
     def loglik_at(theta):
-        return post.kernel(k, m, U @ theta[:p], *post.ends(theta))
+        return entries.loglik(entries.design(U) @ theta[:p], *post.ends(theta))
 
     return _posterior_fit_result(tag, draws, p, loglik_at, names), draws
 

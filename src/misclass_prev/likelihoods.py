@@ -34,11 +34,13 @@ step then costs one pass over the patterns, not one for the value and
 score and another for the curvature. Without it they return the value
 and score alone.
 
-The two value kernels, ``std_loglik_value`` and ``mixture_loglik_value``,
-take the linear predictor ``eta = U beta`` rather than the design and
-the coefficients, so that a sampler moving along fixed directions can
-update ``eta`` by a precomputed map instead of a product over the
-patterns; each is one elementwise pass over ``eta`` and one pairwise sum.
+A sampler needs the value alone, at many points along fixed directions.
+``OutcomeEntries`` serves it: one entry per pattern and outcome with a
+positive count, each with its pattern's row of the design, signed so
+that the plain logistic term is ``-softplus(z)`` and the misclassified
+one reads ``exp(z)`` straight. A sampler maps its coordinates to every
+entry's ``z`` by one precomputed matrix, and ``OutcomeEntries.loglik``
+is a few elementwise passes over ``z`` and one pairwise sum.
 
 All gradients are analytic; probability arguments to ``log`` are
 clamped at 1e-300 to keep extreme tails finite.
@@ -55,22 +57,27 @@ from .data_model import AssayMode, AssayProfile
 _LOG_CLAMP = 1e-300
 
 
-def logistic(eta):
+def logistic(eta, out=None):
     """Numerically stable inverse logit, elementwise.
 
-    With ``e = exp(-|eta|)`` it is ``1 / (1 + e)`` for ``eta >= 0`` and
-    ``e / (1 + e)`` below, so no exponent is a large positive number;
-    safe for |eta| well beyond 700. Both branches come out of one pass,
-    with no masked copies. Non-finite input is a domain error.
+    It is ``exp(min(eta, 0)) / (1 + e)`` with ``e = exp(-|eta|)``: ``1 /
+    (1 + e)`` for ``eta >= 0`` and ``e / (1 + e)`` below, so no exponent
+    is a large positive number; safe for |eta| well beyond 700. Both
+    branches come out of the same elementwise passes, with no masks, and
+    ``out``, an array of eta's shape (eta itself included), takes the
+    result. Non-finite input is a domain error.
     """
     arr = np.asarray(eta, dtype=float)
     if not np.isfinite(arr).all():
         raise ValueError("logistic: eta must be finite")
-    e = np.exp(-np.abs(arr))
-    out = np.where(arr >= 0, 1.0, e) / (1.0 + e)
+    e = np.abs(arr, out=np.empty(arr.shape))
+    np.exp(np.negative(e, out=e), out=e)
+    e += 1.0
+    num = np.minimum(arr, 0.0, out=np.empty(arr.shape) if out is None else out)
+    res = np.divide(np.exp(num, out=num), e, out=num)
     if arr.ndim == 0:
-        return float(out)
-    return out
+        return float(res)
+    return res
 
 
 def _design_and_beta(X, beta):
@@ -134,33 +141,14 @@ def std_loglik(y, X, beta, trials=None, curvature=False):
 
     Returns ``(loglik, gradient)`` where the gradient is
     ``X' (k - m pi)``; ``trials`` as in ``binomial_counts``. The value
-    is ``std_loglik_value``'s, whose softplus overflows nowhere. With
-    ``curvature``, a third entry: the negative Hessian ``X' diag(m pi
-    (1 - pi)) X``, from the same ``pi``.
+    is ``k eta - m softplus(eta)``, with softplus ``max(eta, 0) +
+    log1p(exp(-|eta|))``, the branch ``np.logaddexp`` takes, so it
+    overflows nowhere. With ``curvature``, a third entry: the negative
+    Hessian ``X' diag(m pi (1 - pi)) X``, from the same ``pi``.
     """
     k, m = binomial_counts(y, trials)
     U, beta = _design_and_beta(X, beta)
     eta = U @ beta
-    ll, pi = std_loglik_value(k, m, eta), logistic(eta)
-    del eta  # no later term reads it
-    score = U.T @ (k - m * pi)
-    if not curvature:
-        return ll, score
-    return ll, score, U.T @ ((m * pi * (1.0 - pi))[:, None] * U)
-
-
-# The value kernels add per-pattern terms by numpy's pairwise summation
-# (``ndarray.sum``, the reduction ``np.sum`` runs), as the row form
-# always did: with one trial per pattern each term is the row term, and
-# pairwise summation keeps rounding at the row form's level. No BLAS dot
-# runs over the patterns, whose result would depend on the thread count.
-# They take counts already validated: these are the sampler's inner loop.
-def std_loglik_value(k, m, eta):
-    """``std_loglik``'s value at linear predictor ``eta``.
-
-    Softplus as ``max(eta, 0) + log1p(exp(-|eta|))``, the branch
-    ``np.logaddexp`` takes, in one vectorized pass.
-    """
     sp = np.abs(eta)
     np.negative(sp, out=sp)
     np.exp(sp, out=sp)
@@ -169,7 +157,17 @@ def std_loglik_value(k, m, eta):
     sp *= m
     terms = k * eta
     terms -= sp
-    return float(terms.sum())
+    # numpy's pairwise sum, as the row form always did: with one trial per
+    # pattern each term is the row term, and no BLAS dot, whose result
+    # would depend on the thread count, runs over the patterns
+    ll = float(terms.sum())
+    del sp, terms
+    pi = logistic(eta)
+    del eta  # no later term reads it
+    score = U.T @ (k - m * pi)
+    if not curvature:
+        return ll, score
+    return ll, score, U.T @ ((m * pi * (1.0 - pi))[:, None] * U)
 
 
 # A count over the square of a probability at the 1e-300 clamp: the
@@ -241,34 +239,61 @@ def mixture_loglik(k, m, U, beta, offset, slope, curvature=False):
     return *out, H
 
 
-def mixture_loglik_value(k, m, eta, offset, slope):
-    """``mixture_loglik``'s value at linear predictor ``eta``, for samplers that need no score.
+class OutcomeEntries:
+    """Grouped outcomes as entries, and their log-likelihood as a sampler scores it.
 
-    The same terms as ``mixture_loglik``, worked out in place on one
-    array that starts as ``slope / (1 + exp(-eta))``. ``-eta`` is capped
-    at 700 so that ``exp`` cannot overflow. The cap moves ``slope *
-    sigmoid`` only where both values are below ``e^-700`` (``slope`` is
-    at most 1): under the 1e-300 clamp when ``offset`` is 0, and lost in
-    rounding against any positive ``offset``, so it changes no term.
-    Non-finite ``eta`` is a domain error, as in ``logistic``.
+    One entry per (pattern, outcome) with a positive count: first the
+    positives of every pattern with ``k > 0``, then the negatives of
+    every pattern with ``m - k > 0``. ``design(U)`` gives each entry its
+    pattern's row of ``U`` with a sign folded in, so that one product
+    with the coefficients gives every entry's ``z``: ``-eta`` on the
+    positives and ``eta`` on the negatives for the plain logistic
+    likelihood (``mixture`` false), ``-eta`` on all of them for the
+    misclassified one.
     """
-    if not np.isfinite(eta).all():
-        raise ValueError("mixture_loglik_value: eta must be finite")
-    p = np.negative(eta)
-    np.minimum(p, 700.0, out=p)
-    np.exp(p, out=p)
-    p += 1.0
-    np.divide(slope, p, out=p)
-    p += offset
-    q = np.subtract(1.0, p)
-    np.maximum(p, _LOG_CLAMP, out=p)
-    np.log(p, out=p)
-    p *= k
-    np.maximum(q, _LOG_CLAMP, out=q)
-    np.log(q, out=q)
-    q *= m - k
-    p += q
-    return float(p.sum())
+
+    def __init__(self, k, m, mixture):
+        pos, neg = np.flatnonzero(k > 0.0), np.flatnonzero(k < m)
+        self.patterns, self.n_pos = np.concatenate([pos, neg]), pos.shape[0]
+        counts = np.concatenate([k[pos], (m - k)[neg]])
+        self.counts = None if (counts == 1.0).all() else counts  # no multiply on rows
+        self.flipped = self.patterns.shape[0] if mixture else self.n_pos
+
+    def design(self, U):
+        D = U[self.patterns]
+        D[: self.flipped] *= -1.0
+        return D
+
+    def loglik(self, z, offset=None, slope=None):
+        """The log-likelihood at the entries' ``z``, which it overwrites.
+
+        Without ends, ``std_loglik``'s: ``-sum c softplus(z)``, with
+        softplus ``log1p(exp(z))``, or ``np.logaddexp(0, z)`` where some
+        ``exp(z)`` would overflow. With them, ``mixture_loglik``'s: one
+        sigmoid pass gives ``s = slope / (1 + exp(z))``, the positives
+        take ``log(offset + s)`` and the negatives ``log((1 - offset) -
+        s)``, each clamped at 1e-300. ``z`` is capped at 700 first so that
+        ``exp`` cannot overflow; that moves ``s`` only where both values
+        are below ``e^-700`` (``slope`` is at most 1): under the clamp
+        when ``offset`` is 0, and lost in rounding against any positive
+        ``offset``, so it changes no term. Summed as ``std_loglik`` sums.
+        """
+        if offset is None:
+            if z.max() > 700.0:
+                np.logaddexp(0.0, z, out=z)
+            else:
+                np.log1p(np.exp(z, out=z), out=z)
+        else:
+            np.exp(np.minimum(z, 700.0, out=z), out=z)
+            z += 1.0
+            np.divide(slope, z, out=z)
+            z[: self.n_pos] += offset
+            np.subtract(1.0 - offset, z[self.n_pos :], out=z[self.n_pos :])
+            np.log(np.maximum(z, _LOG_CLAMP, out=z), out=z)
+        if self.counts is not None:
+            z *= self.counts
+        total = float(z.sum())
+        return -total if offset is None else total
 
 
 def liu_loglik(y, X, beta, rates, trials=None, curvature=False):

@@ -12,7 +12,6 @@ from misclass_prev.bayes import (
     Standardization,
     _Posterior,
     _basis_log_post,
-    _log_density,
     _posterior_data,
     _posterior_fit_result,
     _sample_posterior,
@@ -27,7 +26,7 @@ from misclass_prev.bayes import (
 )
 from misclass_prev.data_model import AssayProfile, DesignMatrix, build_design_matrix
 from misclass_prev.errors import NonConvergenceError
-from misclass_prev.likelihoods import logistic, std_loglik
+from misclass_prev.likelihoods import OutcomeEntries, logistic, std_loglik
 from misclass_prev.mcmc import PosteriorDraws, SamplerConfig
 from misclass_prev.mle import ModelTag, fit_liu, fit_std
 from misclass_prev.simulate import CovariateSpec, SimScenario, simulate
@@ -205,9 +204,8 @@ class TestModeSearch:
             _sample_posterior(
                 ModelTag.BEC,
                 _Posterior(2),
-                np.eye(2),
                 loglik,
-                lambda theta, eta: 0.0,
+                lambda mode, A: lambda phi: 0.0,
                 QUICK,
                 tr,
                 ("a", "b"),
@@ -496,17 +494,16 @@ class TestChainStart:
         def loglik(theta):
             return -0.5 * float(theta @ theta), -theta, np.eye(2)
 
-        def log_density(theta, eta):
-            return 0.0 if not np.any(theta) else -np.inf
+        def basis_log_post(mode, A):
+            return lambda phi: 0.0 if not np.any(mode + A @ phi) else -np.inf
 
         tr = Standardization(indices=(), means=(), sds=())
         with pytest.raises(NonConvergenceError, match="^chain 0 start: "):
             _sample_posterior(
                 ModelTag.BC,
                 _Posterior(2),
-                np.eye(2),
                 loglik,
-                log_density,
+                basis_log_post,
                 QUICK,
                 tr,
                 ("a", "b"),
@@ -522,18 +519,18 @@ def pattern_data(rng, n, grouped):
     return (rng.random(n) < 0.3).astype(float), DesignMatrix(X, ("intercept", "sex", "x"))
 
 
-# (density builder, reference log posterior) for each sampled model;
-# the reference scores theta on the standardized rows
-def _bc_pair(y, Xs, k, m, p):
-    return _log_density(k, m, _Posterior(p)), lambda theta: bc_log_posterior(y, Xs, theta)
+# (posterior, reference log posterior) for each sampled model; the
+# reference scores theta on the standardized rows
+def _bc_pair(y, Xs, p):
+    return _Posterior(p), lambda theta: bc_log_posterior(y, Xs, theta)
 
 
 def _bec_pair(assay):
-    def pair(y, Xs, k, m, p):
+    def pair(y, Xs, p):
         def reference(theta):
             return bec_log_posterior(y, Xs, BecParameterBlock(theta[:p], *theta[p:]), assay)
 
-        return _log_density(k, m, _Posterior(p, assay)), reference
+        return _Posterior(p, assay), reference
 
     return pair
 
@@ -551,9 +548,9 @@ DENSITIES = {
 
 
 class TestSamplerDensity:
-    """The density the sampler scores, ``phi -> log_density(mode + A phi, eta)``
-    with eta updated through the precomputed ``U A``, against the reference
-    log posteriors evaluated from theta on the rows."""
+    """The density the sampler scores at ``theta = mode + A phi``, with the
+    entries' predictors from the precomputed map ``[D A | D mode]``, against
+    the reference log posteriors evaluated from theta on the rows."""
 
     @staticmethod
     def densities(model, grouped, seed):
@@ -562,22 +559,27 @@ class TestSamplerDensity:
         k, m, _, Us, tr, _ = _posterior_data(y, X)
         assert (m.max() > 1.0) == grouped
         p = Us.shape[1]
-        log_density, reference = DENSITIES[model](y, tr.apply(X.matrix), k, m, p)
+        post, reference = DENSITIES[model](y, tr.apply(X.matrix), p)
+        entries = OutcomeEntries(k, m, mixture=not post.plain)
+
+        def basis_log_post(mode, A):
+            return _basis_log_post(post, entries, Us, mode, A)
+
         dim = p + 2 * (model == "bec-beta-prior")
-        return rng, Us, p, dim, log_density, reference
+        return rng, p, dim, basis_log_post, reference
 
     @pytest.mark.parametrize("grouped", [False, True], ids=["rows", "grouped"])
     @pytest.mark.parametrize("model", sorted(DENSITIES))
-    @pytest.mark.parametrize("eta_level", [0.0, -40.0, 40.0])
+    @pytest.mark.parametrize("eta_level", [0.0, -40.0, 40.0, -800.0, 800.0])
     def test_differences_match_the_reference(self, model, grouped, eta_level):
-        rng, Us, p, dim, log_density, reference = self.densities(model, grouped, 41)
+        rng, p, dim, basis_log_post, reference = self.densities(model, grouped, 41)
         for _ in range(10):
             mode = np.concatenate([[eta_level], rng.normal(scale=0.5, size=dim - 1)])
             A = np.tril(rng.normal(scale=0.2, size=(dim, dim)))
             if dim > p:  # se and sp well inside their support
                 mode[p:] = rng.uniform(0.85, 0.95, size=2)
                 A[p:] *= 0.01
-            log_post = _basis_log_post(log_density, Us, mode, A)
+            log_post = basis_log_post(mode, A)
             phi0, phi1 = rng.standard_normal((2, dim))
             got = log_post(phi1) - log_post(phi0)
             want = reference(mode + A @ phi1) - reference(mode + A @ phi0)
@@ -586,9 +588,9 @@ class TestSamplerDensity:
 
     @pytest.mark.parametrize("grouped", [False, True], ids=["rows", "grouped"])
     def test_minus_inf_outside_the_accuracy_support(self, grouped):
-        _, Us, p, dim, log_density, reference = self.densities("bec-beta-prior", grouped, 42)
+        _, p, dim, basis_log_post, reference = self.densities("bec-beta-prior", grouped, 42)
         mode = np.concatenate([np.zeros(p), [0.9, 0.92]])
-        log_post = _basis_log_post(log_density, Us, mode, np.eye(dim))
+        log_post = basis_log_post(mode, np.eye(dim))
         for se, sp in [(1.2, 0.9), (0.9, -0.1), (0.3, 0.6), (0.55, 0.44), (1.0, 0.9)]:
             phi = np.concatenate([np.zeros(p), [se - 0.9, sp - 0.92]])
             assert log_post(phi) == -np.inf
@@ -596,12 +598,16 @@ class TestSamplerDensity:
 
 
 class TestSamplerCalls:
+    @pytest.mark.parametrize("grouped", [False, True], ids=["rows", "grouped"])
     @pytest.mark.parametrize("model", ["bc", "bec", "bec-fixed"])
-    def test_one_density_call_per_proposal_and_reference_draws(self, model, monkeypatch):
+    def test_one_density_call_per_proposal_and_reference_draws(self, model, grouped, monkeypatch):
         """A fit scores each start point and proposal once, and its draws are
-        those the reference log posterior gives on the fit's own basis."""
+        those the reference log posterior gives on the fit's own basis: on
+        rows, every count is 1 and the likelihood skips its count multiply."""
         rng = np.random.default_rng(43)
-        y, X = pattern_data(rng, 200, grouped=True)
+        y, X = pattern_data(rng, 200, grouped)
+        k, m = _posterior_data(y, X)[:2]
+        assert (OutcomeEntries(k, m, mixture=model != "bc").counts is None) == (not grouped)
         cfg = SamplerConfig(chains=3, warmup=100, samples=150, seed=8)
         seen = {}
         real_ascent, real_basis, real_sample = bayes._newton_ascent, bayes._sampling_basis, bayes.sample

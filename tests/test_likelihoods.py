@@ -14,7 +14,7 @@ from misclass_prev import (
     std_loglik,
 )
 
-from misclass_prev.likelihoods import mixture_loglik, mixture_loglik_value
+from misclass_prev.likelihoods import OutcomeEntries, mixture_loglik
 
 from conftest import fd_gradient, random_logit_data
 
@@ -128,7 +128,8 @@ class TestMixtureHessian:
         U = np.array([[1.0, 0.0], [1.0, 1.0]])
         k, m = np.array([0.0, 3.0]), np.array([5.0, 5.0])
         beta = np.array([-800.0, 800.0])
-        assert np.isfinite(mixture_loglik_value(k, m, U @ beta, 0.0, 1.0))
+        entries = OutcomeEntries(k, m, mixture=True)
+        assert np.isfinite(entries.loglik(entries.design(U) @ beta, 0.0, 1.0))
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             H = mixture_loglik(k, m, U, beta, 0.0, 1.0, curvature=True)[4]
         # the p0 entry: 5 negatives at p = 0 and 3 of 5 positives at p = 1/2

@@ -106,6 +106,23 @@ class TestPosteriorPrevalenceDraws:
         vals = posterior_prevalence_draws(draws, X)
         np.testing.assert_allclose(vals, 0.5, atol=1e-12)
 
+    def test_each_distinct_state_once_gives_the_bits_of_every_draw_in_blocks_of_4(self):
+        # 2 chains of 20 draws over 7 distinct states: long runs of repeats,
+        # chain 1 opening on chain 0's last state, and 7 distinct draws, so
+        # the last block of distinct draws is padded
+        rng = np.random.default_rng(5)
+        X = np.column_stack([np.ones(300), rng.standard_normal(300), rng.integers(0, 2, 300)])
+        states = rng.normal(scale=0.5, size=(7, 3)) + [-1.0, 0.0, 0.0]
+        index = [0] * 6 + [1] + [2] * 8 + [3] * 5 + [3] * 4 + [4] * 10 + [5] + [6] * 5
+        flat = states[index]
+        draws = PosteriorDraws(flat.reshape(2, 20, 3), ("intercept", "x", "sex"), NO_RATES)
+        got = posterior_prevalence_draws(draws, X)
+        weights = np.full(300, 1.0 / 300)
+        want = np.concatenate(
+            [weights @ logistic(X @ flat[i : i + 4].T) for i in range(0, flat.shape[0], 4)]
+        )
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_dimension_mismatch_is_an_error(self):
         X = np.ones((3, 2))
         draws = PosteriorDraws(np.zeros((2, 2, 1)), ("intercept",), accept_rate=NO_RATES)
