@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import AssayMode, AssayProfile
+from .data_model import AssayMode, AssayProfile, design_rows
 from .errors import NonConvergenceError
 from .likelihoods import OutcomeEntries, binomial_counts, mixture_loglik, std_loglik
 from .mcmc import PosteriorDraws, SamplerConfig, sample
@@ -179,16 +179,11 @@ def bc_log_posterior(y, X, beta):
     return bc_log_posterior_grad(y, X, beta)[0]
 
 
-def bc_log_posterior_grad(y, X, beta, trials=None, curvature=False):
-    """Value and gradient of ``bc_log_posterior`` over beta.
-
-    ``trials`` as in ``likelihoods.binomial_counts``. With
-    ``curvature``, a third entry: the negative Hessian, the logistic
-    information plus ``I / var``.
-    """
+def bc_log_posterior_grad(y, X, beta):
+    """Value and gradient of ``bc_log_posterior`` over beta."""
     beta = np.asarray(beta, dtype=float)
-    k, m = binomial_counts(y, trials)
-    return _Posterior(beta.shape[0]).grad(k, m, X, beta, curvature)
+    k, m = binomial_counts(y)
+    return _Posterior(beta.shape[0]).grad(k, m, X, beta)
 
 
 @dataclass(frozen=True)
@@ -217,20 +212,15 @@ def bec_log_posterior(y, X, block, assay):
     return bec_log_posterior_grad(y, X, block, assay)[0]
 
 
-def bec_log_posterior_grad(y, X, block, assay, trials=None, curvature=False):
-    """Value and gradient over (beta[, se, sp]) of ``bec_log_posterior``.
-
-    ``trials`` as in ``likelihoods.binomial_counts``. With
-    ``curvature``, a third entry: the negative Hessian over the same
-    coordinates (``_Posterior.grad``).
-    """
-    Xm = X.matrix if hasattr(X, "matrix") else np.asarray(X, dtype=float)
-    post = _Posterior(Xm.shape[1], assay)
+def bec_log_posterior_grad(y, X, block, assay):
+    """Value and gradient over (beta[, se, sp]) of ``bec_log_posterior``."""
+    U = design_rows(X)
+    post = _Posterior(U.shape[1], assay)
     theta = post.theta(block)
     if post.value(theta) == -math.inf:
         raise ValueError("gradient requested outside the support")
-    k, m = binomial_counts(y, trials)
-    return post.grad(k, m, Xm, theta, curvature)
+    k, m = binomial_counts(y)
+    return post.grad(k, m, U, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +263,7 @@ def standardize_design(X):
     from the rows of ``X``; the record's ``apply`` transforms a matrix
     and its ``undo_beta`` maps coefficients back.
     """
-    X = X.matrix if hasattr(X, "matrix") else np.asarray(X, dtype=float)
+    X = design_rows(X)
     idx, means, sds = [], [], []
     for j in range(1, X.shape[1]):
         col = X[:, j]
@@ -294,7 +284,7 @@ def _posterior_data(y, X):
     The standardization is computed on the rows, so it is the same
     whether or not the rows are grouped, and applied to the patterns.
     """
-    k, m, U, names = _fit_data(y, X, None, None)
+    k, m, U, names = _fit_data(y, X)
     tr = standardize_design(X)
     return k, m, U, tr.apply(U), tr, names
 

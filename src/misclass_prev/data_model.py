@@ -21,6 +21,8 @@ so a five-level group contributes four columns.
 A design matrix groups its rows into covariate patterns (distinct rows,
 with how many cohort rows share each) on first use and keeps them: the
 likelihoods, fits and prevalence summaries all run over the patterns.
+They take a DesignMatrix or a plain array alike; ``design_rows`` and
+``design_patterns`` are the only places that tell the two apart.
 
 Every file is read and written here. Input is read as UTF-8 with any
 byte-order mark skipped (``read_text``): csv files as rectangular rows
@@ -298,6 +300,20 @@ def group_rows(matrix):
     inverse[order] = np.cumsum(starts) - 1
     trials = np.diff(np.append(np.flatnonzero(starts), n)).astype(float)
     return CovariatePatterns(rows=ordered[starts], trials=trials, inverse=inverse)
+
+
+def design_rows(X, named=False):
+    """The rows of a design, a DesignMatrix's matrix or a plain array, as floats.
+
+    The one place a design's type is read. With ``named``, ``(rows,
+    names)``: a DesignMatrix's column names, ``x0, x1, ...`` for an
+    array. Without, the rows alone, at the cost of one type check, for
+    the likelihoods every Newton step calls.
+    """
+    if isinstance(X, DesignMatrix):
+        return (X.matrix, X.column_names) if named else X.matrix
+    rows = np.asarray(X, dtype=float)
+    return (rows, tuple(f"x{j}" for j in range(rows.shape[1]))) if named else rows
 
 
 def design_patterns(X):

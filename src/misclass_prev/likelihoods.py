@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import AssayMode, AssayProfile
+from .data_model import AssayMode, AssayProfile, design_rows
 
 _LOG_CLAMP = 1e-300
 
@@ -81,9 +81,7 @@ def logistic(eta, out=None):
 
 
 def _design_and_beta(X, beta):
-    if hasattr(X, "matrix"):
-        X = X.matrix
-    X = np.asarray(X, dtype=float)
+    X = design_rows(X)
     beta = np.asarray(beta, dtype=float)
     if X.ndim != 2 or beta.ndim != 1 or X.shape[1] != beta.shape[0]:
         raise ValueError(

@@ -23,7 +23,7 @@ runs are bit reproducible for a fixed configuration.
 
 The sampler computes no diagnostics: split R-hat and effective sample
 size are computed from the draws a fit reports, on that scale, when
-first read.
+first read, each in one array pass over all parameters.
 """
 
 from __future__ import annotations
@@ -55,7 +55,12 @@ class SamplerConfig:
 
 @dataclass
 class PosteriorDraws:
-    """Post-warmup draws, with split R-hat and bulk ESS per parameter on demand."""
+    """Post-warmup draws, with split R-hat and ESS per parameter on demand.
+
+    ``ess_bulk`` is Geyer's multi-chain ESS of the raw draws, neither
+    split nor rank-normalized, despite its name; the R-hat gate of the
+    Bayesian fits reads ``rhat``, and no command reads ``ess_bulk``.
+    """
 
     draws: np.ndarray  # (chains, samples, dim)
     param_names: tuple
@@ -154,103 +159,81 @@ def sample(log_post, dim, config, init=None):
     return PosteriorDraws(draws=all_draws, param_names=names, accept_rate=accept)
 
 
-def _split_chains(draws_2d):
-    """Split each chain in half; (m, n) -> (2m, n // 2)."""
-    m, n = draws_2d.shape
-    half = n // 2
-    return np.vstack([draws_2d[:, :half], draws_2d[:, n - half:]])
-
-
-def _rhat_single(draws_2d):
-    x = _split_chains(np.asarray(draws_2d, dtype=float))
-    m, n = x.shape
-    if n < 2:
-        return float("nan")
-    chain_means = x.mean(axis=1)
-    chain_vars = x.var(axis=1, ddof=1)
-    w = chain_vars.mean()
-    if w == 0.0 or not np.isfinite(w):
-        return float("nan")
-    b_over_n = chain_means.var(ddof=1)
-    var_plus = (n - 1) / n * w + b_over_n
-    return float(np.sqrt(var_plus / w))
-
-
-def _per_parameter(single, draws):
-    """``single`` of a (chains, samples) array, or of each parameter of a 3-d one."""
+def _by_parameter(draws):
+    """``(x, one)``: 2-d or 3-d draws as a (dim, chains, samples) view, and whether 2-d."""
     draws = np.asarray(draws, dtype=float)
     if draws.ndim == 2:
-        return single(draws)
+        return draws[None], True
     if draws.ndim != 3:
         raise ValueError("draws must be 2-d or 3-d")
-    return np.array([single(draws[:, :, j]) for j in range(draws.shape[2])])
+    return np.moveaxis(draws, 2, 0), False
 
 
 def rhat(draws):
-    """Split-chain potential scale reduction factor.
+    """Split-chain potential scale reduction factor (Gelman et al., BDA3).
 
-    Accepts (chains, samples) for one parameter or (chains, samples,
-    dim) for many. Degenerate zero-variance input returns NaN rather
-    than a spurious 1.0.
+    Accepts (chains, samples) for one parameter, giving a float, or
+    (chains, samples, dim) for many, giving one value per parameter.
+    Each chain is split into halves, its middle draw left out when the
+    count is odd. Fewer than 2 draws per half, or zero or non-finite
+    within-chain variance (a constant parameter), give NaN rather than
+    a spurious 1.0.
     """
-    return _per_parameter(_rhat_single, draws)
-
-
-def _autocovariance(x):
-    """Biased autocovariance of one chain via FFT, lags 0..n-1."""
-    n = x.shape[0]
-    xc = x - x.mean()
-    size = 2 ** int(np.ceil(np.log2(2 * n)))
-    f = np.fft.rfft(xc, size)
-    acov = np.fft.irfft(f * np.conj(f), size)[:n].real
-    return acov / n
-
-
-def _ess_single(draws_2d):
-    x = np.asarray(draws_2d, dtype=float)
-    m, n = x.shape
-    if n < 4:
-        return float("nan")
-    acov = np.array([_autocovariance(x[c]) for c in range(m)])
-    chain_vars = acov[:, 0] * n / (n - 1)
-    w = chain_vars.mean()
-    if w == 0.0 or not np.isfinite(w):
-        return float("nan")
-    if m > 1:
-        var_plus = w * (n - 1) / n + x.mean(axis=1).var(ddof=1)
-    else:
-        var_plus = w * (n - 1) / n
-    if var_plus <= 0:
-        return float("nan")
-
-    rho = 1.0 - (w - acov.mean(axis=0)) / var_plus
-    rho[0] = 1.0
-
-    # Geyer initial positive/monotone sequence over paired sums.
-    max_pairs = (n - 1) // 2
-    tau = 0.0
-    prev_pair = np.inf
-    used_any = False
-    for k in range(max_pairs):
-        pair = rho[2 * k] + rho[2 * k + 1]
-        if pair <= 0.0:
-            break
-        pair = min(pair, prev_pair)
-        prev_pair = pair
-        tau += pair
-        used_any = True
-    if not used_any:
-        tau = rho[0]
-    tau = 2.0 * tau - 1.0
-    tau = max(tau, 1.0 / np.log10(n + 10))  # guard against absurd super-efficiency
-    return float(m * n / tau)
+    x, one = _by_parameter(draws)
+    dim, m, total = x.shape
+    n = total // 2
+    if n < 2:
+        return float("nan") if one else np.full(dim, np.nan)
+    # the halves as (dim, 2 m, n), C-contiguous, so that each reduction
+    # over draws runs along a row, as numpy's pairwise sum
+    halves = np.empty((dim, 2 * m, n))
+    x = np.concatenate([x[:, :, :n], x[:, :, total - n :]], axis=1, out=halves)
+    w = x.var(axis=2, ddof=1).mean(axis=1)
+    var_plus = (n - 1) / n * w + x.mean(axis=2).var(axis=1, ddof=1)
+    ok = (w != 0.0) & np.isfinite(w)
+    out = np.full(w.shape, np.nan)
+    out[ok] = np.sqrt(var_plus[ok] / w[ok])
+    return float(out[0]) if one else out
 
 
 def ess_bulk(draws):
-    """Autocorrelation-based effective sample size.
+    """Geyer's multi-chain effective sample size of the raw draws.
 
-    Paired autocorrelation sums are accumulated until the first
-    non-positive pair (made monotone along the way); constant chains
-    give NaN. Accepts the same shapes as ``rhat``.
+    Neither split nor rank-normalized, so it is not the bulk ESS of
+    Vehtari et al. (2021) that ``perfbench/ess.py`` scores a run with.
+    The autocorrelation at each lag combines the chains' FFT
+    autocovariances with the between-chain variance; paired sums of
+    them are added until the first non-positive pair, made monotone
+    along the way (Geyer 1992, initial monotone sequence). Fewer than 4
+    draws per chain, or zero or non-finite within-chain variance (a
+    constant parameter), give NaN. Accepts the same shapes as ``rhat``.
     """
-    return _per_parameter(_ess_single, draws)
+    x, one = _by_parameter(draws)
+    dim, m, n = x.shape
+    if n < 4:
+        return float("nan") if one else np.full(dim, np.nan)
+    x = np.ascontiguousarray(x)
+    means = x.mean(axis=2)
+    size = 2 ** int(np.ceil(np.log2(2 * n)))
+    f = np.fft.rfft(x - means[:, :, None], size, axis=2)
+    acov = np.fft.irfft(f * np.conj(f), size, axis=2)[:, :, :n] / n  # biased, lags 0..n-1
+    w = (acov[:, :, 0] * n / (n - 1)).mean(axis=1)
+    var_plus = w * (n - 1) / n
+    if m > 1:
+        var_plus = var_plus + means.var(axis=1, ddof=1)
+    ok = (w != 0.0) & np.isfinite(w) & (var_plus > 0.0)
+    out = np.full(dim, np.nan)
+    w, var_plus, acov = w[ok], var_plus[ok], acov[ok]
+    rho = 1.0 - (w[:, None] - acov.mean(axis=1)) / var_plus[:, None]
+    rho[:, 0] = 1.0
+
+    # Geyer's sequence over the pairs before the first non-positive one,
+    # each capped at the least pair so far, added in order by cumsum
+    lags = 2 * ((n - 1) // 2)
+    pairs = rho[:, 0:lags:2] + rho[:, 1:lags:2]
+    kept = np.logical_and.accumulate(pairs > 0.0, axis=1)
+    monotone = np.where(kept, np.minimum.accumulate(pairs, axis=1), 0.0)
+    tau = np.where(kept[:, 0], np.cumsum(monotone, axis=1)[:, -1], rho[:, 0])
+    tau = np.maximum(2.0 * tau - 1.0, 1.0 / np.log10(n + 10))  # no absurd super-efficiency
+    out[ok] = m * n / tau
+    return float(out[0]) if one else out

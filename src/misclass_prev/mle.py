@@ -21,8 +21,8 @@ a start, so bootstrap refits begin at the original estimate.
 
 Both fit over covariate patterns: a DesignMatrix is fitted over its
 distinct rows with trials and positives per row, and a caller that
-already holds counts (a bootstrap resample) passes them with
-``trials``. The boundary checks keep their per-row meaning.
+already holds counts (a bootstrap resample) passes them to ``fit_std``
+with ``trials``. The boundary checks keep their per-row meaning.
 
 Convergence is declared when the score's max-abs entry, leaving out
 rates held on a bound, drops below 1e-8 or the step below 1e-10. Both
@@ -41,7 +41,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data_model import design_patterns
+from .data_model import design_patterns, design_rows
 from .errors import SingularDesignError
 from .likelihoods import (
     ErrorRates,
@@ -130,18 +130,6 @@ class InformationResult:
     covariance: np.ndarray = None  # the inverse, when se is given
 
 
-def _resolve_design(X, column_names):
-    if hasattr(X, "matrix"):
-        names = X.column_names
-        X = X.matrix
-    else:
-        X = np.asarray(X, dtype=float)
-        names = column_names
-    if names is None:
-        names = tuple(f"x{j}" for j in range(X.shape[1]))
-    return X, tuple(names)
-
-
 def _check_rank(X, names, s=None):
     """Rank by SVD at ``np.linalg.matrix_rank``'s tolerance; names the collinear columns.
 
@@ -160,7 +148,7 @@ def _check_rank(X, names, s=None):
         )
 
 
-def _fit_data(y, X, column_names, trials):
+def _fit_data(y, X, trials=None):
     """``(positives, trials, rows, names)`` a fit runs on, rank-checked.
 
     Without ``trials``, ``y`` is one 0/1 outcome per row of ``X`` and the
@@ -169,7 +157,7 @@ def _fit_data(y, X, column_names, trials):
     rank once. With ``trials``, the rows of ``X`` carry ``trials``
     trials and ``y`` positives each, and are checked on every call.
     """
-    rows, names = _resolve_design(X, column_names)
+    rows, names = design_rows(X, named=True)
     if trials is None:
         patterns = design_patterns(X)
         k, m, rows = patterns.positives(binomial_counts(y)[0]), patterns.trials, patterns.rows
@@ -262,14 +250,15 @@ def _newton_ascent(loglik, theta, lo=-np.inf, hi=np.inf):
     return theta, ll, converged, iterations, warning, free, curvature
 
 
-def fit_std(y, X, column_names=None, trials=None, init=None):
+def fit_std(y, X, trials=None, init=None):
     """Damped Newton / IRLS fit of a plain logistic regression.
 
     ``y`` holds one 0/1 outcome per row of ``X``; given ``trials``, it
     holds the positives among ``trials`` per row instead. The ascent
-    starts at the coefficients ``init``, or at zero.
+    starts at the coefficients ``init``, or at zero. The coefficients
+    take a DesignMatrix's column names, or ``x0, x1, ...`` for an array.
     """
-    k, m, U, names = _fit_data(y, X, column_names, trials)
+    k, m, U, names = _fit_data(y, X, trials)
     p = U.shape[1]
     beta0 = np.zeros(p) if init is None else np.asarray(init, dtype=float)
     if beta0.shape != (p,):
@@ -340,14 +329,14 @@ class LiuInit:
     r1: float = 0.01
 
 
-def default_liu_init(y, X, column_names=None, trials=None):
+def default_liu_init(y, X, trials=None):
     """Plain logistic coefficients plus small symmetric error rates.
 
     The logistic fit is used even when flagged non-converged (its
     coefficients still point in a useful direction); they are clipped
     well inside the separation bound so the joint fit starts finite.
     """
-    start = fit_std(y, X, column_names=column_names, trials=trials)
+    start = fit_std(y, X, trials=trials)
     beta = np.clip(start.beta_hat, -10.0, 10.0)
     return LiuInit(beta=beta, r0=0.01, r1=0.01)
 
@@ -381,14 +370,7 @@ def _newton_direction(neg_h, g):
     raise np.linalg.LinAlgError("no diagonal shift makes the Hessian positive definite")
 
 
-def fit_liu(
-    y,
-    X,
-    variant=LiuVariant.BOTH_FREE,
-    init=None,
-    column_names=None,
-    trials=None,
-):
+def fit_liu(y, X, variant=LiuVariant.BOTH_FREE, init=None):
     """Joint MLE of regression coefficients and misclassification rates.
 
     The variant's rate map A (``_RATE_MAP``) gives the end rates from
@@ -403,10 +385,10 @@ def fit_liu(
     Levenberg shift only when that fails. Standard errors and the
     covariance come from the observed information over the coordinates
     not held on a bound; a held rate, or one the variant pins at 0, has
-    no SE and zero rows in ``covariance``. ``y`` and ``trials`` are as
-    in ``fit_std``.
+    no SE and zero rows in ``covariance``. ``y`` holds one 0/1
+    outcome per row of ``X``.
     """
-    k, m, U, names = _fit_data(y, X, column_names, trials)
+    k, m, U, names = _fit_data(y, X)
     p = U.shape[1]
     A = _RATE_MAP[variant]
 

@@ -136,33 +136,33 @@ class TestPosteriorHessians:
     def test_plain_model_matches_differenced_gradient(self):
         k, m, U, rng = self.counts(40)
         beta = rng.normal(scale=0.7, size=3)
-        numeric = fd_information(lambda b: bc_log_posterior_grad(k, U, b, trials=m)[1], beta)
-        analytic = bc_log_posterior_grad(k, U, beta, trials=m, curvature=True)[2]
+        post = _Posterior(3)
+        numeric = fd_information(lambda b: post.grad(k, m, U, b)[1], beta)
+        analytic = post.grad(k, m, U, beta, curvature=True)[2]
         assert_hessian_close(analytic, numeric)
 
     def test_corrected_model_fixed_mode_matches_differenced_gradient(self):
         k, m, U, rng = self.counts(41)
         assay = AssayProfile(sensitivity=0.9, specificity=0.95)
         beta = rng.normal(scale=0.7, size=3)
+        post = _Posterior(3, assay)
 
         def score(b):
-            return bec_log_posterior_grad(k, U, BecParameterBlock(beta=b), assay, trials=m)[1]
+            return post.grad(k, m, U, b)[1]
 
-        block = BecParameterBlock(beta=beta)
-        analytic = bec_log_posterior_grad(k, U, block, assay, trials=m, curvature=True)[2]
+        analytic = post.grad(k, m, U, beta, curvature=True)[2]
         assert_hessian_close(analytic, fd_information(score, beta))
 
     def test_corrected_model_with_accuracy_priors_matches_differenced_gradient(self):
         k, m, U, rng = self.counts(42)
         assay = AssayProfile.with_beta_priors(0.9, 0.92, se_prior_n=50, sp_prior_n=80)
         theta = np.concatenate([rng.normal(scale=0.7, size=3), [0.86, 0.9]])
+        post = _Posterior(3, assay)
 
         def score(t):
-            block = BecParameterBlock(beta=t[:3], se=t[3], sp=t[4])
-            return bec_log_posterior_grad(k, U, block, assay, trials=m)[1]
+            return post.grad(k, m, U, t)[1]
 
-        block = BecParameterBlock(beta=theta[:3], se=theta[3], sp=theta[4])
-        analytic = bec_log_posterior_grad(k, U, block, assay, trials=m, curvature=True)[2]
+        analytic = post.grad(k, m, U, theta, curvature=True)[2]
         assert_hessian_close(analytic, fd_information(score, theta))
 
 

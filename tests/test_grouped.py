@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from misclass_prev import data_model
 from misclass_prev.cli import main
-from misclass_prev.data_model import build_design_matrix, group_rows, save_cohort
+from misclass_prev.data_model import DesignMatrix, build_design_matrix, group_rows, save_cohort
 from misclass_prev.errors import SingularDesignError
 from misclass_prev.likelihoods import (
     ErrorRates,
@@ -35,6 +35,9 @@ from misclass_prev.report import posterior_prevalence_draws
 from misclass_prev.simulate import load_bundled_scenario, simulate
 
 from conftest import assert_hessian_close, fd_information, fd_jacobian
+
+
+REPEATED_NAMES = ("intercept", "age", "common", "rare")
 
 
 def repeated_design(seed, n):
@@ -220,7 +223,7 @@ class TestHessian:
         y = np.where(y == 1.0, flip >= r1, flip < r0).astype(float)
         k, m, U = grouped(y, X)
         try:
-            fit = fit_liu(k, U, variant=variant, trials=m)
+            fit = fit_liu(y, DesignMatrix(X, REPEATED_NAMES), variant=variant)
         except SingularDesignError:
             assume(False)
         assume(fit.converged)
@@ -292,12 +295,14 @@ class TestFits:
     def test_fit_liu_on_counts_matches_rows(self, seed):
         sc = replace(load_bundled_scenario("demo_cohort"), n=3000, seed=seed)
         cohort, _ = simulate(sc)
-        X = build_design_matrix(cohort).matrix.copy()
+        design = build_design_matrix(cohort)
+        X = design.matrix.copy()
         X[:, 1] = np.round(X[:, 1])
         y = cohort.outcomes()
-        k, m, U = grouped(y, X)
+        grouped_design = DesignMatrix(X, design.column_names)
+        assert grouped_design.patterns.rows.shape[0] < X.shape[0]
         rows = fit_liu(y, X)
-        counts = fit_liu(k, U, trials=m)
+        counts = fit_liu(y, grouped_design)
         assert counts.converged == rows.converged
         np.testing.assert_allclose(counts.beta_hat, rows.beta_hat, rtol=1e-5, atol=1e-5)
         assert counts.loglik == pytest.approx(rows.loglik, rel=1e-9)

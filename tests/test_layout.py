@@ -5,6 +5,10 @@ Every other module hands it text or rows: no other module imports
 ``csv`` or calls the builtin ``open``. A method named ``open``, such as
 ``Traversable.open`` on a bundled resource, is not the builtin.
 
+Every fit and likelihood takes a DesignMatrix or a plain array, and
+only ``data_model`` tells the two apart: no other module tests for a
+``matrix`` attribute or calls ``isinstance`` with DesignMatrix.
+
 Code that only the tests use must justify its place or go: every
 private name the package defines is referred to somewhere in the
 package besides its own definition.
@@ -40,6 +44,43 @@ def test_the_guard_sees_both_kinds_of_file_access():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_data_model_touches_files(path):
     assert _file_access(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def _design_type_tests(tree):
+    """The lines of ``tree`` that test whether a value is a DesignMatrix."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        args = node.args
+        if node.func.id == "hasattr" and len(args) == 2 and isinstance(args[1], ast.Constant):
+            if args[1].value == "matrix":
+                found.append(f"{node.lineno}: hasattr(..., 'matrix')")
+        elif node.func.id == "isinstance" and len(args) == 2:
+            kinds = args[1].elts if isinstance(args[1], ast.Tuple) else [args[1]]
+            names = [k.id if isinstance(k, ast.Name) else getattr(k, "attr", None) for k in kinds]
+            if "DesignMatrix" in names:
+                found.append(f"{node.lineno}: isinstance(..., DesignMatrix)")
+    return found
+
+
+def test_the_guard_sees_both_kinds_of_design_type_test():
+    tree = ast.parse(
+        "if hasattr(X, 'matrix'):\n    pass\n"
+        "ok = isinstance(X, DesignMatrix)\n"
+        "ok = isinstance(X, (np.ndarray, data_model.DesignMatrix))\n"
+        "ok = hasattr(source, 'read') or isinstance(X, np.ndarray)\n"
+    )
+    assert _design_type_tests(tree) == [
+        "1: hasattr(..., 'matrix')",
+        "3: isinstance(..., DesignMatrix)",
+        "4: isinstance(..., DesignMatrix)",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_data_model_reads_a_design_type(path):
+    assert _design_type_tests(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
 def _private_definitions(tree):

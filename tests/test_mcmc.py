@@ -1,5 +1,7 @@
 """Sampler correctness: calibration against known targets, diagnostics, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -122,6 +124,45 @@ class TestDiagnostics:
 
     def test_ess_constant_chains_give_nan(self):
         assert np.isnan(ess_bulk(np.full((2, 300), 7.0)))
+
+    def test_one_constant_parameter_is_nan_and_the_others_match_their_own_slices(self):
+        rng = np.random.default_rng(6)
+        draws = rng.standard_normal((3, 501, 4))
+        draws[:, :, 1] += np.arange(3)[:, None]  # chains apart in one parameter
+        draws[:, :, 2] = 2.0
+        r, e = rhat(draws), ess_bulk(draws)
+        assert r.shape == e.shape == (4,)
+        assert list(np.isnan(r)) == list(np.isnan(e)) == [False, False, True, False]
+        for j in (0, 1, 3):
+            assert r[j] == rhat(draws[:, :, j])
+            assert e[j] == pytest.approx(ess_bulk(draws[:, :, j]), rel=1e-12)
+
+    @pytest.mark.parametrize("samples", [1, 2, 3, 4])
+    def test_short_chains_give_nan(self, samples):
+        draws = np.random.default_rng(samples).standard_normal((3, samples, 2))
+        # split R-hat needs 2 draws per half, the ESS 4 draws per chain
+        assert np.isnan(rhat(draws[:, :, 0])) == (samples < 4)
+        assert np.isnan(ess_bulk(draws[:, :, 0])) == (samples < 4)
+        assert np.isnan(rhat(draws)).all() == np.isnan(ess_bulk(draws)).all() == (samples < 4)
+
+    @pytest.mark.parametrize("samples", [100, 101])
+    def test_rhat_is_the_split_potential_scale_reduction(self, samples):
+        # Gelman et al., Bayesian Data Analysis (3rd ed.), 11.4: each chain
+        # split in halves (an odd chain's middle draw left out), W the mean
+        # within-half variance, B / n the variance of the half means
+        rng = np.random.default_rng(samples)
+        draws = rng.standard_normal((3, samples, 2)) + rng.normal(0.0, 0.3, (3, 1, 2))
+        n = samples // 2
+        for j in range(2):
+            halves = [list(c[:n]) for c in draws[:, :, j]] + [list(c[-n:]) for c in draws[:, :, j]]
+            means = [sum(h) / n for h in halves]
+            grand = sum(means) / len(halves)
+            w = sum(sum((x - mu) ** 2 for x in h) / (n - 1) for h, mu in zip(halves, means))
+            w /= len(halves)
+            b_over_n = sum((mu - grand) ** 2 for mu in means) / (len(halves) - 1)
+            expected = math.sqrt(((n - 1) / n * w + b_over_n) / w)
+            assert rhat(draws[:, :, j]) == pytest.approx(expected, rel=1e-12)
+            assert rhat(draws)[j] == pytest.approx(expected, rel=1e-12)
 
 
 class TestSampleValidation:

@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from misclass_prev.data_model import GROUP_DUMMY_COLUMNS, AssayProfile, build_design_matrix
+from misclass_prev.data_model import (
+    GROUP_DUMMY_COLUMNS,
+    AssayProfile,
+    DesignMatrix,
+    build_design_matrix,
+)
 from misclass_prev.errors import SingularDesignError
 from misclass_prev.likelihoods import ErrorRates, liu_loglik, logistic, std_loglik
 from misclass_prev.mle import (
@@ -117,7 +122,7 @@ class TestFitStd:
         X = np.column_stack([np.ones(60), x, x])
         y = (rng.random(60) < 0.5).astype(float)
         with pytest.raises(SingularDesignError) as err:
-            fit_std(y, X, column_names=("intercept", "a", "a_copy"))
+            fit_std(y, DesignMatrix(X, ("intercept", "a", "a_copy")))
         assert "a_copy" in str(err.value) or "a" in str(err.value)
 
     def test_resample_without_the_reference_group_is_rank_deficient(self):
@@ -131,16 +136,18 @@ class TestFitStd:
         drawn = patterns.rows[:, groups].sum(axis=1) == 1.0
         assert 0 < drawn.sum() < len(drawn)
         p = X.matrix.shape[1]
+        # the rows of the drawn patterns, as a named design
+        rows = drawn[patterns.inverse]
         with pytest.raises(SingularDesignError) as err:
-            fit_std(
-                patterns.positives(y)[drawn],
-                patterns.rows[drawn],
-                column_names=X.column_names,
-                trials=patterns.trials[drawn],
-            )
+            fit_std(y[rows], DesignMatrix(X.matrix[rows], X.column_names))
         assert f"rank {p - 1} of {p}" in str(err.value)
         assert set(err.value.columns) & set(GROUP_DUMMY_COLUMNS)
         assert any(name in str(err.value) for name in GROUP_DUMMY_COLUMNS)
+        # and as the bootstrap refits them, counts over unnamed patterns
+        with pytest.raises(SingularDesignError, match=f"rank {p - 1} of {p}"):
+            fit_std(
+                patterns.positives(y)[drawn], patterns.rows[drawn], trials=patterns.trials[drawn]
+            )
 
     def test_warm_start_reaches_the_same_refits_in_fewer_steps(self, intage_demo):
         # the report's bootstrap refits: 20 STD resamples of the integer-age
@@ -157,7 +164,7 @@ class TestFitStd:
             trials = np.bincount(drawn, minlength=n_patterns).astype(float)
             live = trials > 0.0
             positives = np.bincount(drawn, weights=y[idx], minlength=n_patterns)[live]
-            kw = {"column_names": X.column_names, "trials": trials[live]}
+            kw = {"trials": trials[live]}
             cold = fit_std(positives, patterns.rows[live], **kw)
             warm = fit_std(positives, patterns.rows[live], init=beta_hat, **kw)
             assert warm.converged == cold.converged
