@@ -92,6 +92,7 @@ STUDY_DEFAULTS = {
     "chains": STUDY_SAMPLER.chains,
     "warmup": STUDY_SAMPLER.warmup,
     "samples": STUDY_SAMPLER.samples,
+    "format": "text",
 }
 SEED_HELP = (
     "non-negative; a fixed seed repeats results bit for bit only at a fixed "
@@ -149,8 +150,15 @@ def _add_estimate_flags(sub):
     sub.add_argument("--allow-nonconverged", action="store_true")
 
 
-def _add_output_flags(sub):
-    sub.add_argument("--format", choices=("text", "csv"), default="text")
+def _add_output_flags(sub, study=False):
+    """--format and --out; under simulate (``study``) --format parses to None,
+    and ``_run_simulate`` fills in STUDY_DEFAULTS."""
+    sub.add_argument(
+        "--format",
+        choices=("text", "csv"),
+        default=None if study else "text",
+        help=f"table format (study mode; default {STUDY_DEFAULTS['format']})" if study else None,
+    )
     sub.add_argument("--out", help="write the result here instead of stdout")
 
 
@@ -206,7 +214,7 @@ def build_parser():
     _add_sampler_flags(sim, study=True)
     sim.add_argument("--se", type=float, help="analysis sensitivity override (study mode)")
     sim.add_argument("--sp", type=float, help="analysis specificity override (study mode)")
-    _add_output_flags(sim)
+    _add_output_flags(sim, study=True)
 
     rep = sub.add_parser("report", help="re-render a saved comparison csv as text")
     rep.add_argument("--in", dest="infile", required=True, help="csv written by fit or compare")

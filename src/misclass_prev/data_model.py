@@ -267,29 +267,14 @@ class CovariatePatterns:
         return np.linalg.svd(self.rows, compute_uv=False)
 
 
-# Grouping copies the matrix into a structured array for ``np.unique``,
-# 8 bytes a cell; ``np.lexsort`` makes no such copy but pages in about
-# 128 kB of its own stable-sort code. Below this many cells the copy is
-# the smaller cost, above it the sort is, and it is also several times
-# faster.
-_LEXSORT_CELLS = 16_384
-
-
 def group_rows(matrix):
     """Group a design matrix by distinct rows (a sort: O(n log n) over n rows).
 
-    Patterns come in ``np.unique(matrix, axis=0)``'s order. A large
-    matrix is sorted by one stable ``lexsort`` over the columns, first
-    column first, which puts equal rows next to each other; a pattern
-    starts wherever a row differs from the one before it.
+    One stable ``lexsort`` over the columns, first column first, puts
+    equal rows next to each other, so patterns come in the lexicographic
+    order of their rows; a pattern starts wherever a row differs from
+    the one before it.
     """
-    if matrix.size < _LEXSORT_CELLS:
-        rows, inverse, trials = np.unique(
-            matrix, axis=0, return_inverse=True, return_counts=True
-        )
-        return CovariatePatterns(
-            rows=rows, trials=trials.astype(float), inverse=inverse.reshape(-1)
-        )
     n = matrix.shape[0]
     order = np.lexsort(matrix.T[::-1])
     ordered = matrix[order]

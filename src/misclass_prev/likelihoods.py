@@ -96,10 +96,14 @@ class ErrorRates:
 
     Each must sit in [0, 0.5) and their sum below 1, which keeps the
     response probability strictly increasing in the linear predictor.
+    A joint fit's estimates carry their standard errors, None for a rate
+    held on its bound or pinned at 0.
     """
 
     r0: float
     r1: float
+    se_r0: float = None
+    se_r1: float = None
 
     def __post_init__(self):
         r0, r1 = float(self.r0), float(self.r1)

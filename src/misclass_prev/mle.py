@@ -81,18 +81,6 @@ class LiuVariant(Enum):
     ERRORS_EQUAL = "errors_equal"
 
 
-@dataclass(frozen=True)
-class LiuErrorEstimate:
-    r0: float
-    r1: float
-    se_r0: float = None
-    se_r1: float = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "r0", float(self.r0))
-        object.__setattr__(self, "r1", float(self.r1))
-
-
 @dataclass
 class FitResult:
     """Common result record for every estimator in the package.
@@ -108,7 +96,7 @@ class FitResult:
     converged: bool
     iterations: int
     column_names: tuple = ()
-    error_rates_hat: LiuErrorEstimate = None
+    error_rates_hat: ErrorRates = None
     condition_warning: str = None
     variant: LiuVariant = None
     covariance: np.ndarray = None  # over (beta, free rates) for the joint model
@@ -322,25 +310,6 @@ def observed_information(info):
     return InformationResult(matrix=info, se=np.sqrt(np.diag(cov)), rcond=rcond, covariance=cov)
 
 
-@dataclass(frozen=True)
-class LiuInit:
-    beta: np.ndarray
-    r0: float = 0.01
-    r1: float = 0.01
-
-
-def default_liu_init(y, X, trials=None):
-    """Plain logistic coefficients plus small symmetric error rates.
-
-    The logistic fit is used even when flagged non-converged (its
-    coefficients still point in a useful direction); they are clipped
-    well inside the separation bound so the joint fit starts finite.
-    """
-    start = fit_std(y, X, trials=trials)
-    beta = np.clip(start.beta_hat, -10.0, 10.0)
-    return LiuInit(beta=beta, r0=0.01, r1=0.01)
-
-
 # Upper end of a free rate's box, strictly below the 0.5 that ErrorRates refuses.
 RATE_MAX = 0.5 - 1e-9
 
@@ -387,15 +356,24 @@ def fit_liu(y, X, variant=LiuVariant.BOTH_FREE, init=None):
     not held on a bound; a held rate, or one the variant pins at 0, has
     no SE and zero rows in ``covariance``. ``y`` holds one 0/1
     outcome per row of ``X``.
+
+    The ascent restarts from ``init``, an earlier joint fit, at its
+    coefficients and rates. Without it, it starts at the plain logistic
+    fit of the same design, its coefficients clipped to [-10, 10] so the
+    start stays finite under separation (they are used even when that
+    fit is flagged non-converged), and at rates (0.01, 0.01); on a
+    DesignMatrix both fits share its patterns and its rank check.
     """
     k, m, U, names = _fit_data(y, X)
     p = U.shape[1]
     A = _RATE_MAP[variant]
 
     if init is None:
-        init = default_liu_init(k, U, trials=m)
-
-    beta0 = np.asarray(init.beta, dtype=float)
+        beta0, rates0 = np.clip(fit_std(y, X).beta_hat, -10.0, 10.0), (0.01, 0.01)
+    elif init.error_rates_hat is None:
+        raise ValueError("init must be a joint fit that carries error-rate estimates")
+    else:
+        beta0, rates0 = init.beta_hat, (init.error_rates_hat.r0, init.error_rates_hat.r1)
     if beta0.shape[0] != p:
         raise ValueError(f"init beta has length {beta0.shape[0]}, design has {p} columns")
 
@@ -416,7 +394,7 @@ def fit_liu(y, X, variant=LiuVariant.BOTH_FREE, init=None):
 
     theta, ll, converged, iterations, warning, free, neg_h = _newton_ascent(
         loglik,
-        np.concatenate([beta0, A.T @ [init.r0, init.r1] / A.sum(axis=0)]),
+        np.concatenate([beta0, A.T @ rates0 / A.sum(axis=0)]),
         lo=np.concatenate([np.full(p, -np.inf), np.zeros(n_free)]),
         hi=np.concatenate([np.full(p, np.inf), np.full(n_free, RATE_MAX)]),
     )
@@ -456,7 +434,7 @@ def fit_liu(y, X, variant=LiuVariant.BOTH_FREE, init=None):
         converged=converged,
         iterations=iterations,
         column_names=names,
-        error_rates_hat=LiuErrorEstimate(r0=r0_hat, r1=r1_hat, se_r0=se_r0, se_r1=se_r1),
+        error_rates_hat=ErrorRates(r0_hat, r1_hat, se_r0, se_r1),
         condition_warning=warning,
         variant=variant,
         covariance=cov,

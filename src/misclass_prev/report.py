@@ -29,7 +29,7 @@ numbers.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .data_model import design_patterns, read_csv_rows
 from .errors import NonConvergenceError, SingularDesignError
 from .likelihoods import binomial_counts, logistic
 from .mcmc import SamplerConfig
-from .mle import LiuInit, LiuVariant, ModelTag, fit_liu, fit_std
+from .mle import LiuVariant, ModelTag, fit_liu, fit_std
 from .rogan_gladen import (
     CrudeEstimate,
     IntervalMethod,
@@ -71,7 +71,7 @@ class PrevalenceEstimate:
     lower: float
     upper: float
     interval_method: IntervalMethod
-    ci_width: float = None
+    ci_width: float = field(init=False)
     change_vs_crude_pct: float = None
     change_vs_std_pct: float = None
     n_resample_failures: int = 0
@@ -229,15 +229,13 @@ def marginal_prevalence_liu(X, fit, n_boot=500, rng=None, interval=IntervalMetho
     def refits():
         gen = np.random.default_rng(rng)
         r0, r1 = fit.error_rates_hat.r0, fit.error_rates_hat.r1
-        variant = fit.variant or LiuVariant.BOTH_FREE
-        init = LiuInit(beta=fit.beta_hat, r0=r0, r1=r1)
         pi_rows = logistic(patterns.rows @ fit.beta_hat)[patterns.inverse]
         for _ in range(n_boot):
             # outcomes are drawn per row, as the stream always has been
             latent = gen.random(pi_rows.shape[0]) < pi_rows
             u = gen.random(pi_rows.shape[0])
             y_b = np.where(latent, u >= r1, u < r0).astype(float)
-            refit = fit_liu(y_b, X, variant=variant, init=init)
+            refit = fit_liu(y_b, X, variant=fit.variant, init=fit)
             if refit.converged:
                 yield patterns.mean(logistic(patterns.rows @ refit.beta_hat))
             else:

@@ -320,19 +320,21 @@ def simulate(scenario, rng=None):
 
 
 _INTERCEPT_XTOL = 1e-12
+CALIBRATION_PROBE_N = 100_000  # covariate rows drawn to calibrate the intercept on
 
 
-def calibrate_intercept(scenario, target_prevalence, probe_n=100_000):
+def calibrate_intercept(scenario, target_prevalence):
     """Adjust the intercept so the mean true-status probability hits a target.
 
-    Solves on one large probe draw of covariates, so the result is
-    deterministic; the per-cohort realized prevalence still varies
-    binomially around the target.
+    Solves on one large probe draw of covariates, ``CALIBRATION_PROBE_N``
+    rows from a fixed seed, so the result is deterministic; the
+    per-cohort realized prevalence still varies binomially around the
+    target.
     """
     if not (0.0 < target_prevalence < 1.0):
         raise ValueError("target prevalence must lie in (0, 1)")
     rng = np.random.default_rng([7, 0xCA11])
-    cols = _draw_covariates(scenario.covariate_spec, probe_n, rng)
+    cols = _draw_covariates(scenario.covariate_spec, CALIBRATION_PROBE_N, rng)
     X = design_from_columns(cols, scenario.covariates).matrix
     beta = np.asarray(scenario.beta_true)
 

@@ -566,6 +566,7 @@ class TestFlagErrors:
             ["simulate", "--scenario", "SCENARIO", "--out", "OUT", "--chains", "2"],
             ["simulate", "--scenario", "SCENARIO", "--out", "OUT", "--warmup", "800"],
             ["simulate", "--scenario", "SCENARIO", "--out", "OUT", "--samples", "800"],
+            ["simulate", "--scenario", "SCENARIO", "--out", "OUT", "--format", "csv"],
             ["fit", "--data", "DATA", "--model", "STD", *ASSAY, "--seed", "-1"],
             ["compare", "--data", "DATA", "--models", "std", *ASSAY, "--seed", "-3"],
             ["simulate", "--scenario", "SCENARIO", "--out", "OUT", "--seed", "-1"],
@@ -612,6 +613,7 @@ class TestFlagErrors:
             "cohort-chains",
             "cohort-warmup",
             "cohort-samples",
+            "cohort-format",
             "fit-negative-seed",
             "compare-negative-seed",
             "simulate-negative-seed",

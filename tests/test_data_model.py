@@ -213,7 +213,7 @@ class TestNoRecordsUntilRead:
         assert built[0] == len(cohort)
 
     def test_calibrate_intercept(self, built):
-        calibrate_intercept(load_bundled_scenario("demo_cohort"), 0.05, probe_n=5_000)
+        calibrate_intercept(load_bundled_scenario("demo_cohort"), 0.05)
         assert built[0] == 0
 
 
@@ -255,9 +255,7 @@ class TestDesignMatrix:
         rows, inverse, counts = np.unique(
             matrix, axis=0, return_inverse=True, return_counts=True
         )
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(data_model, "_LEXSORT_CELLS", 0)  # the sort a large matrix takes
-            patterns = group_rows(matrix)
+        patterns = group_rows(matrix)
         # by value: -0.0 and 0.0 are one pattern, and either may represent it
         assert patterns.rows.shape == rows.shape and np.all(patterns.rows == rows)
         np.testing.assert_array_equal(patterns.inverse, inverse.reshape(-1))

@@ -11,7 +11,11 @@ only ``data_model`` tells the two apart: no other module tests for a
 
 Code that only the tests use must justify its place or go: every
 private name the package defines is referred to somewhere in the
-package besides its own definition.
+package besides its own definition, and every public module-level
+function and class is referred to, besides its own definition, by a
+package module other than ``__init__`` (whose re-exports serve the
+tests as much as anyone), by the benchmark in ``perfbench/`` or by the
+frozen acceptance tests.
 """
 
 import ast
@@ -19,7 +23,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "misclass_prev"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "misclass_prev"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "data_model")
 
 
@@ -116,16 +121,27 @@ def _references(tree):
     return found
 
 
-def _unreferenced(sources):
-    """``"file: name"`` of each private definition in ``sources`` (file name -> text)
-    that no line of them outside the definition itself refers to."""
+def _public_definitions(tree):
+    """``(name, first line, last line)`` of each public module-level function and class."""
+    return [
+        (node.name, node.lineno, node.end_lineno)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+
+
+def _unreferenced(sources, definitions=_private_definitions, users=()):
+    """``"file: name"`` of each of the ``definitions`` in ``sources`` (file name ->
+    text) that no line of them outside the definition itself refers to, nor
+    any of ``users`` (the text of other files)."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     refs = [(name, ref, line) for name, tree in trees.items() for ref, line in _references(tree)]
+    refs += [(None, ref, line) for text in users for ref, line in _references(ast.parse(text))]
     return [
-        f"{name}: {private}"
+        f"{name}: {defined}"
         for name, tree in trees.items()
-        for private, first, last in _private_definitions(tree)
-        if not any(r == private and (f != name or not first <= line <= last) for f, r, line in refs)
+        for defined, first, last in definitions(tree)
+        if not any(r == defined and (f != name or not first <= line <= last) for f, r, line in refs)
     ]
 
 
@@ -146,3 +162,27 @@ def test_the_guard_finds_private_names_nothing_else_uses():
 def test_every_private_name_has_a_caller_in_the_package():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert _unreferenced(sources) == []
+
+
+def test_the_guard_finds_public_names_only_the_tests_use():
+    a = (
+        "LIMIT = 1\n\n"
+        "def helper():\n    return LIMIT\n\n"
+        "def recursive(n):\n    return recursive(n - 1)\n\n"
+        "class Spare:\n    def method(self):\n        return helper()\n\n"
+        "def imported():\n    pass\n\n"
+        "def benched():\n    pass\n\n"
+        "def _private():\n    pass\n"
+    )
+    b = "from a import imported\n"
+    bench = "import a\na.benched()\n"
+    found = _unreferenced({"a.py": a, "b.py": b}, _public_definitions, [bench])
+    assert found == ["a.py: recursive", "a.py: Spare"]
+
+
+def test_every_public_name_has_a_user_besides_the_tests():
+    package = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+    sources = {p.name: p.read_text(encoding="utf-8") for p in package}
+    users = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    users.append((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    assert _unreferenced(sources, _public_definitions, users) == []

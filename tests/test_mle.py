@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
+from misclass_prev import mle
 from misclass_prev.data_model import (
     GROUP_DUMMY_COLUMNS,
     AssayProfile,
@@ -23,7 +24,6 @@ from misclass_prev.mle import (
     LiuVariant,
     ModelTag,
     _degenerate,
-    default_liu_init,
     fit_liu,
     fit_std,
     observed_information,
@@ -450,10 +450,51 @@ class TestFitLiu:
             fit = fit_liu(cohort.outcomes(), X)
         assert not fit.converged
 
-    def test_default_init_clips_runaway_start(self):
+    def test_default_init_clips_runaway_start(self, monkeypatch):
         x = np.concatenate([-np.ones(30), np.ones(30)])
         y = (x > 0).astype(float)
         X = np.column_stack([np.ones(60), x])
-        init = default_liu_init(y, X)
-        assert np.max(np.abs(init.beta)) <= 10.0
-        assert init.r0 == 0.01 and init.r1 == 0.01
+        assert np.max(np.abs(fit_std(y, X).beta_hat)) > 10.0  # separated: the start runs away
+        starts = []
+        real = mle._newton_ascent
+
+        def spy(loglik, theta, *args, **kwargs):
+            starts.append(np.array(theta))
+            return real(loglik, theta, *args, **kwargs)
+
+        monkeypatch.setattr(mle, "_newton_ascent", spy)
+        fit_liu(y, X)
+        # the plain fit's ascent over 2 coefficients, then the joint one
+        assert [len(t) for t in starts] == [2, 4]
+        assert np.max(np.abs(starts[1][:2])) <= 10.0
+        assert starts[1][2:].tolist() == [0.01, 0.01]
+
+    def test_fit_on_a_design_runs_one_svd(self, monkeypatch):
+        sc = _liu_test_scenario(2000)
+        cohort, _ = simulate(sc, rng=np.random.default_rng([9, 1, 0]))
+        X = build_design_matrix(cohort, columns=sc.covariates)
+        calls = []
+        real = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        fit_liu(cohort.outcomes(), X)
+        assert len(calls) == 1
+
+    def test_restarts_from_a_joint_fit(self):
+        sc = _liu_test_scenario(2000)
+        cohort, _ = simulate(sc, rng=np.random.default_rng([9, 2, 0]))
+        X = build_design_matrix(cohort, columns=sc.covariates)
+        y = cohort.outcomes()
+        fit = fit_liu(y, X)
+        again = fit_liu(y, X, init=fit)
+        assert again.iterations == 0
+        np.testing.assert_array_equal(again.beta_hat, fit.beta_hat)
+        with pytest.raises(ValueError, match="error-rate estimates"):
+            fit_liu(y, X, init=fit_std(y, X))
+        short = replace(fit, beta_hat=fit.beta_hat[:-1])
+        with pytest.raises(ValueError, match="init beta has length"):
+            fit_liu(y, X, init=short)

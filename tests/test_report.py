@@ -73,6 +73,17 @@ class TestPrevalenceEstimate:
         )
         assert est.ci_width == pytest.approx(0.07)
 
+    def test_width_cannot_be_passed(self):
+        with pytest.raises(TypeError, match="ci_width"):
+            PrevalenceEstimate(
+                model_tag=ModelTag.STD,
+                point=0.05,
+                lower=0.02,
+                upper=0.09,
+                interval_method=IntervalMethod.WALD,
+                ci_width=0.5,
+            )
+
 
 class TestPosteriorPrevalenceDraws:
     def test_each_draw_averages_its_own_probabilities(self):

@@ -13,6 +13,7 @@ from misclass_prev.data_model import AssayProfile, design_from_columns, save_coh
 from misclass_prev.errors import InputError, SchemaError
 from misclass_prev.likelihoods import logistic
 from misclass_prev.simulate import (
+    CALIBRATION_PROBE_N,
     CovariateSpec,
     SimScenario,
     _calibrated_truncnorm,
@@ -166,7 +167,7 @@ class TestDeterminism:
 class TestCalibration:
     def test_intercept_lands_on_target(self):
         sc = basic_scenario(n=2000, seed=5)
-        cal = calibrate_intercept(sc, 0.05, probe_n=50_000)
+        cal = calibrate_intercept(sc, 0.05)
         assert cal.beta_true[1:] == sc.beta_true[1:]
         _, truth = simulate(
             SimScenario(
@@ -249,9 +250,9 @@ class TestScipyReplacements:
     @pytest.mark.parametrize("scenario", ["basic", "demo_cohort"])
     def test_intercept_matches_brentq(self, scenario, target):
         sc = basic_scenario() if scenario == "basic" else load_bundled_scenario(scenario)
-        probe_n = 20_000
-        got = calibrate_intercept(sc, target, probe_n=probe_n).beta_true[0]
-        cols = _draw_covariates(sc.covariate_spec, probe_n, np.random.default_rng([7, 0xCA11]))
+        got = calibrate_intercept(sc, target).beta_true[0]
+        rng = np.random.default_rng([7, 0xCA11])
+        cols = _draw_covariates(sc.covariate_spec, CALIBRATION_PROBE_N, rng)
         X = design_from_columns(cols, sc.covariates).matrix
         rest = np.asarray(sc.beta_true[1:])
 
@@ -262,7 +263,7 @@ class TestScipyReplacements:
 
     def test_intercept_out_of_reach_is_a_value_error(self):
         with pytest.raises(ValueError, match="no intercept"):
-            calibrate_intercept(basic_scenario(), 1e-15, probe_n=1000)
+            calibrate_intercept(basic_scenario(), 1e-15)
 
     @pytest.mark.parametrize(
         "spec,uniforms,ages",
